@@ -11,9 +11,9 @@ whole point of dynamic plans.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from repro.cost.context import DOP_PARAMETER, CostContext
 from repro.errors import ExecutionError
@@ -67,7 +67,7 @@ from repro.executor.iterators import (
     TopNIterator,
     UnionAllIterator,
 )
-from repro.executor.fused import try_fuse
+from repro.executor.fused import iter_fused_pipelines, try_fuse
 from repro.obs.metrics import get_metrics
 from repro.obs.telemetry import CardinalityLedger, get_ledger, plan_signature
 from repro.obs.trace import get_tracer
@@ -259,40 +259,37 @@ def execute_plan(
     if size <= 0:
         raise ExecutionError("batch_size must be positive")
     ledger = get_ledger()
-    probe = (
-        _ProbeContext(ledger=ledger, catalog_version=db.catalog.version)
-        if ledger.enabled
-        else None
+    probe = ledger if ledger.enabled else None
+
+    vectorized = execution_mode != "row"
+    # Metering and guards wrap every operator individually, which a fused
+    # chain cannot honor — those runs build the plain batch tree instead
+    # (byte-identical output).
+    fuse = execution_mode == "fused" and operator_stats is None and guard is None
+    if execution_mode == "fused" and not fuse:
+        get_metrics().counter("codegen.bypassed").inc()
+    cx = BuildContext(
+        family=_family(vectorized),
+        db=db,
+        bindings=bindings,
+        choices=choices or {},
+        memory=memory,
+        materialized=materialized or {},
+        batch_size=size if vectorized else None,
+        operator_stats=operator_stats,
+        dop=effective_dop,
+        probe=probe,
+        guard=guard,
+        pinned=pinned_nodes,
+        fused=fuse,
     )
 
     before = _snapshot(db)
     started = time.perf_counter()
     max_estimate_error = 1.0
-    with ledger.collect() if probe is not None else _no_collection() as collection:
-        if execution_mode in ("batch", "fused"):
-            # Metering and guards wrap every operator individually, which
-            # a fused chain cannot honor — those runs build the plain
-            # batch tree instead (byte-identical output).
-            fuse = (
-                execution_mode == "fused"
-                and operator_stats is None
-                and guard is None
-            )
-            iterator = _build_batch_iterator(
-                plan,
-                db,
-                bindings,
-                choices or {},
-                memory,
-                materialized or {},
-                operator_stats,
-                size,
-                dop=effective_dop,
-                probe=probe,
-                guard=guard,
-                pinned=pinned_nodes,
-                fused=fuse,
-            )
+    with ledger.collect() if probe is not None else nullcontext() as collection:
+        iterator = build(plan, cx)
+        if vectorized:
             # Whole-block extends gather the result at C speed; a
             # per-row comprehension here costs more than a short
             # pipeline's own operator work.
@@ -300,19 +297,6 @@ def execute_plan(
             for batch in iterator.batches():
                 rows.extend(batch.rows)
         else:
-            iterator = _build_iterator(
-                plan,
-                db,
-                bindings,
-                choices or {},
-                memory,
-                materialized or {},
-                operator_stats,
-                dop=effective_dop,
-                probe=probe,
-                guard=guard,
-                pinned=pinned_nodes,
-            )
             rows = list(iterator.rows())
     if collection is not None:
         max_estimate_error = collection.max_error_ratio
@@ -349,31 +333,12 @@ def execute_plan(
     )
 
 
-@dataclass(frozen=True)
-class _ProbeContext:
-    """Ledger wiring threaded through iterator construction.
-
-    Present only while the telemetry ledger is enabled and absent inside
-    exchange-worker subtrees (per-worker counts are partial; the exchange
-    itself reports the reassembled total).
-    """
-
-    ledger: CardinalityLedger
-    catalog_version: int
-
-
 #: Pipeline breakers whose *output* cardinality is a complete observation
 #: of the node's estimate once the iterator exhausts naturally.  The
 #: hash-join build side is the remaining breaker; it is probed at the
 #: join's construction site, and exchange partitions report through the
 #: exchange iterator.
 _BREAKER_NODES = (SortNode, HashAggregateNode, SortedAggregateNode)
-
-
-@contextmanager
-def _no_collection():
-    """Stand-in for ``ledger.collect()`` when telemetry is off."""
-    yield None
 
 
 def iter_probe_sites(
@@ -442,273 +407,6 @@ def _contains_choose(plan: PlanNode) -> bool:
     return False
 
 
-def _build_iterator(
-    node: PlanNode,
-    db: Database,
-    bindings: Mapping[str, object],
-    choices: Mapping[int, PlanNode],
-    memory: int,
-    materialized: Mapping[MaterializedKey, MaterializedIterator],
-    operator_stats: dict[int, OperatorStats] | None = None,
-    dop: int = 1,
-    partition: PartitionSpec | None = None,
-    probe: _ProbeContext | None = None,
-    guard=None,
-    pinned: Mapping[int, tuple] | None = None,
-) -> PlanIterator:
-    if pinned:
-        entry = pinned.get(id(node))
-        if entry is not None:
-            schema, rows = entry
-            return MaterializedIterator(schema, tuple(rows))
-    if isinstance(node, ChoosePlanNode):
-        try:
-            chosen = choices[id(node)]
-        except KeyError:
-            raise ExecutionError(
-                "decision map lacks an entry for a choose-plan operator"
-            ) from None
-        # The choose-plan operator itself does no run-time work; it is
-        # never metered — counters attach to the chosen alternative.
-        return _build_iterator(
-            chosen, db, bindings, choices, memory, materialized, operator_stats,
-            dop, partition, probe, guard, pinned,
-        )
-    iterator = _instantiate_iterator(
-        node, db, bindings, choices, memory, materialized, operator_stats,
-        dop, partition, probe, guard, pinned,
-    )
-    if operator_stats is not None and not isinstance(iterator, MeteredIterator):
-        # A shared subplan (DAG) may be instantiated once per parent; both
-        # instantiations accumulate into the same node-keyed stats record.
-        stats = operator_stats.get(id(node))
-        if stats is None:
-            stats = operator_stats[id(node)] = OperatorStats(label=node.label)
-        iterator = MeteredIterator(iterator, stats, db.disk.counters)
-    if probe is not None and isinstance(node, _BREAKER_NODES):
-        iterator = LedgerProbeIterator(
-            iterator, probe.ledger, plan_signature(node), node.label,
-            node.cardinality, probe.catalog_version,
-        )
-    # Checkpoint outermost, so the metering and ledger wrappers observe
-    # the drain exactly as they would a downstream consumer's pulls.
-    if guard is not None and isinstance(node, _BREAKER_NODES) and guard.wants(node):
-        iterator = CheckpointIterator(iterator, node, guard)
-    return iterator
-
-
-def _instantiate_iterator(
-    node: PlanNode,
-    db: Database,
-    bindings: Mapping[str, object],
-    choices: Mapping[int, PlanNode],
-    memory: int,
-    materialized: Mapping[MaterializedKey, MaterializedIterator],
-    operator_stats: dict[int, OperatorStats] | None,
-    dop: int,
-    partition: PartitionSpec | None,
-    probe: _ProbeContext | None = None,
-    guard=None,
-    pinned: Mapping[int, tuple] | None = None,
-) -> PlanIterator:
-    if materialized:
-        info = leaf_access_info(node)
-        if info is not None and info in materialized:
-            return _apply_partition(materialized[info], info[0], db, partition)
-
-    def build(child: PlanNode) -> PlanIterator:
-        return _build_iterator(
-            child, db, bindings, choices, memory, materialized, operator_stats,
-            dop, partition, probe, guard, pinned,
-        )
-
-    if isinstance(node, ExchangeNode):
-        if partition is not None:
-            raise ExecutionError("nested exchange operators are not supported")
-        return _make_exchange(
-            node, db, bindings, choices, memory, materialized, dop, probe
-        )
-    if isinstance(node, FileScanNode):
-        if (
-            partition is not None
-            and partition.mode is not ExchangeMode.REPARTITION
-            and partition.driver == node.relation
-        ):
-            return StripedFileScanIterator(
-                db, node.relation, partition.worker, partition.dop
-            )
-        return _apply_partition(
-            FileScanIterator(db, node.relation), node.relation, db, partition
-        )
-    if isinstance(node, BtreeScanNode):
-        iterator = BtreeScanIterator(
-            db, node.relation, node.key, node.predicate, bindings
-        )
-        return _apply_partition(iterator, node.relation, db, partition)
-    if isinstance(node, FilterNode):
-        return FilterIterator(build(node.inputs[0]), node.predicate, bindings)
-    if isinstance(node, HashJoinNode):
-        build_side = build(node.inputs[0])
-        if probe is not None:
-            # The build side is a pipeline breaker: the join materializes
-            # it entirely before probing, so its consumed row count is a
-            # complete observation of the build child's estimate.
-            build_side = LedgerProbeIterator(
-                build_side, probe.ledger, plan_signature(node.inputs[0]),
-                f"{node.inputs[0].label} [build]", node.inputs[0].cardinality,
-                probe.catalog_version,
-            )
-        if guard is not None and guard.wants(node.inputs[0]):
-            # The build side is itself a pipeline breaker: the join drains
-            # it entirely before probing, so its materialized rows are a
-            # free checkpoint (nothing is wasted when a replan pins them).
-            build_side = CheckpointIterator(build_side, node.inputs[0], guard)
-        return HashJoinIterator(
-            build_side, build(node.inputs[1]), node.predicates, db, memory
-        )
-    if isinstance(node, MergeJoinNode):
-        return MergeJoinIterator(
-            build(node.inputs[0]), build(node.inputs[1]), node.predicates
-        )
-    if isinstance(node, NestedLoopsJoinNode):
-        return NestedLoopsJoinIterator(
-            build(node.inputs[0]), build(node.inputs[1]), node.predicates, db, memory
-        )
-    if isinstance(node, IndexJoinNode):
-        iterator = IndexJoinIterator(
-            build(node.inputs[0]), db, node.inner_relation, node.inner_key,
-            node.predicates,
-        )
-        if (
-            partition is not None
-            and partition.mode is not ExchangeMode.REPARTITION
-            and partition.driver == node.inner_relation
-        ):
-            # The activated alternative probes the driver instead of
-            # scanning it, so the driver's tuples enter the plan here.  The
-            # outer is replicated (the driver appears exactly once per
-            # activated plan), making this output stream deterministic
-            # across workers; a row-index stripe of it assigns each driver
-            # match to exactly one worker and stays a subsequence, so MERGE
-            # order survives.
-            return ModuloStripeIterator(
-                iterator, partition.worker, partition.dop
-            )
-        return iterator
-    if isinstance(node, SortNode):
-        return SortIterator(build(node.inputs[0]), node.keys, db, memory)
-    if isinstance(node, PartialSortNode):
-        return PartialSortIterator(
-            build(node.inputs[0]), node.keys, node.prefix_len, db, memory
-        )
-    if isinstance(node, TopNNode):
-        return TopNIterator(build(node.inputs[0]), node.key, node.limit)
-    if isinstance(node, ProjectNode):
-        return ProjectIterator(build(node.inputs[0]), node.attributes)
-    if isinstance(node, HashAggregateNode):
-        return HashAggregateIterator(build(node.inputs[0]), node.spec)
-    if isinstance(node, SortedAggregateNode):
-        return SortedAggregateIterator(build(node.inputs[0]), node.spec)
-    if isinstance(node, SemiJoinNode):
-        return SemiJoinIterator(
-            build(node.inputs[0]), build(node.inputs[1]),
-            node.outer_attr, node.inner_attr,
-        )
-    if isinstance(node, LeftOuterJoinNode):
-        return LeftOuterHashJoinIterator(
-            build(node.inputs[0]), build(node.inputs[1]),
-            node.left_attr, node.right_attr,
-        )
-    if isinstance(node, UnionAllNode):
-        return UnionAllIterator([build(child) for child in node.inputs])
-    if isinstance(node, DistinctNode):
-        return DistinctIterator(build(node.inputs[0]))
-    raise ExecutionError(f"no iterator for node type {type(node).__name__}")
-
-
-def _apply_partition(
-    iterator: PlanIterator,
-    relation: str,
-    db: Database,
-    partition: PartitionSpec | None,
-) -> PlanIterator:
-    """Restrict a scan of ``relation`` to the worker's slice, if any.
-
-    Under REPARTITION, scans of keyed relations keep only the worker's
-    hash bucket.  Under PARTITION/MERGE, only the driver relation is
-    striped — other relations are replicated into every worker — and the
-    stripe is a row-index subsequence, preserving any scan order.
-    """
-    if partition is None:
-        return iterator
-    if partition.mode is ExchangeMode.REPARTITION:
-        key = partition.hash_keys.get(relation)
-        if key is None:
-            return iterator
-        return HashStripeIterator(
-            iterator, iterator.schema.position(key), partition.worker, partition.dop
-        )
-    if partition.driver != relation:
-        return iterator
-    return ModuloStripeIterator(iterator, partition.worker, partition.dop)
-
-
-def _make_exchange(
-    node: ExchangeNode,
-    db: Database,
-    bindings: Mapping[str, object],
-    choices: Mapping[int, PlanNode],
-    memory: int,
-    materialized: Mapping[MaterializedKey, MaterializedIterator],
-    dop: int,
-    probe: _ProbeContext | None = None,
-) -> ExchangeIterator:
-    """Instantiate an exchange: per-worker clones of the child subtree.
-
-    Each worker gets an equal share of the memory budget (the memory split
-    the parallel cost formulas assume) and runs unmetered — per-operator
-    stats objects are not thread-safe, so EXPLAIN ANALYZE counters stop at
-    the exchange boundary and attribute the whole subtree to it.  Ledger
-    probes likewise stop at the boundary (per-worker counts are partial
-    slices); the exchange reports the reassembled total itself.
-    """
-    child = node.inputs[0]
-    worker_memory = max(1, memory // max(1, dop))
-    hash_keys = dict(node.partition_keys)
-
-    def build_worker(worker: int) -> PlanIterator:
-        spec = PartitionSpec(
-            mode=node.mode,
-            worker=worker,
-            dop=dop,
-            driver=node.driver,
-            hash_keys=hash_keys,
-        )
-        return _build_iterator(
-            child, db, bindings, choices, worker_memory, materialized, None,
-            dop=1, partition=spec,
-        )
-
-    return ExchangeIterator(
-        node.label, dop, node.merge_key, build_worker,
-        telemetry=_exchange_telemetry(node, probe),
-    )
-
-
-def _exchange_telemetry(
-    node: ExchangeNode, probe: _ProbeContext | None
-) -> tuple | None:
-    if probe is None:
-        return None
-    return (
-        probe.ledger, plan_signature(node), node.cardinality,
-        probe.catalog_version,
-    )
-
-
-# ----------------------------------------------------------------------
-# Vectorized construction (execution_mode="batch"/"fused")
-# ----------------------------------------------------------------------
 def build_fused_pipelines(
     plan: PlanNode,
     db: Database,
@@ -726,329 +424,379 @@ def build_fused_pipelines(
     pulled and no simulated I/O is charged, so this is safe for display
     (``analyze --show-fused``).
     """
-    from repro.executor.fused import iter_fused_pipelines
-
     memory = (
         memory_pages
         if memory_pages is not None
         else db.model.default_memory_pages
     )
-    iterator = _build_batch_iterator(
-        plan,
-        db,
-        dict(bindings or {}),
-        choices or {},
-        memory,
-        {},
-        None,
-        batch_size if batch_size is not None else DEFAULT_BATCH_SIZE,
+    cx = BuildContext(
+        family=_family(True),
+        db=db,
+        bindings=dict(bindings or {}),
+        choices=choices or {},
+        memory=memory,
+        materialized={},
+        batch_size=batch_size if batch_size is not None else DEFAULT_BATCH_SIZE,
         fused=True,
     )
-    return list(iter_fused_pipelines(iterator))
+    return list(iter_fused_pipelines(build(plan, cx)))
 
 
-def _fused_build_wrapper(probe: _ProbeContext | None):
-    """Ledger wrapping for hash-join build sides inside fused chains.
+# ----------------------------------------------------------------------
+# Plan → iterator construction: one table, one context, one walk
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _Operator:
+    """One row of the node-type table: the operator pair for a plan node.
 
-    Mirrors the special-casing in :func:`_instantiate_batch_iterator`:
-    the build input is consumed in full before any probe row flows, so
-    it is a free observation point whether or not the chain is fused.
+    Both classes take the built inputs first, then ``args`` in order —
+    plan-node fields, except the names in :data:`_CONTEXT_ARGS`, which
+    come from the build context — and the batch class takes the batch
+    size last when ``sized``.
     """
-    if probe is None:
-        return None
 
-    def wrap(side: PlanNode, iterator: BatchIterator) -> BatchIterator:
-        return LedgerProbeBatchIterator(
-            iterator, probe.ledger, plan_signature(side),
-            f"{side.label} [build]", side.cardinality, probe.catalog_version,
+    row: type[PlanIterator]
+    batch: type[BatchIterator]
+    args: tuple[str, ...] = ()
+    sized: bool = True
+    #: the node field naming the base relation whose stored tuples enter
+    #: the plan at this operator (what an exchange worker must slice).
+    relation: str | None = None
+    #: inputs are passed as one list instead of positionally.
+    variadic: bool = False
+
+
+_CONTEXT_ARGS = frozenset({"db", "memory", "bindings", "dop"})
+
+_OPERATORS: dict[type[PlanNode], _Operator] = {
+    FileScanNode: _Operator(
+        FileScanIterator, BatchFileScanIterator,
+        ("db", "relation"), relation="relation",
+    ),
+    BtreeScanNode: _Operator(
+        BtreeScanIterator, BatchBtreeScanIterator,
+        ("db", "relation", "key", "predicate", "bindings"), relation="relation",
+    ),
+    FilterNode: _Operator(
+        FilterIterator, BatchFilterIterator,
+        ("predicate", "bindings"), sized=False,
+    ),
+    HashJoinNode: _Operator(
+        HashJoinIterator, BatchHashJoinIterator, ("predicates", "db", "memory")
+    ),
+    MergeJoinNode: _Operator(
+        MergeJoinIterator, BatchMergeJoinIterator, ("predicates",)
+    ),
+    NestedLoopsJoinNode: _Operator(
+        NestedLoopsJoinIterator, BatchNestedLoopsJoinIterator,
+        ("predicates", "db", "memory"),
+    ),
+    IndexJoinNode: _Operator(
+        IndexJoinIterator, BatchIndexJoinIterator,
+        ("db", "inner_relation", "inner_key", "predicates"),
+        relation="inner_relation",
+    ),
+    SortNode: _Operator(SortIterator, BatchSortIterator, ("keys", "db", "memory")),
+    PartialSortNode: _Operator(
+        PartialSortIterator, BatchPartialSortIterator,
+        ("keys", "prefix_len", "db", "memory"),
+    ),
+    TopNNode: _Operator(TopNIterator, BatchTopNIterator, ("key", "limit")),
+    ProjectNode: _Operator(
+        ProjectIterator, BatchProjectIterator, ("attributes",), sized=False
+    ),
+    HashAggregateNode: _Operator(
+        HashAggregateIterator, BatchHashAggregateIterator, ("spec",)
+    ),
+    SortedAggregateNode: _Operator(
+        SortedAggregateIterator, BatchSortedAggregateIterator, ("spec",)
+    ),
+    SemiJoinNode: _Operator(
+        SemiJoinIterator, BatchSemiJoinIterator,
+        ("outer_attr", "inner_attr"), sized=False,
+    ),
+    LeftOuterJoinNode: _Operator(
+        LeftOuterHashJoinIterator, BatchLeftOuterHashJoinIterator,
+        ("left_attr", "right_attr"), sized=False,
+    ),
+    UnionAllNode: _Operator(
+        UnionAllIterator, BatchUnionAllIterator, sized=False, variadic=True
+    ),
+    DistinctNode: _Operator(DistinctIterator, BatchDistinctIterator, sized=False),
+    # Built by _exchange: its input is cloned per worker, and the worker
+    # builder and telemetry follow ``args``.
+    ExchangeNode: _Operator(
+        ExchangeIterator, BatchExchangeIterator, ("label", "dop", "merge_key")
+    ),
+}
+
+
+class _Family(NamedTuple):
+    """One iterator family: its column of the operator table plus the
+    wrappers the builder puts around those operators."""
+
+    column: str
+    metered: type
+    ledger_probe: type
+    checkpoint: type
+    materialized: type
+    modulo_stripe: type
+    hash_stripe: type
+    striped_scan: type
+
+
+def _family(vectorized: bool) -> _Family:
+    """The batch or row family.  Resolved per execution, not at import,
+    so a test can substitute a counting wrapper on this module."""
+    if vectorized:
+        return _Family(
+            "batch", MeteredBatchIterator, LedgerProbeBatchIterator,
+            BatchCheckpointIterator, MaterializedBatchIterator,
+            BatchModuloStripeIterator, BatchHashStripeIterator,
+            BatchStripedFileScanIterator,
         )
+    return _Family(
+        "row", MeteredIterator, LedgerProbeIterator, CheckpointIterator,
+        MaterializedIterator, ModuloStripeIterator, HashStripeIterator,
+        StripedFileScanIterator,
+    )
 
-    return wrap
+
+class BuildContext(NamedTuple):
+    """Everything :func:`build` needs besides the node.
+
+    Made once per :func:`execute_plan` call and once per exchange worker,
+    never per node.  ``batch_size`` is None for the row family.
+    """
+
+    family: _Family
+    db: Database
+    bindings: Mapping[str, object]
+    choices: Mapping[int, PlanNode]
+    memory: int
+    materialized: Mapping[MaterializedKey, MaterializedIterator]
+    batch_size: int | None
+    operator_stats: dict[int, OperatorStats] | None = None
+    dop: int = 1
+    partition: PartitionSpec | None = None
+    #: the cardinality ledger while it is enabled; None otherwise and
+    #: inside exchange workers (per-worker counts are partial — the
+    #: exchange itself reports the reassembled total).
+    probe: CardinalityLedger | None = None
+    guard: object = None
+    pinned: Mapping[int, tuple] | None = None
+    fused: bool = False
+
+    @property
+    def sized(self) -> tuple:
+        """The trailing batch-size argument of the family's sized classes."""
+        return () if self.batch_size is None else (self.batch_size,)
 
 
-def _build_batch_iterator(
-    node: PlanNode,
-    db: Database,
-    bindings: Mapping[str, object],
-    choices: Mapping[int, PlanNode],
-    memory: int,
-    materialized: Mapping[MaterializedKey, MaterializedIterator],
-    operator_stats: dict[int, OperatorStats] | None = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    dop: int = 1,
-    partition: PartitionSpec | None = None,
-    probe: _ProbeContext | None = None,
-    guard=None,
-    pinned: Mapping[int, tuple] | None = None,
-    fused: bool = False,
-) -> BatchIterator:
-    """Batch-mode twin of :func:`_build_iterator`: same dispatch, same
-    choose-plan, metering, ledger-probe, and checkpoint rules,
-    vectorized operators.  With ``fused=True``, maximal streaming chains
-    compile into generated pipelines (:mod:`repro.executor.fused`);
-    everything below a cut point recurses through this builder, so
-    breakers, exchanges, and their wrappers are untouched."""
-    if pinned:
-        entry = pinned.get(id(node))
+def build(node: PlanNode, cx: BuildContext) -> PlanIterator | BatchIterator:
+    """The iterator tree for ``node``: the one plan → iterator walk.
+
+    With ``cx.fused``, maximal streaming chains compile into generated
+    pipelines (:mod:`repro.executor.fused`); everything below a cut point
+    comes back through here, so breakers, exchanges and their wrappers
+    are the same in every mode.
+    """
+    if cx.pinned:
+        entry = cx.pinned.get(id(node))
         if entry is not None:
             schema, rows = entry
-            return MaterializedBatchIterator(schema, tuple(rows), batch_size)
-    if fused and partition is None:
-        pipeline = try_fuse(
-            node,
-            lambda child: _build_batch_iterator(
-                child, db, bindings, choices, memory, materialized,
-                operator_stats, batch_size, dop, partition, probe, guard,
-                pinned, fused=True,
-            ),
-            choices,
-            pinned,
-            db,
-            bindings,
-            memory,
-            batch_size,
-            materialized=materialized,
-            wrap_build=_fused_build_wrapper(probe),
-        )
+            return cx.family.materialized(schema, tuple(rows), *cx.sized)
+    # Worker stripes cut through a scan's rows, which a fused scan reads
+    # as raw page chunks — exchange subtrees stay unfused.
+    if cx.fused and cx.partition is None:
+        pipeline = try_fuse(node, cx, build, _build_side)
         if pipeline is not None:
             return pipeline
     if isinstance(node, ChoosePlanNode):
         try:
-            chosen = choices[id(node)]
+            chosen = cx.choices[id(node)]
         except KeyError:
             raise ExecutionError(
                 "decision map lacks an entry for a choose-plan operator"
             ) from None
-        return _build_batch_iterator(
-            chosen, db, bindings, choices, memory, materialized, operator_stats,
-            batch_size, dop, partition, probe, guard, pinned, fused,
-        )
-    iterator = _instantiate_batch_iterator(
-        node, db, bindings, choices, memory, materialized, operator_stats,
-        batch_size, dop, partition, probe, guard, pinned, fused,
-    )
-    if operator_stats is not None and not isinstance(
-        iterator, MeteredBatchIterator
-    ):
-        stats = operator_stats.get(id(node))
+        # The choose-plan operator itself does no run-time work; it is
+        # never metered — counters attach to the chosen alternative.
+        return build(chosen, cx)
+    iterator = _operator(node, cx)
+    if cx.operator_stats is not None:
+        # A shared subplan (DAG) may be instantiated once per parent; both
+        # instantiations accumulate into the same node-keyed stats record.
+        stats = cx.operator_stats.get(id(node))
         if stats is None:
-            stats = operator_stats[id(node)] = OperatorStats(label=node.label)
-        iterator = MeteredBatchIterator(iterator, stats, db.disk.counters)
-    if probe is not None and isinstance(node, _BREAKER_NODES):
-        iterator = LedgerProbeBatchIterator(
-            iterator, probe.ledger, plan_signature(node), node.label,
-            node.cardinality, probe.catalog_version,
-        )
-    if guard is not None and isinstance(node, _BREAKER_NODES) and guard.wants(node):
-        iterator = BatchCheckpointIterator(iterator, node, guard)
+            stats = cx.operator_stats[id(node)] = OperatorStats(label=node.label)
+        iterator = cx.family.metered(iterator, stats, cx.db.disk.counters)
+    if isinstance(node, _BREAKER_NODES):
+        iterator = _observed(iterator, node, node.label, cx)
     return iterator
 
 
-def _instantiate_batch_iterator(
-    node: PlanNode,
-    db: Database,
-    bindings: Mapping[str, object],
-    choices: Mapping[int, PlanNode],
-    memory: int,
-    materialized: Mapping[MaterializedKey, MaterializedIterator],
-    operator_stats: dict[int, OperatorStats] | None,
-    batch_size: int,
-    dop: int,
-    partition: PartitionSpec | None,
-    probe: _ProbeContext | None = None,
-    guard=None,
-    pinned: Mapping[int, tuple] | None = None,
-    fused: bool = False,
-) -> BatchIterator:
-    if materialized:
+def _operator(node: PlanNode, cx: BuildContext) -> PlanIterator | BatchIterator:
+    """The bare operator for ``node``: its table row applied to its built
+    inputs, or the materialized temporary standing in for its subtree."""
+    family = cx.family
+    if cx.materialized:
         info = leaf_access_info(node)
-        if info is not None and info in materialized:
-            temp = materialized[info]
-            return _apply_batch_partition(
-                MaterializedBatchIterator(
-                    temp.schema, temp.stored_rows, batch_size
-                ),
-                info[0],
-                db,
-                partition,
+        if info is not None and info in cx.materialized:
+            temp = cx.materialized[info]
+            return _worker_slice(
+                family.materialized(temp.schema, temp.stored_rows, *cx.sized),
+                info[0], cx,
             )
-
-    def build(child: PlanNode) -> BatchIterator:
-        return _build_batch_iterator(
-            child, db, bindings, choices, memory, materialized, operator_stats,
-            batch_size, dop, partition, probe, guard, pinned, fused,
-        )
-
+    op = _OPERATORS.get(type(node))
+    if op is None:
+        raise ExecutionError(f"no iterator for node type {type(node).__name__}")
     if isinstance(node, ExchangeNode):
-        if partition is not None:
-            raise ExecutionError("nested exchange operators are not supported")
-        return _make_batch_exchange(
-            node, db, bindings, choices, memory, materialized, batch_size, dop,
-            probe,
-        )
-    if isinstance(node, FileScanNode):
-        if (
-            partition is not None
-            and partition.mode is not ExchangeMode.REPARTITION
-            and partition.driver == node.relation
-        ):
-            return BatchStripedFileScanIterator(
-                db, node.relation, partition.worker, partition.dop, batch_size
-            )
-        return _apply_batch_partition(
-            BatchFileScanIterator(db, node.relation, batch_size),
-            node.relation,
-            db,
-            partition,
-        )
-    if isinstance(node, BtreeScanNode):
-        iterator = BatchBtreeScanIterator(
-            db, node.relation, node.key, node.predicate, bindings, batch_size
-        )
-        return _apply_batch_partition(iterator, node.relation, db, partition)
-    if isinstance(node, FilterNode):
-        return BatchFilterIterator(
-            build(node.inputs[0]), node.predicate, bindings
+        return _exchange(node, cx, op)
+    partition = cx.partition
+    if (
+        isinstance(node, FileScanNode)
+        and partition is not None
+        and partition.mode is not ExchangeMode.REPARTITION
+        and partition.driver == node.relation
+    ):
+        # The driver's heap scan takes a contiguous page range instead of
+        # a row-index stripe of the whole file: each page is read once.
+        return family.striped_scan(
+            cx.db, node.relation, partition.worker, partition.dop, *cx.sized
         )
     if isinstance(node, HashJoinNode):
-        build_side = build(node.inputs[0])
-        if probe is not None:
-            # Same breaker rationale as the row path: the build input is
-            # consumed in full before any probe row flows.
-            build_side = LedgerProbeBatchIterator(
-                build_side, probe.ledger, plan_signature(node.inputs[0]),
-                f"{node.inputs[0].label} [build]", node.inputs[0].cardinality,
-                probe.catalog_version,
-            )
-        if guard is not None and guard.wants(node.inputs[0]):
-            # Same free-checkpoint rationale as the row path.
-            build_side = BatchCheckpointIterator(
-                build_side, node.inputs[0], guard
-            )
-        return BatchHashJoinIterator(
-            build_side, build(node.inputs[1]), node.predicates,
-            db, memory, batch_size,
+        inputs = [_build_side(node.inputs[0], cx), build(node.inputs[1], cx)]
+    else:
+        inputs = [build(child, cx) for child in node.inputs]
+    iterator = getattr(op, family.column)(
+        *([inputs] if op.variadic else inputs),
+        *_arguments(op, node, cx),
+        *(cx.sized if op.sized else ()),
+    )
+    if op.relation is not None:
+        iterator = _worker_slice(
+            iterator, getattr(node, op.relation), cx, leaf=not inputs
         )
-    if isinstance(node, MergeJoinNode):
-        return BatchMergeJoinIterator(
-            build(node.inputs[0]), build(node.inputs[1]), node.predicates,
-            batch_size,
-        )
-    if isinstance(node, NestedLoopsJoinNode):
-        return BatchNestedLoopsJoinIterator(
-            build(node.inputs[0]), build(node.inputs[1]), node.predicates,
-            db, memory, batch_size,
-        )
-    if isinstance(node, IndexJoinNode):
-        iterator = BatchIndexJoinIterator(
-            build(node.inputs[0]), db, node.inner_relation, node.inner_key,
-            node.predicates, batch_size,
-        )
-        if (
-            partition is not None
-            and partition.mode is not ExchangeMode.REPARTITION
-            and partition.driver == node.inner_relation
-        ):
-            # Same striping rationale as the row path: the driver's tuples
-            # enter the plan through the probe output, which is striped by
-            # global row index (preserved across batch boundaries).
-            return BatchModuloStripeIterator(
-                iterator, partition.worker, partition.dop
-            )
-        return iterator
-    if isinstance(node, SortNode):
-        return BatchSortIterator(
-            build(node.inputs[0]), node.keys, db, memory, batch_size
-        )
-    if isinstance(node, PartialSortNode):
-        return BatchPartialSortIterator(
-            build(node.inputs[0]), node.keys, node.prefix_len, db, memory,
-            batch_size,
-        )
-    if isinstance(node, TopNNode):
-        return BatchTopNIterator(
-            build(node.inputs[0]), node.key, node.limit, batch_size
-        )
-    if isinstance(node, ProjectNode):
-        return BatchProjectIterator(build(node.inputs[0]), node.attributes)
-    if isinstance(node, HashAggregateNode):
-        return BatchHashAggregateIterator(
-            build(node.inputs[0]), node.spec, batch_size
-        )
-    if isinstance(node, SortedAggregateNode):
-        return BatchSortedAggregateIterator(
-            build(node.inputs[0]), node.spec, batch_size
-        )
-    if isinstance(node, SemiJoinNode):
-        return BatchSemiJoinIterator(
-            build(node.inputs[0]), build(node.inputs[1]),
-            node.outer_attr, node.inner_attr,
-        )
-    if isinstance(node, LeftOuterJoinNode):
-        return BatchLeftOuterHashJoinIterator(
-            build(node.inputs[0]), build(node.inputs[1]),
-            node.left_attr, node.right_attr,
-        )
-    if isinstance(node, UnionAllNode):
-        return BatchUnionAllIterator([build(child) for child in node.inputs])
-    if isinstance(node, DistinctNode):
-        return BatchDistinctIterator(build(node.inputs[0]))
-    raise ExecutionError(f"no batch iterator for node type {type(node).__name__}")
+    return iterator
 
 
-def _apply_batch_partition(
-    iterator: BatchIterator,
+def _arguments(op: _Operator, node: PlanNode, cx: BuildContext) -> list:
+    return [
+        getattr(cx if name in _CONTEXT_ARGS else node, name) for name in op.args
+    ]
+
+
+def _worker_slice(
+    iterator: PlanIterator | BatchIterator,
     relation: str,
-    db: Database,
-    partition: PartitionSpec | None,
-) -> BatchIterator:
-    """Batch twin of :func:`_apply_partition` (same striping rules)."""
+    cx: BuildContext,
+    leaf: bool = True,
+) -> PlanIterator | BatchIterator:
+    """Restrict ``relation``'s tuples, which enter the plan at
+    ``iterator``, to the exchange worker's slice, if any.
+
+    Under REPARTITION, scans of keyed relations keep only the worker's
+    hash bucket (an index join reaches its inner relation through outer
+    rows that are already bucketed).  Under PARTITION/MERGE, only the
+    driver relation is striped — other relations are replicated into
+    every worker — by row index, a subsequence that preserves any order.
+    An index join probing the driver is striped on its output: its outer
+    is replicated (the driver appears exactly once per activated plan),
+    so that stream is the same in every worker and a row-index stripe
+    assigns each driver match to exactly one of them.
+    """
+    partition = cx.partition
     if partition is None:
         return iterator
     if partition.mode is ExchangeMode.REPARTITION:
-        key = partition.hash_keys.get(relation)
+        key = partition.hash_keys.get(relation) if leaf else None
         if key is None:
             return iterator
-        return BatchHashStripeIterator(
+        return cx.family.hash_stripe(
             iterator, iterator.schema.position(key), partition.worker,
             partition.dop,
         )
     if partition.driver != relation:
         return iterator
-    return BatchModuloStripeIterator(iterator, partition.worker, partition.dop)
+    return cx.family.modulo_stripe(iterator, partition.worker, partition.dop)
 
 
-def _make_batch_exchange(
-    node: ExchangeNode,
-    db: Database,
-    bindings: Mapping[str, object],
-    choices: Mapping[int, PlanNode],
-    memory: int,
-    materialized: Mapping[MaterializedKey, MaterializedIterator],
-    batch_size: int,
-    dop: int,
-    probe: _ProbeContext | None = None,
-) -> BatchExchangeIterator:
-    """Batch twin of :func:`_make_exchange`: per-worker vectorized clones
-    whose blocks ship through the exchange queues without re-batching."""
-    child = node.inputs[0]
-    worker_memory = max(1, memory // max(1, dop))
+def _observed(
+    iterator: PlanIterator | BatchIterator,
+    node: PlanNode,
+    label: str,
+    cx: BuildContext,
+) -> PlanIterator | BatchIterator:
+    """Wrap a pipeline breaker whose stream is all of ``node``'s output.
+
+    Once drained, the row count is a complete observation of the node's
+    estimate (ledger probe) and the materialized rows are a free
+    checkpoint — nothing is wasted when a replan pins them.  The
+    checkpoint goes outermost, so the metering and ledger wrappers
+    observe the drain exactly as they would a downstream consumer's
+    pulls.
+    """
+    probe, guard = cx.probe, cx.guard
+    if probe is not None:
+        iterator = cx.family.ledger_probe(
+            iterator, probe, plan_signature(node), label,
+            node.cardinality, cx.db.catalog.version,
+        )
+    if guard is not None and guard.wants(node):
+        iterator = cx.family.checkpoint(iterator, node, guard)
+    return iterator
+
+
+def _build_side(node: PlanNode, cx: BuildContext) -> PlanIterator | BatchIterator:
+    """A hash join's build input.  The join drains it entirely before
+    probing, so it is a breaker whether or not the probe chain is fused."""
+    return _observed(build(node, cx), node, f"{node.label} [build]", cx)
+
+
+def _exchange(
+    node: ExchangeNode, cx: BuildContext, op: _Operator
+) -> PlanIterator | BatchIterator:
+    """Instantiate an exchange: per-worker clones of the child subtree.
+
+    Each worker gets an equal share of the memory budget (the memory split
+    the parallel cost formulas assume) and runs unmetered — per-operator
+    stats objects are not thread-safe, so EXPLAIN ANALYZE counters stop at
+    the exchange boundary and attribute the whole subtree to it.  Ledger
+    probes and adaptive guards likewise stop at the boundary (per-worker
+    counts are partial slices); the exchange reports the reassembled
+    total itself.
+    """
+    if cx.partition is not None:
+        raise ExecutionError("nested exchange operators are not supported")
     hash_keys = dict(node.partition_keys)
 
-    def build_worker(worker: int) -> BatchIterator:
+    def build_worker(worker: int) -> PlanIterator | BatchIterator:
         spec = PartitionSpec(
             mode=node.mode,
             worker=worker,
-            dop=dop,
+            dop=cx.dop,
             driver=node.driver,
             hash_keys=hash_keys,
         )
-        return _build_batch_iterator(
-            child, db, bindings, choices, worker_memory, materialized, None,
-            batch_size, dop=1, partition=spec,
+        return build(
+            node.inputs[0],
+            cx._replace(
+                memory=max(1, cx.memory // max(1, cx.dop)),
+                operator_stats=None,
+                dop=1,
+                partition=spec,
+                probe=None,
+                guard=None,
+                pinned=None,
+            ),
         )
 
-    return BatchExchangeIterator(
-        node.label, dop, node.merge_key, build_worker, batch_size,
-        telemetry=_exchange_telemetry(node, probe),
+    return getattr(op, cx.family.column)(
+        *_arguments(op, node, cx),
+        build_worker,
+        *cx.sized,
+        telemetry=None if cx.probe is None else (
+            cx.probe, plan_signature(node), node.cardinality,
+            cx.db.catalog.version,
+        ),
     )

@@ -32,9 +32,11 @@ plan structure.
 Generated code is cached process-wide, keyed by the activated chain's
 plan signatures (:func:`repro.obs.telemetry.plan_signature`): a serving
 layer replaying a hot cached plan skips rendering and compilation
-entirely.  Hits and misses are counted as ``codegen.cache_hits`` /
-``codegen.cache_misses`` in the metrics registry (and therefore appear
-in the OpenMetrics export).
+entirely.  The cache holds a fixed number of pipelines and evicts the
+least recently used.  Hits, misses and evictions are counted as
+``codegen.cache_hits`` / ``codegen.cache_misses`` /
+``codegen.cache_evictions`` in the metrics registry (and therefore
+appear in the OpenMetrics export).
 
 Byte-identity: every step processes rows independently and in order, so
 the single-pass loop emits exactly the row sequence the per-operator
@@ -48,11 +50,13 @@ row mode).  Two cases leave the generated code path:
   probe row flows and the whole pipeline falls back to the plain batch
   operator chain, reusing the already-drained build rows (and the
   already-built semi-join sets / outer-join tables) — no re-scan, no
-  double ledger observation.
+  double ledger observation.  Counted as ``codegen.fallbacks`` and
+  traced as a ``codegen.fallback`` event naming the pipeline.
 * EXPLAIN ANALYZE metering and adaptive-execution guards wrap every
   operator individually; the executor falls back to plain batch
   construction for those runs (see :func:`repro.executor.executor.
-  execute_plan`), keeping per-operator attribution exact.
+  execute_plan`), keeping per-operator attribution exact.  Counted as
+  ``codegen.bypassed``.
 
 Drain order matches batch mode: each blocking side (hash build,
 semi-join inner, outer-join right) is consumed top-down, fully, before
@@ -63,10 +67,11 @@ and simulated I/O totals line up.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from hashlib import blake2b
-from typing import Callable, Iterator, Mapping
-
 from itertools import chain
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
 from repro.errors import BindingError, ExecutionError
 
@@ -92,6 +97,7 @@ from repro.executor.tuples import Row, RowBatch, RowSchema
 from repro.logical.predicates import CompareOp
 from repro.obs.metrics import get_metrics
 from repro.obs.telemetry import plan_signature
+from repro.obs.trace import get_tracer
 from repro.physical.plan import (
     FilterNode,
     HashJoinNode,
@@ -102,6 +108,9 @@ from repro.physical.plan import (
     SemiJoinNode,
     leaf_access_info,
 )
+
+if TYPE_CHECKING:
+    from repro.executor.executor import BuildContext
 
 ValueBindings = Mapping[str, object]
 
@@ -126,13 +135,38 @@ _OP_SYMBOL = {
     CompareOp.GE: ">=",
 }
 
-#: generated-source cache: cache key → (source text, compiled function).
-_CODE_CACHE: dict[str, tuple[str, Callable]] = {}
+#: generated-source cache: cache key → (source text, compiled function),
+#: least recently used first.  A literal is part of its plan's signature,
+#: so a stream of ad-hoc statements adds an entry per distinct literal;
+#: the bound keeps that from growing for the life of the process.
+_CODE_CACHE: OrderedDict[str, tuple[str, Callable]] = OrderedDict()
+_CODE_CACHE_CAPACITY = 1024
+_CODE_CACHE_LOCK = threading.Lock()
 
 
 def clear_code_cache() -> None:
     """Drop all cached generated pipelines (tests / cache-metric resets)."""
-    _CODE_CACHE.clear()
+    with _CODE_CACHE_LOCK:
+        _CODE_CACHE.clear()
+
+
+def _lookup_code(key: str) -> tuple[str, Callable] | None:
+    with _CODE_CACHE_LOCK:
+        cached = _CODE_CACHE.get(key)
+        if cached is not None:
+            _CODE_CACHE.move_to_end(key)
+        return cached
+
+
+def _store_code(key: str, entry: tuple[str, Callable]) -> None:
+    evicted = 0
+    with _CODE_CACHE_LOCK:
+        _CODE_CACHE[key] = entry
+        while len(_CODE_CACHE) > _CODE_CACHE_CAPACITY:
+            _CODE_CACHE.popitem(last=False)
+            evicted += 1
+    if evicted:
+        get_metrics().counter("codegen.cache_evictions").inc(evicted)
 
 
 # ----------------------------------------------------------------------
@@ -818,7 +852,7 @@ class FusedPipelineIterator(BatchIterator):
         # directly instead of assembled batches.
         self.scan_fused = type(source) is BatchFileScanIterator
         self.cache_key = _pipeline_cache_key(steps, source, self.scan_fused)
-        cached = _CODE_CACHE.get(self.cache_key)
+        cached = _lookup_code(self.cache_key)
         registry = get_metrics()
         if cached is not None:
             registry.counter("codegen.cache_hits").inc()
@@ -839,7 +873,7 @@ class FusedPipelineIterator(BatchIterator):
             )
             self.source_text = source_text
             self._fn = namespace["_fused_pipeline"]
-            _CODE_CACHE[self.cache_key] = (source_text, self._fn)
+            _store_code(self.cache_key, (source_text, self._fn))
 
     @property
     def label(self) -> str:
@@ -856,6 +890,14 @@ class FusedPipelineIterator(BatchIterator):
             # A build side exceeded the memory budget: Grace-spill
             # through the stock operators (byte-identical output order),
             # reusing every already-drained side.
+            get_metrics().counter("codegen.fallbacks").inc()
+            tracer = get_tracer()
+            if tracer.enabled:
+                tracer.event(
+                    "codegen.fallback",
+                    pipeline=self.label,
+                    reason="hash-join build side exceeds the memory budget",
+                )
             iterator: BatchIterator = self.source
             for step in reversed(self.steps):
                 iterator = step.fallback(iterator)
@@ -914,33 +956,29 @@ def _pipeline_cache_key(
 # ----------------------------------------------------------------------
 def try_fuse(
     node: PlanNode,
-    build_child: Callable[[PlanNode], BatchIterator],
-    choices: Mapping[int, PlanNode],
-    pinned: Mapping[int, tuple] | None,
-    db: Database,
-    bindings: ValueBindings,
-    memory: int,
-    batch_size: int,
-    materialized: Mapping | None = None,
-    wrap_build: Callable[[PlanNode, BatchIterator], BatchIterator] | None = None,
+    cx: BuildContext,
+    build: Callable[[PlanNode, BuildContext], BatchIterator],
+    build_side: Callable[[PlanNode, BuildContext], BatchIterator],
 ) -> FusedPipelineIterator | None:
     """Collect the maximal fusible chain rooted at ``node``.
 
     Returns ``None`` when ``node`` starts no chain (the caller falls
-    through to the stock operator dispatch).  ``build_child`` builds
-    side inputs and the pipeline source through the ordinary batch
-    constructor — recursively fusing below cut points.  A node whose
-    subtree has a materialized substitute is a cut point too (the
-    substitute replaces the whole subtree, filter included).
-    ``wrap_build`` mirrors the batch constructor's special wrapping of
-    hash-join build sides (the ledger-probe "[build]" observation).
+    through to the stock operator dispatch).  ``cx`` is the executor's
+    build context; ``build(child, cx)`` builds side inputs and the pipeline source
+    through the ordinary constructor — recursively fusing below cut
+    points — and ``build_side(child, cx)`` builds a hash join's build
+    input with the constructor's breaker wrapping (the ledger-probe
+    "[build]" observation).  A node whose subtree has a materialized
+    substitute is a cut point too (the substitute replaces the whole
+    subtree, filter included).
     """
+    pinned, materialized = cx.pinned, cx.materialized
     links: list[tuple[PlanNode, PlanNode | None]] = []
     current = node
     while True:
         if pinned and id(current) in pinned:
             break
-        resolved = _resolve_chooses(current, choices)
+        resolved = _resolve_chooses(current, cx.choices)
         if resolved is None or not isinstance(resolved, FUSIBLE_NODES):
             break
         if materialized:
@@ -958,7 +996,7 @@ def try_fuse(
             current = resolved.inputs[0]
     if not links:
         return None
-    source = build_child(current)
+    source = build(current, cx)
     # Schemas flow bottom-up; steps are stored root-first.
     steps: list[_Step] = [None] * len(links)  # type: ignore[list-item]
     in_schema = source.schema
@@ -966,23 +1004,20 @@ def try_fuse(
         step_node, side = links[position]
         index = len(links) - 1 - position
         if isinstance(step_node, FilterNode):
-            step: _Step = _FilterStep(step_node, in_schema, bindings, index)
+            step: _Step = _FilterStep(step_node, in_schema, cx.bindings, index)
         elif isinstance(step_node, ProjectNode):
             step = _ProjectStep(step_node, in_schema)
         elif isinstance(step_node, HashJoinNode):
-            build_side = build_child(side)
-            if wrap_build is not None:
-                build_side = wrap_build(side, build_side)
             step = _HashProbeStep(
-                step_node, in_schema, build_side, db, memory,
-                batch_size, index,
+                step_node, in_schema, build_side(side, cx), cx.db, cx.memory,
+                cx.batch_size, index,
             )
         elif isinstance(step_node, SemiJoinNode):
-            step = _SemiStep(step_node, in_schema, build_child(side), index)
+            step = _SemiStep(step_node, in_schema, build(side, cx), index)
         elif isinstance(step_node, LeftOuterJoinNode):
-            step = _OuterStep(step_node, in_schema, build_child(side), index)
+            step = _OuterStep(step_node, in_schema, build(side, cx), index)
         else:
-            step = _IndexJoinStep(step_node, in_schema, db, index)
+            step = _IndexJoinStep(step_node, in_schema, cx.db, index)
         steps[position] = step
         in_schema = step.out_schema
     return FusedPipelineIterator(steps, source)

@@ -47,26 +47,35 @@ from repro.obs.trace import get_tracer
 def plan_signature(node: Any) -> str:
     """Stable structural signature of a plan (sub)tree.
 
-    Post-order fold of each node's ``label`` over its ``inputs``, hashed
-    with blake2b and truncated to 12 hex digits.  The signature is a pure
-    function of plan *structure* — two compilations of the same statement
-    against the same catalog produce the same signature, which is what
-    lets the ledger and flight recorder correlate observations across
-    process restarts and cache rebuilds.  Duck-typed on purpose: any
-    object with ``label`` and ``inputs`` works (physical nodes, exchange
-    nodes, choose-plan nodes).
+    Bottom-up fold of each node's ``label`` and arity over its inputs'
+    digests, hashed with blake2b and truncated to 12 hex digits.  The
+    signature is a pure function of plan *structure* — two compilations
+    of the same statement against the same catalog produce the same
+    signature, which is what lets the ledger and flight recorder
+    correlate observations across process restarts and cache rebuilds.
+    Duck-typed on purpose: any object with ``label`` and ``inputs`` works
+    (physical nodes, exchange nodes, choose-plan nodes).
+
+    Each distinct node is folded once per call (memoized by identity), so
+    a choose-plan DAG with shared subplans costs its node count, not the
+    size of its tree expansion; because a node contributes its digest,
+    not its identity, a DAG and its unshared tree copy sign the same.
     """
-    parts: list[str] = []
+    digests: dict[int, bytes] = {}
 
-    def visit(current: Any) -> None:
-        for child in getattr(current, "inputs", ()):
-            visit(child)
-        parts.append(current.label)
-        parts.append(f"/{len(getattr(current, 'inputs', ()))}")
+    def fold(current: Any) -> bytes:
+        digest = digests.get(id(current))
+        if digest is None:
+            inputs = getattr(current, "inputs", ())
+            hasher = blake2b(
+                f"{current.label}/{len(inputs)}".encode(), digest_size=16
+            )
+            for child in inputs:
+                hasher.update(fold(child))
+            digest = digests[id(current)] = hasher.digest()
+        return digest
 
-    visit(node)
-    digest = blake2b("|".join(parts).encode(), digest_size=6)
-    return digest.hexdigest()
+    return fold(node)[:6].hex()
 
 
 def error_ratio(low: float, high: float, observed: float) -> float:

@@ -6,9 +6,12 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.executor.database import Database
-from repro.executor.executor import execute_plan
+from repro.executor.executor import _CONTEXT_ARGS, _OPERATORS, execute_plan
+from repro.executor.iterators import PlanIterator
 from repro.optimizer.optimizer import OptimizationMode, optimize_query
+from repro.physical.plan import ChoosePlanNode, PlanNode
 from repro.runtime.chooser import resolve_plan
+from tests.test_wire_roundtrip import all_concrete_node_classes
 
 
 @pytest.fixture
@@ -126,3 +129,34 @@ class TestMetrics:
         selective = run(2)
         unselective = run(480)
         assert selective.metrics.io_seconds < unselective.metrics.io_seconds
+
+
+class TestOperatorTable:
+    """The builder's node-type table covers the whole plan algebra, so a
+    new node type without operators fails here instead of on a request."""
+
+    def test_every_node_type_has_a_row_with_both_operators(self):
+        # Choose-plan does no run-time work: the builder resolves it
+        # through the decision map and never instantiates it.
+        for cls in all_concrete_node_classes() - {ChoosePlanNode}:
+            row = _OPERATORS.get(cls)
+            assert row is not None, f"no operator table row for {cls.__name__}"
+            assert issubclass(row.row, PlanIterator), cls.__name__
+            # The batch exchange extends the row exchange, so the batch
+            # column is recognized by the protocol, not the base class.
+            assert hasattr(row.batch, "batches"), cls.__name__
+            assert row.batch is not row.row, cls.__name__
+            for name in (*row.args, *filter(None, [row.relation])):
+                assert name in _CONTEXT_ARGS or hasattr(cls, name), (
+                    f"{cls.__name__} has no field {name!r}"
+                )
+
+    @pytest.mark.parametrize("mode", ["row", "batch", "fused"])
+    def test_unknown_node_type_is_a_typed_error(self, db, mode):
+        class UnregisteredNode(PlanNode):
+            __slots__ = ()
+
+        node = object.__new__(UnregisteredNode)
+        node.inputs = ()
+        with pytest.raises(ExecutionError, match="UnregisteredNode"):
+            execute_plan(node, db, execution_mode=mode)

@@ -18,9 +18,11 @@ from repro.executor.bench import make_fusion_catalog
 from repro.executor.buffer import BufferPool
 from repro.executor.database import Database
 from repro.executor.executor import build_fused_pipelines
+import repro.executor.fused as fused_module
 from repro.executor.fused import clear_code_cache
 from repro.executor.storage import SimulatedDisk
 from repro.obs.metrics import get_metrics
+from repro.obs.trace import RecordingTracer, use_tracer
 from repro.runtime.prepared import PreparedQuery
 
 STAR_SQL = (
@@ -116,6 +118,36 @@ class TestGeneratedSource:
         ]
 
 
+    def test_cache_is_bounded_and_evicts_least_recently_used(
+        self, star, monkeypatch
+    ):
+        catalog, db, prepared = star
+        clear_code_cache()
+        registry = get_metrics()
+        evictions = registry.counter("codegen.cache_evictions")
+        start = evictions.value
+        expected = _rows(prepared, db, "batch")
+        assert _rows(prepared, db, "fused") == expected
+        star_entries = len(fused_module._CODE_CACHE)
+        monkeypatch.setattr(
+            fused_module, "_CODE_CACHE_CAPACITY", star_entries + 1
+        )
+        # A literal is part of the plan signature, so every statement
+        # here compiles (at least) one pipeline of its own.
+        for literal in range(1, 6):
+            PreparedQuery.prepare(
+                f"SELECT P.a FROM P WHERE P.a < {literal}", catalog, CostModel()
+            ).execute(db, {})
+        assert len(fused_module._CODE_CACHE) == star_entries + 1
+        assert evictions.value - start >= 4
+        # The star pipelines were the least recently used: they are
+        # gone, compile again, and produce the same rows.
+        misses = registry.counter("codegen.cache_misses").value
+        assert _rows(prepared, db, "fused") == expected
+        assert registry.counter("codegen.cache_misses").value > misses
+        assert len(fused_module._CODE_CACHE) == star_entries + 1
+
+
 class TestSpillFallback:
     def test_overflowing_build_side_stays_correct(self, star):
         catalog, db, prepared = star
@@ -130,6 +162,44 @@ class TestSpillFallback:
         in_memory = _rows(prepared, db, "fused", memory_pages=512)
         assert sorted(fused) == sorted(in_memory)
         assert fused != in_memory  # the spill path actually ran
+
+
+    def test_fallback_is_counted_and_traced(self, star):
+        catalog, db, prepared = star
+        fallbacks = get_metrics().counter("codegen.fallbacks")
+        before = fallbacks.value
+        _rows(prepared, db, "fused", memory_pages=512)
+        assert fallbacks.value == before  # nothing spilled
+        _rows(prepared, db, "fused", memory_pages=1)
+        assert fallbacks.value > before
+        # A recording tracer makes execute_plan meter every operator
+        # (plain batch), so the event is observed on pipelines opened
+        # directly.
+        activation = prepared.activate(prepared.derive_parameters(db, {"v": 300}))
+        tracer = RecordingTracer()
+        with use_tracer(tracer):
+            root = build_fused_pipelines(
+                prepared.module.plan, db, {"v": 300},
+                activation.decision.choices, memory_pages=1,
+            )[0]
+            for _ in root.batches():
+                pass
+        events = tracer.find_events("codegen.fallback")
+        assert events and events[0]["attrs"]["pipeline"] == root.label
+        assert "memory budget" in events[0]["attrs"]["reason"]
+
+    def test_bypassed_fused_requests_are_counted(self, star):
+        catalog, db, prepared = star
+        bypassed = get_metrics().counter("codegen.bypassed")
+        before = bypassed.value
+        _rows(prepared, db, "fused")
+        # A recording tracer meters every operator, which a fused chain
+        # cannot honor: the fused request is built as plain batch.
+        with use_tracer(RecordingTracer()):
+            _rows(prepared, db, "batch")
+            assert bypassed.value == before
+            _rows(prepared, db, "fused")
+        assert bypassed.value == before + 1
 
 
 class TestUnboundSemantics:

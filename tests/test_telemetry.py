@@ -15,6 +15,8 @@ import pytest
 from repro.cost.model import CostModel
 from repro.executor.database import Database
 from repro.executor.executor import execute_plan, iter_probe_sites
+from repro.experiments.catalogs import make_experiment_catalog
+from repro.experiments.queries import build_chain_query
 from repro.obs.metrics import (
     Histogram,
     get_metrics,
@@ -35,6 +37,7 @@ from repro.obs.telemetry import (
 )
 from repro.obs.trace import RecordingTracer, SamplingTracer, use_tracer
 from repro.optimizer.optimizer import OptimizationMode
+from repro.physical.plan import count_plan_nodes
 from repro.runtime.prepared import PreparedQuery
 from repro.util.interval import Interval
 
@@ -78,6 +81,53 @@ class TestPlanSignature:
         one = _prepare("SELECT * FROM R WHERE R.a < :v", catalog).module.plan
         other = _prepare(AGG_SQL, catalog).module.plan
         assert plan_signature(one) != plan_signature(other)
+
+    @staticmethod
+    def _mirror(plan, shared: bool, reads: list):
+        """Duck-typed copy of ``plan`` that logs every ``label`` read;
+        shared subplans stay shared, or are expanded into a tree."""
+
+        class Mirror:
+            def __init__(self, label, inputs):
+                self._label, self.inputs = label, inputs
+
+            @property
+            def label(self):
+                reads.append(self._label)
+                return self._label
+
+        copies: dict[int, Mirror] = {}
+
+        def mirror(node):
+            copy = copies.get(id(node)) if shared else None
+            if copy is None:
+                copy = copies[id(node)] = Mirror(
+                    node.label, tuple(mirror(child) for child in node.inputs)
+                )
+            return copy
+
+        return mirror(plan)
+
+    @staticmethod
+    def _chain_plan(n_relations):
+        experiment = make_experiment_catalog()
+        graph = build_chain_query(experiment, n_relations)
+        return PreparedQuery.prepare(graph, experiment).module.plan
+
+    def test_reads_each_node_of_a_shared_dag_once(self):
+        # The paper's Q4 module: 269 nodes, ~740 000 as a tree.
+        plan = self._chain_plan(6)
+        reads: list[str] = []
+        dag = self._mirror(plan, shared=True, reads=reads)
+        assert plan_signature(dag) == plan_signature(plan)
+        assert len(reads) == count_plan_nodes(plan)
+
+    def test_sharing_does_not_change_the_signature(self):
+        plan = self._chain_plan(4)
+        reads: list[str] = []
+        tree = self._mirror(plan, shared=False, reads=reads)
+        assert plan_signature(tree) == plan_signature(plan)
+        assert len(reads) > 10 * count_plan_nodes(plan)  # really a tree
 
 
 class TestErrorRatio:
