@@ -1,13 +1,20 @@
-"""Vectorized (batch-at-a-time) iterators mirroring Table 1's algorithms.
+"""Vectorized (batch-at-a-time) versions of the streaming operators.
 
-Each operator consumes and produces :class:`~repro.executor.tuples.RowBatch`
-blocks instead of single rows.  The algorithms — and therefore the output
-*row order* — are identical to the row-at-a-time iterators in
-:mod:`repro.executor.iterators`; what changes is the interpreter overhead:
-predicates, projections, and join keys are compiled once per operator open
+Each operator here consumes and produces
+:class:`~repro.executor.tuples.RowBatch` blocks instead of single rows.
+The algorithms — and therefore the output *row order* — are identical to
+the row-at-a-time reference iterators in :mod:`repro.executor.iterators`;
+what changes is the interpreter overhead: predicates, projections, and
+join keys are compiled once per operator open
 (:mod:`repro.executor.compiled`) and applied to whole batches with list
 comprehensions, so the per-row cost is a subscript and a native comparison
 rather than a generator resumption plus interpreted predicate dispatch.
+
+Only operators that gain from whole-block work live here — scans, filter,
+project, and the hash / index / semi / left-outer joins.  The blocking
+operators and the builder's wrappers are per-row algorithms written once
+in :mod:`repro.executor.iterators`, which serve blocks by flattening
+their input and re-blocking their output.
 
 Batch *boundaries* are not part of the contract: operators may emit
 batches smaller or larger than ``batch_size`` (scans align to storage
@@ -17,184 +24,24 @@ row stream is specified, and it is byte-identical to row mode.
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from repro.catalog.schema import Attribute
-from repro.errors import ExecutionError
 from repro.executor.compiled import compile_filter, compile_key, compile_project
 from repro.executor.database import Database
 from repro.executor.iterators import (
-    OperatorStats,
-    _finalize,
-    _Accumulator,
-    _join_key_positions,
-    _predicate_range,
-    compile_sort_key,
-    null_last_key,
+    BatchIterator,
+    flatten,
+    grace_partitions,
+    index_probe_positions,
+    join_key_positions,
+    predicate_range,
 )
-from repro.executor.sort import external_sort
+from repro.executor.sort import read_run
 from repro.executor.tuples import Row, RowBatch, RowSchema
 from repro.logical.predicates import JoinPredicate, SelectionPredicate
 
 ValueBindings = Mapping[str, object]
-
-
-class BatchIterator:
-    """Base class: an output schema plus a batch generator."""
-
-    __slots__ = ("schema",)
-
-    schema: RowSchema
-
-    def batches(self) -> Iterator[RowBatch]:
-        """Produce the operator's output as a stream of batches."""
-        raise NotImplementedError
-
-    def rows(self) -> Iterator[Row]:
-        """Row view of the batch stream (drivers and tests)."""
-        for batch in self.batches():
-            yield from batch.rows
-
-
-def flatten(iterator: BatchIterator) -> Iterator[Row]:
-    """Row stream of a batch iterator (for per-row algorithms)."""
-    for batch in iterator.batches():
-        yield from batch.rows
-
-
-def rebatch(rows: Iterator[Row], batch_size: int) -> Iterator[RowBatch]:
-    """Group a row stream into ``batch_size`` blocks."""
-    pending: list = []
-    for row in rows:
-        pending.append(row)
-        if len(pending) >= batch_size:
-            yield RowBatch(pending)
-            pending = []
-    if pending:
-        yield RowBatch(pending)
-
-
-class MeteredBatchIterator(BatchIterator):
-    """Per-batch metering: rows attributed exactly, one sample per block.
-
-    The batch analogue of
-    :class:`~repro.executor.iterators.MeteredIterator` — but where the row
-    wrapper pays a timestamp pair and two counter reads *per row*, this
-    one pays them per batch, so EXPLAIN ANALYZE no longer forces
-    row-at-a-time overhead.  Row counts stay exact: each batch knows its
-    length.
-    """
-
-    __slots__ = ("child", "stats", "counters")
-
-    def __init__(
-        self, child: BatchIterator, stats: OperatorStats, disk_counters
-    ) -> None:
-        self.child = child
-        self.schema = child.schema
-        self.stats = stats
-        self.counters = disk_counters
-
-    def batches(self) -> Iterator[RowBatch]:
-        stats = self.stats
-        counters = self.counters
-        perf_counter = time.perf_counter
-        source = self.child.batches()
-        while True:
-            pages_before = counters.sequential_reads + counters.random_reads
-            started = perf_counter()
-            try:
-                batch = next(source)
-            except StopIteration:
-                stats.seconds += perf_counter() - started
-                stats.pages_read += (
-                    counters.sequential_reads
-                    + counters.random_reads
-                    - pages_before
-                )
-                return
-            stats.seconds += perf_counter() - started
-            stats.pages_read += (
-                counters.sequential_reads + counters.random_reads - pages_before
-            )
-            stats.rows += len(batch.rows)
-            yield batch
-
-
-class LedgerProbeBatchIterator(BatchIterator):
-    """Batch twin of
-    :class:`~repro.executor.iterators.LedgerProbeIterator`: counts rows
-    across batches and records the observed cardinality into the
-    telemetry ledger on natural exhaustion.  Batch boundaries pass
-    through untouched, so the row stream stays byte-identical.
-    """
-
-    __slots__ = ("child", "ledger", "signature", "label", "interval", "catalog_version")
-
-    def __init__(
-        self, child: BatchIterator, ledger, signature: str, label: str,
-        interval, catalog_version: int,
-    ) -> None:
-        self.child = child
-        self.schema = child.schema
-        self.ledger = ledger
-        self.signature = signature
-        self.label = label
-        self.interval = interval
-        self.catalog_version = catalog_version
-
-    def batches(self) -> Iterator[RowBatch]:
-        count = 0
-        for batch in self.child.batches():
-            count += len(batch.rows)
-            yield batch
-        self.ledger.record(
-            self.signature, self.label, self.interval, count,
-            self.catalog_version,
-        )
-
-
-class BatchCheckpointIterator(BatchIterator):
-    """Batch twin of
-    :class:`~repro.executor.iterators.CheckpointIterator`: buffers the
-    child's batches (boundaries preserved, so the replayed stream is
-    byte-identical), hands the flattened rows to the adaptive guard —
-    which may raise ``ReplanSignal`` — and re-emits the stored batches.
-    """
-
-    __slots__ = ("child", "node", "guard")
-
-    def __init__(self, child: BatchIterator, node, guard) -> None:
-        self.child = child
-        self.schema = child.schema
-        self.node = node
-        self.guard = guard
-
-    def batches(self) -> Iterator[RowBatch]:
-        stored = list(self.child.batches())
-        rows = [row for batch in stored for row in batch.rows]
-        self.guard.on_breaker(self.node, self.schema, rows)
-        return iter(stored)
-
-
-class MaterializedBatchIterator(BatchIterator):
-    """Serves an already-materialized temporary result in blocks."""
-
-    __slots__ = ("_rows", "batch_size")
-
-    def __init__(
-        self, schema: RowSchema, rows: tuple[Row, ...], batch_size: int
-    ) -> None:
-        self.schema = schema
-        self._rows = rows
-        self.batch_size = batch_size
-
-    def batches(self) -> Iterator[RowBatch]:
-        rows = self._rows
-        size = self.batch_size
-        for start in range(0, len(rows), size):
-            yield RowBatch(list(rows[start : start + size]))
 
 
 # ----------------------------------------------------------------------
@@ -274,7 +121,7 @@ class BatchBtreeScanIterator(BatchIterator):
         self.key = key
         self.schema = RowSchema.from_schema(db.catalog.relation(relation).schema)
         self.batch_size = batch_size
-        self.low, self.high, self.include_low, self.include_high = _predicate_range(
+        self.low, self.high, self.include_low, self.include_high = predicate_range(
             predicate, bindings
         )
         residual = (
@@ -363,10 +210,9 @@ class BatchHashJoinIterator(BatchIterator):
     The build side materializes fully either way, so it is drained in
     batches and flattened.  Probe batches stream: each block probes the
     table with a compiled key extractor and emits one (possibly larger)
-    output block.  The spill path reuses the row algorithm's partitioning
-    scheme verbatim — tuple keys, the same ``hash(key) % partitions``
-    placement, the same page size — so spill files and output order are
-    identical across modes.
+    output block.  The spill path partitions through
+    :func:`~repro.executor.iterators.grace_partitions`, as the row join
+    does, so spill files and output order are identical across modes.
     """
 
     __slots__ = (
@@ -398,12 +244,8 @@ class BatchHashJoinIterator(BatchIterator):
         self.memory_pages = max(1, memory_pages)
         self.batch_size = batch_size
         self.schema = build.schema.concat(probe.schema)
-        self._build_positions = _join_key_positions(
-            build.schema, predicates, build.schema
-        )
-        self._probe_positions = _join_key_positions(
-            probe.schema, predicates, probe.schema
-        )
+        self._build_positions = join_key_positions(build.schema, predicates)
+        self._probe_positions = join_key_positions(probe.schema, predicates)
         self._build_key = compile_key(self._build_positions)
         self._probe_key = compile_key(self._probe_positions)
 
@@ -421,27 +263,21 @@ class BatchHashJoinIterator(BatchIterator):
                     yield RowBatch(out)
             return
 
-        partitions = -(-len(build_rows) // budget_rows)
-        build_files = self._partition(
-            iter(build_rows), self._build_positions, partitions
-        )
-        probe_files = self._partition(
-            flatten(self.probe), self._probe_positions, partitions
-        )
-        try:
-            for build_file, probe_file in zip(build_files, probe_files):
-                table = self._build_table(list(self._read_partition(build_file)))
+        disk = self.db.disk
+        with grace_partitions(
+            self.db, build_rows, self._build_positions,
+            flatten(self.probe), self._probe_positions, budget_rows,
+        ) as partitions:
+            for build_file, probe_file in partitions:
+                table = self._build_table(list(read_run(disk, build_file)))
                 pending: list = []
-                for _, payload in self.db.disk.scan_pages(probe_file):
+                for _, payload in disk.scan_pages(probe_file):
                     pending.extend(self._probe_batch(table, payload))
                     if len(pending) >= self.batch_size:
                         yield RowBatch(pending)
                         pending = []
                 if pending:
                     yield RowBatch(pending)
-        finally:
-            for name in build_files + probe_files:
-                self.db.disk.drop_file(name)
 
     def _build_table(self, build_rows: list) -> dict:
         key_of = self._build_key
@@ -466,197 +302,6 @@ class BatchHashJoinIterator(BatchIterator):
                 for build_row in bucket:
                     append(build_row + probe_row)
         return out
-
-    def _partition(
-        self, rows: Iterator[Row], key_positions: list[int], partitions: int
-    ) -> list[str]:
-        files = [self.db.disk.create_temp_file() for _ in range(partitions)]
-        pages: list[list[Row]] = [[] for _ in range(partitions)]
-        rows_per_page = self.db.intermediate_rows_per_page
-        key_of = compile_key(key_positions)
-        for row in rows:
-            index = hash(key_of(row)) % partitions
-            pages[index].append(row)
-            if len(pages[index]) == rows_per_page:
-                self.db.disk.append_page(files[index], pages[index])
-                pages[index] = []
-        for index, page in enumerate(pages):
-            if page:
-                self.db.disk.append_page(files[index], page)
-        return files
-
-    def _read_partition(self, name: str) -> Iterator[Row]:
-        for _, payload in self.db.disk.scan_pages(name):
-            yield from payload
-
-
-class BatchNestedLoopsJoinIterator(BatchIterator):
-    """Block nested-loops join over batches (cross-product capable).
-
-    Identical block structure to the row version: the inner materializes
-    to a temporary file once, the outer fills memory-sized blocks, and
-    the page/inner-row/outer-row loop nesting matches exactly — so output
-    order is byte-identical.
-    """
-
-    __slots__ = (
-        "outer",
-        "inner",
-        "predicates",
-        "db",
-        "memory_pages",
-        "batch_size",
-        "_outer_key",
-        "_inner_key",
-    )
-
-    def __init__(
-        self,
-        outer: BatchIterator,
-        inner: BatchIterator,
-        predicates: tuple[JoinPredicate, ...],
-        db: Database,
-        memory_pages: int,
-        batch_size: int,
-    ) -> None:
-        self.outer = outer
-        self.inner = inner
-        self.predicates = predicates
-        self.db = db
-        self.memory_pages = max(3, memory_pages)
-        self.batch_size = batch_size
-        self.schema = outer.schema.concat(inner.schema)
-        self._outer_key = compile_key(
-            _join_key_positions(outer.schema, predicates, outer.schema)
-        ) if predicates else None
-        self._inner_key = compile_key(
-            _join_key_positions(inner.schema, predicates, inner.schema)
-        ) if predicates else None
-
-    def batches(self) -> Iterator[RowBatch]:
-        rows_per_page = self.db.intermediate_rows_per_page
-        block_rows = max(1, (self.memory_pages - 2) * rows_per_page)
-        size = self.batch_size
-        outer_key = self._outer_key
-        inner_key_of = self._inner_key
-
-        inner_file = self.db.disk.create_temp_file()
-        page: list[Row] = []
-        for row in flatten(self.inner):
-            page.append(row)
-            if len(page) == rows_per_page:
-                self.db.disk.append_page(inner_file, page)
-                page = []
-        if page:
-            self.db.disk.append_page(inner_file, page)
-
-        try:
-            block: list[Row] = []
-            outer_iter = flatten(self.outer)
-            out: list = []
-            while True:
-                block.clear()
-                for row in outer_iter:
-                    block.append(row)
-                    if len(block) == block_rows:
-                        break
-                if not block:
-                    if out:
-                        yield RowBatch(out)
-                    return
-                for _, payload in self.db.disk.scan_pages(inner_file):
-                    for inner_row in payload:
-                        if inner_key_of is None:
-                            out.extend(
-                                outer_row + inner_row for outer_row in block
-                            )
-                        else:
-                            inner_key = inner_key_of(inner_row)
-                            out.extend(
-                                outer_row + inner_row
-                                for outer_row in block
-                                if outer_key(outer_row) == inner_key
-                            )
-                        if len(out) >= size:
-                            yield RowBatch(out)
-                            out = []
-                if len(block) < block_rows:
-                    if out:
-                        yield RowBatch(out)
-                    return
-        finally:
-            self.db.disk.drop_file(inner_file)
-
-
-class BatchMergeJoinIterator(BatchIterator):
-    """Merge join of sorted batch inputs.
-
-    The advance/buffer algorithm is inherently row-ordered, so the inputs
-    flatten into row streams; key extraction is compiled and output
-    accumulates into ``batch_size`` blocks.  Duplicate-key groups may span
-    any number of input batches — the group buffer carries across block
-    boundaries untouched.
-    """
-
-    __slots__ = ("left", "right", "predicates", "batch_size", "_left_key", "_right_key")
-
-    def __init__(
-        self,
-        left: BatchIterator,
-        right: BatchIterator,
-        predicates: tuple[JoinPredicate, ...],
-        batch_size: int,
-    ) -> None:
-        self.left = left
-        self.right = right
-        self.predicates = predicates
-        self.batch_size = batch_size
-        self.schema = left.schema.concat(right.schema)
-        self._left_key = compile_key(
-            _join_key_positions(left.schema, predicates, left.schema)
-        )
-        self._right_key = compile_key(
-            _join_key_positions(right.schema, predicates, right.schema)
-        )
-
-    def batches(self) -> Iterator[RowBatch]:
-        left_key_of = self._left_key
-        right_key_of = self._right_key
-        size = self.batch_size
-        left_iter = flatten(self.left)
-        right_iter = flatten(self.right)
-        left_row = next(left_iter, None)
-        right_group: list[Row] = []
-        right_key: tuple | None = None
-        right_row = next(right_iter, None)
-        out: list = []
-
-        while left_row is not None and (right_row is not None or right_group):
-            lk = left_key_of(left_row)
-            if right_key is not None and lk == right_key:
-                for row in right_group:
-                    out.append(left_row + row)
-                if len(out) >= size:
-                    yield RowBatch(out)
-                    out = []
-                left_row = next(left_iter, None)
-                continue
-            if right_row is None:
-                break
-            rk = right_key_of(right_row)
-            if lk < rk:
-                left_row = next(left_iter, None)
-            elif lk > rk:
-                right_row = next(right_iter, None)
-            else:
-                right_key = rk
-                right_group = []
-                while right_row is not None and right_key_of(right_row) == rk:
-                    right_group.append(right_row)
-                    right_row = next(right_iter, None)
-                # loop re-enters the lk == right_key branch
-        if out:
-            yield RowBatch(out)
 
 
 class BatchIndexJoinIterator(BatchIterator):
@@ -699,28 +344,14 @@ class BatchIndexJoinIterator(BatchIterator):
         self.schema = outer.schema.concat(inner_schema)
 
     def batches(self) -> Iterator[RowBatch]:
-        from repro.executor.iterators import _inner_side, _outer_side
-
         btree = self.db.btree_on(self.inner_key)
         heap = self.db.heap(self.inner_relation)
         lookup = btree.lookup
         fetch = heap.fetch
-        probe_predicate = next(
-            p for p in self.predicates if self.inner_key in (p.left, p.right)
+        outer_probe_position, residuals = index_probe_positions(
+            self.outer.schema, self.inner_schema, self.inner_relation,
+            self.inner_key, self.predicates,
         )
-        outer_probe_position = self.outer.schema.position(
-            probe_predicate.left
-            if probe_predicate.right == self.inner_key
-            else probe_predicate.right
-        )
-        residuals = [
-            (
-                self.outer.schema.position(_outer_side(p, self.inner_relation)),
-                self.inner_schema.position(_inner_side(p, self.inner_relation)),
-            )
-            for p in self.predicates
-            if p is not probe_predicate
-        ]
         for batch in self.outer.batches():
             out: list = []
             append = out.append
@@ -734,250 +365,6 @@ class BatchIndexJoinIterator(BatchIterator):
                         append(outer_row + inner_row)
             if out:
                 yield RowBatch(out)
-
-
-# ----------------------------------------------------------------------
-# Aggregation
-# ----------------------------------------------------------------------
-class _BatchAggregateBase(BatchIterator):
-    """Shared plumbing for both batch aggregate implementations."""
-
-    __slots__ = ("child", "spec", "batch_size", "_key_of", "_value_positions")
-
-    def __init__(self, child: BatchIterator, spec, batch_size: int) -> None:
-        self.child = child
-        self.spec = spec
-        self.batch_size = batch_size
-        self.schema = RowSchema(spec.output_attributes())
-        self._key_of = compile_key(
-            [child.schema.position(a) for a in spec.group_by]
-        ) if spec.group_by else (lambda row: ())
-        self._value_positions = [
-            child.schema.position(e.attribute) if e.attribute is not None else None
-            for e in spec.aggregates
-        ]
-
-    def _values_of(self, row: Row) -> list:
-        return [row[p] if p is not None else 1 for p in self._value_positions]
-
-
-class BatchHashAggregateIterator(_BatchAggregateBase):
-    """Hash aggregation over batches; group order matches row mode."""
-
-    __slots__ = ()
-
-    def batches(self) -> Iterator[RowBatch]:
-        table: dict[tuple, _Accumulator] = {}
-        n = len(self.spec.aggregates)
-        key_of = self._key_of
-        values_of = self._values_of
-        saw_input = False
-        for batch in self.child.batches():
-            if batch.rows:
-                saw_input = True
-            for row in batch.rows:
-                key = key_of(row)
-                accumulator = table.get(key)
-                if accumulator is None:
-                    accumulator = table[key] = _Accumulator(n)
-                accumulator.add(values_of(row))
-        if not table and not self.spec.group_by and saw_input is False:
-            # SQL scalar-aggregate semantics: no input still yields one row.
-            yield RowBatch([_finalize(self.spec, (), _Accumulator(n))])
-            return
-        spec = self.spec
-        yield from rebatch(
-            (_finalize(spec, key, acc) for key, acc in table.items()),
-            self.batch_size,
-        )
-
-
-class BatchSortedAggregateIterator(_BatchAggregateBase):
-    """Streaming aggregation over batches sorted on the leading group key.
-
-    Runs of the leading key may span batch boundaries; the per-run table
-    carries across blocks exactly as the row version carries it across
-    ``next()`` calls.
-    """
-
-    __slots__ = ()
-
-    def batches(self) -> Iterator[RowBatch]:
-        n = len(self.spec.aggregates)
-        key_of = self._key_of
-        values_of = self._values_of
-        spec = self.spec
-        size = self.batch_size
-        current_lead: tuple | None = None
-        run: dict[tuple, _Accumulator] = {}
-        out: list = []
-        for batch in self.child.batches():
-            for row in batch.rows:
-                key = key_of(row)
-                lead = key[:1]
-                if current_lead is None:
-                    current_lead = lead
-                elif lead != current_lead:
-                    for group, accumulator in run.items():
-                        out.append(_finalize(spec, group, accumulator))
-                    run.clear()
-                    current_lead = lead
-                    if len(out) >= size:
-                        yield RowBatch(out)
-                        out = []
-                accumulator = run.get(key)
-                if accumulator is None:
-                    accumulator = run[key] = _Accumulator(n)
-                accumulator.add(values_of(row))
-        for group, accumulator in run.items():
-            out.append(_finalize(spec, group, accumulator))
-        if out:
-            yield RowBatch(out)
-
-
-# ----------------------------------------------------------------------
-# Enforcers
-# ----------------------------------------------------------------------
-class BatchSortIterator(BatchIterator):
-    """Sort enforcer: external merge sort, emitted in blocks."""
-
-    __slots__ = ("child", "keys", "db", "memory_pages", "batch_size")
-
-    def __init__(
-        self,
-        child: BatchIterator,
-        keys: Attribute | tuple[Attribute, ...],
-        db: Database,
-        memory_pages: int,
-        batch_size: int,
-    ) -> None:
-        self.child = child
-        self.keys = (keys,) if isinstance(keys, Attribute) else tuple(keys)
-        self.db = db
-        self.memory_pages = max(3, memory_pages)
-        self.batch_size = batch_size
-        self.schema = child.schema
-
-    def batches(self) -> Iterator[RowBatch]:
-        key_of = compile_sort_key(
-            [self.schema.position(k) for k in self.keys]
-        )
-        yield from rebatch(
-            external_sort(
-                self.db.disk,
-                flatten(self.child),
-                key=key_of,
-                memory_pages=self.memory_pages,
-                rows_per_page=self.db.intermediate_rows_per_page,
-            ),
-            self.batch_size,
-        )
-
-
-class BatchPartialSortIterator(BatchIterator):
-    """Batch twin of
-    :class:`~repro.executor.iterators.PartialSortIterator`: the input is
-    already sorted on ``keys[:prefix_len]``, so equal-prefix runs are
-    sorted one at a time and re-blocked.  Only the current run is ever
-    buffered; the concatenated row stream is byte-identical to a full
-    stable sort on the same keys.
-    """
-
-    __slots__ = ("child", "keys", "prefix_len", "db", "memory_pages", "batch_size")
-
-    def __init__(
-        self,
-        child: BatchIterator,
-        keys: tuple[Attribute, ...],
-        prefix_len: int,
-        db: Database,
-        memory_pages: int,
-        batch_size: int,
-    ) -> None:
-        self.child = child
-        self.keys = tuple(keys)
-        self.prefix_len = prefix_len
-        self.db = db
-        self.memory_pages = max(3, memory_pages)
-        self.batch_size = batch_size
-        self.schema = child.schema
-
-    def batches(self) -> Iterator[RowBatch]:
-        yield from rebatch(self._rows(), self.batch_size)
-
-    def _rows(self) -> Iterator[Row]:
-        schema = self.schema
-        prefix_positions = [
-            schema.position(k) for k in self.keys[: self.prefix_len]
-        ]
-        key_of = compile_sort_key([schema.position(k) for k in self.keys])
-        budget_rows = self.memory_pages * self.db.intermediate_rows_per_page
-        run: list[Row] = []
-        current: tuple = ()
-        for row in flatten(self.child):
-            lead = tuple(row[p] for p in prefix_positions)
-            if run and lead != current:
-                yield from self._sorted_run(run, key_of, budget_rows)
-                run = []
-            current = lead
-            run.append(row)
-        if run:
-            yield from self._sorted_run(run, key_of, budget_rows)
-
-    def _sorted_run(
-        self, run: list[Row], key_of, budget_rows: int
-    ) -> Iterator[Row]:
-        if len(run) <= budget_rows:
-            return iter(sorted(run, key=key_of))
-        return external_sort(
-            self.db.disk,
-            iter(run),
-            key=key_of,
-            memory_pages=self.memory_pages,
-            rows_per_page=self.db.intermediate_rows_per_page,
-        )
-
-
-class BatchTopNIterator(BatchIterator):
-    """Top-N: the ``limit`` smallest rows by key, delivered sorted.
-
-    Keeps a bounded candidate list, pruned with a stable
-    ``sorted(...)[:limit]`` whenever it grows past ``4 × limit`` — so a
-    cutoff can land mid-batch without ever materializing the full input.
-    Pruning incrementally is exactly equivalent to one global stable sort:
-    every row dropped by a prune is ordered after ``limit`` earlier rows
-    and can never re-enter the answer.
-    """
-
-    __slots__ = ("child", "key", "limit", "batch_size")
-
-    def __init__(
-        self, child: BatchIterator, key: Attribute, limit: int, batch_size: int
-    ) -> None:
-        if limit <= 0:
-            raise ExecutionError("top-n limit must be positive")
-        self.child = child
-        self.key = key
-        self.limit = limit
-        self.batch_size = batch_size
-        self.schema = child.schema
-
-    def batches(self) -> Iterator[RowBatch]:
-        position = self.schema.position(self.key)
-
-        def key_of(row):
-            return null_last_key(row[position])
-
-        limit = self.limit
-        threshold = 4 * limit
-        candidates: list = []
-        for batch in self.child.batches():
-            candidates.extend(batch.rows)
-            if len(candidates) > threshold:
-                candidates = sorted(candidates, key=key_of)[:limit]
-        yield from rebatch(
-            iter(sorted(candidates, key=key_of)[:limit]), self.batch_size
-        )
 
 
 # ----------------------------------------------------------------------
@@ -1058,45 +445,3 @@ class BatchLeftOuterHashJoinIterator(BatchIterator):
                     out.append(left_row + padding)
             if out:
                 yield RowBatch(out)
-
-
-class BatchUnionAllIterator(BatchIterator):
-    """Concatenate children's batch streams in order (UNION ALL)."""
-
-    __slots__ = ("children",)
-
-    def __init__(self, children: list[BatchIterator]) -> None:
-        if len(children) < 2:
-            raise ExecutionError("union needs at least two inputs")
-        arities = {len(child.schema.attributes) for child in children}
-        if len(arities) != 1:
-            raise ExecutionError(
-                f"union inputs have mismatched arities {sorted(arities)}"
-            )
-        self.children = children
-        self.schema = children[0].schema
-
-    def batches(self) -> Iterator[RowBatch]:
-        for child in self.children:
-            yield from child.batches()
-
-
-class BatchDistinctIterator(BatchIterator):
-    """Duplicate elimination keeping first occurrences, batch at a time."""
-
-    __slots__ = ("child",)
-
-    def __init__(self, child: BatchIterator) -> None:
-        self.child = child
-        self.schema = child.schema
-
-    def batches(self) -> Iterator[RowBatch]:
-        seen: set[Row] = set()
-        for batch in self.child.batches():
-            kept: list[Row] = []
-            for row in batch.rows:
-                if row not in seen:
-                    seen.add(row)
-                    kept.append(row)
-            if kept:
-                yield RowBatch(kept)

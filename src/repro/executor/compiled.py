@@ -110,6 +110,8 @@ def row_shape(positions: Sequence[int]) -> KeyFunc:
     helper so the 1-tuple contract is pinned in one place.
     """
     positions = tuple(positions)
+    if not positions:  # cross products, scalar aggregates: one empty key
+        return lambda row: ()
     if len(positions) == 1:
         p = positions[0]
         return lambda row: (row[p],)

@@ -20,29 +20,16 @@ from repro.errors import ExecutionError
 from repro.executor.database import Database
 from repro.executor.batch import (
     BatchBtreeScanIterator,
-    BatchCheckpointIterator,
     BatchFileScanIterator,
     BatchFilterIterator,
-    BatchHashAggregateIterator,
     BatchHashJoinIterator,
     BatchIndexJoinIterator,
-    BatchIterator,
-    BatchMergeJoinIterator,
-    BatchNestedLoopsJoinIterator,
-    BatchPartialSortIterator,
-    BatchProjectIterator,
-    BatchDistinctIterator,
     BatchLeftOuterHashJoinIterator,
+    BatchProjectIterator,
     BatchSemiJoinIterator,
-    BatchSortedAggregateIterator,
-    BatchSortIterator,
-    BatchTopNIterator,
-    BatchUnionAllIterator,
-    LedgerProbeBatchIterator,
-    MaterializedBatchIterator,
-    MeteredBatchIterator,
 )
 from repro.executor.iterators import (
+    BatchIterator,
     BtreeScanIterator,
     CheckpointIterator,
     DistinctIterator,
@@ -74,8 +61,6 @@ from repro.obs.trace import get_tracer
 from repro.executor.tuples import DEFAULT_BATCH_SIZE, Row, RowSchema
 from repro.parallel.exchange import (
     BatchExchangeIterator,
-    BatchHashStripeIterator,
-    BatchModuloStripeIterator,
     BatchStripedFileScanIterator,
     ExchangeIterator,
     HashStripeIterator,
@@ -201,13 +186,14 @@ def execute_plan(
     (defaults to the ``dop`` entry of ``parameter_values``, else 1).
     Serial plans ignore it entirely.
 
-    ``execution_mode`` selects the iterator family: ``"fused"`` (the
-    default) runs the vectorized engine with whole-pipeline codegen —
-    maximal streaming chains between pipeline breakers are compiled into
-    one generated function per pipeline (see
+    ``execution_mode`` selects how the streaming operators run:
+    ``"fused"`` (the default) runs the vectorized engine with
+    whole-pipeline codegen — maximal streaming chains between pipeline
+    breakers are compiled into one generated function per pipeline (see
     :mod:`repro.executor.fused`), cached by plan signature — ``"batch"``
     runs the same vectorized operators with per-operator dispatch, and
-    ``"row"`` runs the original row-at-a-time Volcano iterators.
+    ``"row"`` runs the interpreted row-at-a-time Volcano iterators.  The
+    blocking operators are the same classes in every mode.
     Operators exchange :class:`~repro.executor.tuples.RowBatch` blocks
     of ``batch_size`` rows (default
     :data:`~repro.executor.tuples.DEFAULT_BATCH_SIZE`) in the vectorized
@@ -269,7 +255,6 @@ def execute_plan(
     if execution_mode == "fused" and not fuse:
         get_metrics().counter("codegen.bypassed").inc()
     cx = BuildContext(
-        family=_family(vectorized),
         db=db,
         bindings=bindings,
         choices=choices or {},
@@ -430,7 +415,6 @@ def build_fused_pipelines(
         else db.model.default_memory_pages
     )
     cx = BuildContext(
-        family=_family(True),
         db=db,
         bindings=dict(bindings or {}),
         choices=choices or {},
@@ -447,12 +431,15 @@ def build_fused_pipelines(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class _Operator:
-    """One row of the node-type table: the operator pair for a plan node.
+    """One row of the node-type table: the operator for a plan node.
 
-    Both classes take the built inputs first, then ``args`` in order —
-    plan-node fields, except the names in :data:`_CONTEXT_ARGS`, which
-    come from the build context — and the batch class takes the batch
-    size last when ``sized``.
+    ``row`` and ``batch`` are the same class where the algorithm is
+    written once (the blocking operators); they differ where an
+    interpreted row-at-a-time reference stands beside a compiled batch
+    version (the streaming operators).  Both take the built inputs first,
+    then ``args`` in order — plan-node fields, except the names in
+    :data:`_CONTEXT_ARGS`, which come from the build context — and the
+    batch class takes the batch size last when ``sized``.
     """
 
     row: type[PlanIterator]
@@ -464,6 +451,11 @@ class _Operator:
     relation: str | None = None
     #: inputs are passed as one list instead of positionally.
     variadic: bool = False
+
+
+def _single(cls: type[BatchIterator], *args: str, **flags) -> _Operator:
+    """The table row of an operator written once for both entry points."""
+    return _Operator(cls, cls, args, **flags)
 
 
 _CONTEXT_ARGS = frozenset({"db", "memory", "bindings", "dop"})
@@ -484,33 +476,25 @@ _OPERATORS: dict[type[PlanNode], _Operator] = {
     HashJoinNode: _Operator(
         HashJoinIterator, BatchHashJoinIterator, ("predicates", "db", "memory")
     ),
-    MergeJoinNode: _Operator(
-        MergeJoinIterator, BatchMergeJoinIterator, ("predicates",)
-    ),
-    NestedLoopsJoinNode: _Operator(
-        NestedLoopsJoinIterator, BatchNestedLoopsJoinIterator,
-        ("predicates", "db", "memory"),
+    MergeJoinNode: _single(MergeJoinIterator, "predicates"),
+    NestedLoopsJoinNode: _single(
+        NestedLoopsJoinIterator, "predicates", "db", "memory"
     ),
     IndexJoinNode: _Operator(
         IndexJoinIterator, BatchIndexJoinIterator,
         ("db", "inner_relation", "inner_key", "predicates"),
         relation="inner_relation",
     ),
-    SortNode: _Operator(SortIterator, BatchSortIterator, ("keys", "db", "memory")),
-    PartialSortNode: _Operator(
-        PartialSortIterator, BatchPartialSortIterator,
-        ("keys", "prefix_len", "db", "memory"),
+    SortNode: _single(SortIterator, "keys", "db", "memory"),
+    PartialSortNode: _single(
+        PartialSortIterator, "keys", "prefix_len", "db", "memory"
     ),
-    TopNNode: _Operator(TopNIterator, BatchTopNIterator, ("key", "limit")),
+    TopNNode: _single(TopNIterator, "key", "limit"),
     ProjectNode: _Operator(
         ProjectIterator, BatchProjectIterator, ("attributes",), sized=False
     ),
-    HashAggregateNode: _Operator(
-        HashAggregateIterator, BatchHashAggregateIterator, ("spec",)
-    ),
-    SortedAggregateNode: _Operator(
-        SortedAggregateIterator, BatchSortedAggregateIterator, ("spec",)
-    ),
+    HashAggregateNode: _single(HashAggregateIterator, "spec"),
+    SortedAggregateNode: _single(SortedAggregateIterator, "spec"),
     SemiJoinNode: _Operator(
         SemiJoinIterator, BatchSemiJoinIterator,
         ("outer_attr", "inner_attr"), sized=False,
@@ -519,10 +503,8 @@ _OPERATORS: dict[type[PlanNode], _Operator] = {
         LeftOuterHashJoinIterator, BatchLeftOuterHashJoinIterator,
         ("left_attr", "right_attr"), sized=False,
     ),
-    UnionAllNode: _Operator(
-        UnionAllIterator, BatchUnionAllIterator, sized=False, variadic=True
-    ),
-    DistinctNode: _Operator(DistinctIterator, BatchDistinctIterator, sized=False),
+    UnionAllNode: _single(UnionAllIterator, variadic=True),
+    DistinctNode: _single(DistinctIterator),
     # Built by _exchange: its input is cloned per worker, and the worker
     # builder and telemetry follow ``args``.
     ExchangeNode: _Operator(
@@ -530,46 +512,19 @@ _OPERATORS: dict[type[PlanNode], _Operator] = {
     ),
 }
 
-
-class _Family(NamedTuple):
-    """One iterator family: its column of the operator table plus the
-    wrappers the builder puts around those operators."""
-
-    column: str
-    metered: type
-    ledger_probe: type
-    checkpoint: type
-    materialized: type
-    modulo_stripe: type
-    hash_stripe: type
-    striped_scan: type
-
-
-def _family(vectorized: bool) -> _Family:
-    """The batch or row family.  Resolved per execution, not at import,
-    so a test can substitute a counting wrapper on this module."""
-    if vectorized:
-        return _Family(
-            "batch", MeteredBatchIterator, LedgerProbeBatchIterator,
-            BatchCheckpointIterator, MaterializedBatchIterator,
-            BatchModuloStripeIterator, BatchHashStripeIterator,
-            BatchStripedFileScanIterator,
-        )
-    return _Family(
-        "row", MeteredIterator, LedgerProbeIterator, CheckpointIterator,
-        MaterializedIterator, ModuloStripeIterator, HashStripeIterator,
-        StripedFileScanIterator,
-    )
+#: The driver's heap scan inside an exchange worker: a contiguous page
+#: range, read record by record or page-aligned through the buffer pool.
+_STRIPED_SCAN = _Operator(StripedFileScanIterator, BatchStripedFileScanIterator)
 
 
 class BuildContext(NamedTuple):
     """Everything :func:`build` needs besides the node.
 
     Made once per :func:`execute_plan` call and once per exchange worker,
-    never per node.  ``batch_size`` is None for the row family.
+    never per node.  ``batch_size`` is None when the tree is driven
+    through ``rows()`` (row mode) and selects the table's row column.
     """
 
-    family: _Family
     db: Database
     bindings: Mapping[str, object]
     choices: Mapping[int, PlanNode]
@@ -589,11 +544,16 @@ class BuildContext(NamedTuple):
 
     @property
     def sized(self) -> tuple:
-        """The trailing batch-size argument of the family's sized classes."""
+        """The trailing batch-size argument of sized classes."""
         return () if self.batch_size is None else (self.batch_size,)
 
+    def instantiate(self, op: _Operator, *args, **kwargs):
+        """Construct this context's column of ``op`` over ``args``."""
+        cls = op.row if self.batch_size is None else op.batch
+        return cls(*args, *(self.sized if op.sized else ()), **kwargs)
 
-def build(node: PlanNode, cx: BuildContext) -> PlanIterator | BatchIterator:
+
+def build(node: PlanNode, cx: BuildContext) -> PlanIterator:
     """The iterator tree for ``node``: the one plan → iterator walk.
 
     With ``cx.fused``, maximal streaming chains compile into generated
@@ -605,7 +565,7 @@ def build(node: PlanNode, cx: BuildContext) -> PlanIterator | BatchIterator:
         entry = cx.pinned.get(id(node))
         if entry is not None:
             schema, rows = entry
-            return cx.family.materialized(schema, tuple(rows), *cx.sized)
+            return MaterializedIterator(schema, tuple(rows), *cx.sized)
     # Worker stripes cut through a scan's rows, which a fused scan reads
     # as raw page chunks — exchange subtrees stay unfused.
     if cx.fused and cx.partition is None:
@@ -629,22 +589,21 @@ def build(node: PlanNode, cx: BuildContext) -> PlanIterator | BatchIterator:
         stats = cx.operator_stats.get(id(node))
         if stats is None:
             stats = cx.operator_stats[id(node)] = OperatorStats(label=node.label)
-        iterator = cx.family.metered(iterator, stats, cx.db.disk.counters)
+        iterator = MeteredIterator(iterator, stats, cx.db.disk.counters)
     if isinstance(node, _BREAKER_NODES):
         iterator = _observed(iterator, node, node.label, cx)
     return iterator
 
 
-def _operator(node: PlanNode, cx: BuildContext) -> PlanIterator | BatchIterator:
+def _operator(node: PlanNode, cx: BuildContext) -> PlanIterator:
     """The bare operator for ``node``: its table row applied to its built
     inputs, or the materialized temporary standing in for its subtree."""
-    family = cx.family
     if cx.materialized:
         info = leaf_access_info(node)
         if info is not None and info in cx.materialized:
             temp = cx.materialized[info]
             return _worker_slice(
-                family.materialized(temp.schema, temp.stored_rows, *cx.sized),
+                MaterializedIterator(temp.schema, temp.stored_rows, *cx.sized),
                 info[0], cx,
             )
     op = _OPERATORS.get(type(node))
@@ -661,17 +620,15 @@ def _operator(node: PlanNode, cx: BuildContext) -> PlanIterator | BatchIterator:
     ):
         # The driver's heap scan takes a contiguous page range instead of
         # a row-index stripe of the whole file: each page is read once.
-        return family.striped_scan(
-            cx.db, node.relation, partition.worker, partition.dop, *cx.sized
+        return cx.instantiate(
+            _STRIPED_SCAN, cx.db, node.relation, partition.worker, partition.dop
         )
     if isinstance(node, HashJoinNode):
         inputs = [_build_side(node.inputs[0], cx), build(node.inputs[1], cx)]
     else:
         inputs = [build(child, cx) for child in node.inputs]
-    iterator = getattr(op, family.column)(
-        *([inputs] if op.variadic else inputs),
-        *_arguments(op, node, cx),
-        *(cx.sized if op.sized else ()),
+    iterator = cx.instantiate(
+        op, *([inputs] if op.variadic else inputs), *_arguments(op, node, cx)
     )
     if op.relation is not None:
         iterator = _worker_slice(
@@ -687,11 +644,11 @@ def _arguments(op: _Operator, node: PlanNode, cx: BuildContext) -> list:
 
 
 def _worker_slice(
-    iterator: PlanIterator | BatchIterator,
+    iterator: PlanIterator,
     relation: str,
     cx: BuildContext,
     leaf: bool = True,
-) -> PlanIterator | BatchIterator:
+) -> PlanIterator:
     """Restrict ``relation``'s tuples, which enter the plan at
     ``iterator``, to the exchange worker's slice, if any.
 
@@ -712,21 +669,23 @@ def _worker_slice(
         key = partition.hash_keys.get(relation) if leaf else None
         if key is None:
             return iterator
-        return cx.family.hash_stripe(
+        return HashStripeIterator(
             iterator, iterator.schema.position(key), partition.worker,
-            partition.dop,
+            partition.dop, *cx.sized,
         )
     if partition.driver != relation:
         return iterator
-    return cx.family.modulo_stripe(iterator, partition.worker, partition.dop)
+    return ModuloStripeIterator(
+        iterator, partition.worker, partition.dop, *cx.sized
+    )
 
 
 def _observed(
-    iterator: PlanIterator | BatchIterator,
+    iterator: PlanIterator,
     node: PlanNode,
     label: str,
     cx: BuildContext,
-) -> PlanIterator | BatchIterator:
+) -> PlanIterator:
     """Wrap a pipeline breaker whose stream is all of ``node``'s output.
 
     Once drained, the row count is a complete observation of the node's
@@ -738,16 +697,16 @@ def _observed(
     """
     probe, guard = cx.probe, cx.guard
     if probe is not None:
-        iterator = cx.family.ledger_probe(
+        iterator = LedgerProbeIterator(
             iterator, probe, plan_signature(node), label,
             node.cardinality, cx.db.catalog.version,
         )
     if guard is not None and guard.wants(node):
-        iterator = cx.family.checkpoint(iterator, node, guard)
+        iterator = CheckpointIterator(iterator, node, guard, *cx.sized)
     return iterator
 
 
-def _build_side(node: PlanNode, cx: BuildContext) -> PlanIterator | BatchIterator:
+def _build_side(node: PlanNode, cx: BuildContext) -> PlanIterator:
     """A hash join's build input.  The join drains it entirely before
     probing, so it is a breaker whether or not the probe chain is fused."""
     return _observed(build(node, cx), node, f"{node.label} [build]", cx)
@@ -755,7 +714,7 @@ def _build_side(node: PlanNode, cx: BuildContext) -> PlanIterator | BatchIterato
 
 def _exchange(
     node: ExchangeNode, cx: BuildContext, op: _Operator
-) -> PlanIterator | BatchIterator:
+) -> PlanIterator:
     """Instantiate an exchange: per-worker clones of the child subtree.
 
     Each worker gets an equal share of the memory budget (the memory split
@@ -770,7 +729,7 @@ def _exchange(
         raise ExecutionError("nested exchange operators are not supported")
     hash_keys = dict(node.partition_keys)
 
-    def build_worker(worker: int) -> PlanIterator | BatchIterator:
+    def build_worker(worker: int) -> PlanIterator:
         spec = PartitionSpec(
             mode=node.mode,
             worker=worker,
@@ -791,10 +750,10 @@ def _exchange(
             ),
         )
 
-    return getattr(op, cx.family.column)(
+    return cx.instantiate(
+        op,
         *_arguments(op, node, cx),
         build_worker,
-        *cx.sized,
         telemetry=None if cx.probe is None else (
             cx.probe, plan_signature(node), node.cardinality,
             cx.db.catalog.version,

@@ -75,13 +75,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
 from repro.errors import BindingError, ExecutionError
 
-from repro.executor.batch import (
-    BatchFileScanIterator,
-    BatchHashJoinIterator,
-    BatchIterator,
-    MaterializedBatchIterator,
-    flatten,
-)
+from repro.executor.batch import BatchFileScanIterator, BatchHashJoinIterator
 from repro.executor.compiled import (
     compile_filter,
     compile_key,
@@ -89,9 +83,11 @@ from repro.executor.compiled import (
 )
 from repro.executor.database import Database
 from repro.executor.iterators import (
-    _inner_side,
-    _join_key_positions,
-    _outer_side,
+    BatchIterator,
+    MaterializedIterator,
+    flatten,
+    index_probe_positions,
+    join_key_positions,
 )
 from repro.executor.tuples import Row, RowBatch, RowSchema
 from repro.logical.predicates import CompareOp
@@ -441,12 +437,10 @@ class _HashProbeStep(_Step):
         self.db = db
         self.memory_pages = memory_pages
         self.batch_size = batch_size
-        self.build_positions = _join_key_positions(
-            build_iterator.schema, node.predicates, build_iterator.schema
+        self.build_positions = join_key_positions(
+            build_iterator.schema, node.predicates
         )
-        self.probe_positions = _join_key_positions(
-            in_schema, node.predicates, in_schema
-        )
+        self.probe_positions = join_key_positions(in_schema, node.predicates)
         self.build_rows: list[Row] | None = None
         self._index = index
 
@@ -499,7 +493,7 @@ class _HashProbeStep(_Step):
         # The drained build rows replay through a materialized iterator,
         # so the batch operator partitions/builds the identical row list
         # without touching the (exhausted) build subtree again.
-        build = MaterializedBatchIterator(
+        build = MaterializedIterator(
             self.build_iterator.schema,
             tuple(self.build_rows or ()),
             self.batch_size,
@@ -662,21 +656,9 @@ class _IndexJoinStep(_Step):
         )
         self.inner_schema = inner_schema
         self.out_schema = in_schema.concat(inner_schema)
-        probe_predicate = next(
-            p for p in node.predicates if node.inner_key in (p.left, p.right)
-        )
-        self.probe_position = in_schema.position(
-            probe_predicate.left
-            if probe_predicate.right == node.inner_key
-            else probe_predicate.right
-        )
-        self.residuals = tuple(
-            (
-                in_schema.position(_outer_side(p, node.inner_relation)),
-                inner_schema.position(_inner_side(p, node.inner_relation)),
-            )
-            for p in node.predicates
-            if p is not probe_predicate
+        self.probe_position, self.residuals = index_probe_positions(
+            in_schema, inner_schema, node.inner_relation, node.inner_key,
+            node.predicates,
         )
         self._lookup = None
         self._fetch = None

@@ -1,23 +1,39 @@
 """Volcano-style iterators, one per physical algorithm of Table 1.
 
-Each iterator exposes an output :class:`~repro.executor.tuples.RowSchema`
-and a ``rows()`` generator.  Iterators pull from their inputs on demand —
-the Volcano execution model — and all storage access is metered through the
-database's simulated disk, so observed I/O can be compared against the cost
-model's predictions.
+Every iterator exposes an output :class:`~repro.executor.tuples.RowSchema`
+and pulls from its inputs on demand — the Volcano execution model — with
+all storage access metered through the database's simulated disk, so
+observed I/O can be compared against the cost model's predictions.
+
+There are two entry points.  ``rows()`` is the row-at-a-time stream;
+``batches()`` delivers the same stream in
+:class:`~repro.executor.tuples.RowBatch` blocks.  Operators whose
+algorithm is inherently per-row — the blocking operators (sorts,
+aggregation, merge and nested-loops joins, DISTINCT, UNION ALL, Top-N)
+and the wrappers the plan builder puts around operators — are written
+once here as a :class:`RowStreamIterator` and serve both entry points.
+The streaming operators (scans, filter, project, hash/index/semi/outer
+joins) keep an interpreted row-at-a-time version in this module — the
+reference the compiled batch versions in :mod:`repro.executor.batch` and
+the generated pipelines in :mod:`repro.executor.fused` are compared
+against.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Callable, Iterator, Mapping
 
 from repro.catalog.schema import Attribute
 from repro.errors import BindingError, ExecutionError
+from repro.executor.compiled import compile_key
 from repro.executor.database import Database
-from repro.executor.sort import external_sort
-from repro.executor.tuples import Row, RowSchema
+from repro.executor.sort import external_sort, read_run, spill_stream
+from repro.executor.tuples import DEFAULT_BATCH_SIZE, Row, RowBatch, RowSchema
+from repro.logical.aggregates import AggregateFunction
 from repro.logical.predicates import (
     CompareOp,
     HostVariable,
@@ -42,10 +58,10 @@ def compile_sort_key(positions) -> "Callable[[Row], object]":
     """Lexicographic NULLs-last sort key over the given column positions.
 
     The single shared definition of "sorted on these columns" for every
-    sort-family operator (full sort, partial sort, batch twins): one
-    position compares by :func:`null_last_key` directly — identical to
-    the historical single-key behavior — and several compare as a tuple
-    of those keys, giving per-key NULLs-last lexicographic order.
+    sort-family operator: one position compares by :func:`null_last_key`
+    directly — identical to the historical single-key behavior — and
+    several compare as a tuple of those keys, giving per-key NULLs-last
+    lexicographic order.
     """
     positions = tuple(positions)
     if len(positions) == 1:
@@ -64,6 +80,74 @@ class PlanIterator:
     def rows(self) -> Iterator[Row]:
         """Produce the operator's output stream."""
         raise NotImplementedError
+
+
+class BatchIterator(PlanIterator):
+    """An iterator that also delivers its stream in blocks.
+
+    Batch *boundaries* are not part of the contract: only the
+    concatenated row stream is specified.
+    """
+
+    __slots__ = ()
+
+    def batches(self) -> Iterator[RowBatch]:
+        """Produce the operator's output as a stream of batches."""
+        raise NotImplementedError
+
+    def rows(self) -> Iterator[Row]:
+        """Row view of the batch stream (drivers and tests)."""
+        return flatten(self)
+
+
+def flatten(iterator: BatchIterator) -> Iterator[Row]:
+    """Row stream of a batch iterator (for per-row algorithms)."""
+    for batch in iterator.batches():
+        yield from batch.rows
+
+
+def rebatch(rows: Iterator[Row], batch_size: int) -> Iterator[RowBatch]:
+    """Group a row stream into ``batch_size`` blocks."""
+    pending: list = []
+    for row in rows:
+        pending.append(row)
+        if len(pending) >= batch_size:
+            yield RowBatch(pending)
+            pending = []
+    if pending:
+        yield RowBatch(pending)
+
+
+class RowStreamIterator(BatchIterator):
+    """An operator whose algorithm is written once, over row streams.
+
+    Subclasses implement :meth:`_run`, which takes one row stream per
+    input and returns the output row stream.  ``rows()`` feeds it the
+    inputs' row streams; ``batches()`` feeds it the inputs' batch streams
+    flattened and re-blocks the result — so the row stream, the simulated
+    I/O and the temporary files are the same whichever way the operator
+    is driven.
+    """
+
+    __slots__ = ("inputs", "batch_size")
+
+    def __init__(
+        self, inputs: tuple[PlanIterator, ...], schema: RowSchema, batch_size: int
+    ) -> None:
+        self.inputs = inputs
+        self.schema = schema
+        self.batch_size = batch_size
+
+    def _run(self, *streams: Iterator[Row]) -> Iterator[Row]:
+        raise NotImplementedError
+
+    def rows(self) -> Iterator[Row]:
+        return self._run(*[child.rows() for child in self.inputs])
+
+    def batches(self) -> Iterator[RowBatch]:
+        return rebatch(
+            self._run(*[flatten(child) for child in self.inputs]), self.batch_size
+        )
 
 
 @dataclass(slots=True)
@@ -93,13 +177,24 @@ class OperatorStats:
         }
 
 
-class MeteredIterator(PlanIterator):
+# ----------------------------------------------------------------------
+# Wrappers the plan builder puts around operators
+# ----------------------------------------------------------------------
+def _one(row: Row) -> int:
+    return 1
+
+
+class MeteredIterator(BatchIterator):
     """Transparent wrapper accumulating :class:`OperatorStats`.
 
     Wraps any iterator when the driver runs in analyze mode; the wrapped
     operator is unaware of the metering.  ``disk_counters`` is the
     database's shared :class:`~repro.executor.storage.DiskCounters`
-    object, sampled around each pull to attribute page reads.
+    object, sampled around each pull to attribute page reads.  A pull is
+    one row through ``rows()`` and one block through ``batches()``, so
+    EXPLAIN ANALYZE does not force row-at-a-time overhead on the
+    vectorized modes; row counts are exact either way — each block knows
+    its length.
     """
 
     __slots__ = ("child", "stats", "counters")
@@ -113,37 +208,40 @@ class MeteredIterator(PlanIterator):
         self.counters = disk_counters
 
     def rows(self) -> Iterator[Row]:
+        return self._metered(self.child.rows(), _one)
+
+    def batches(self) -> Iterator[RowBatch]:
+        return self._metered(self.child.batches(), len)
+
+    def _metered(self, source: Iterator, rows_in: Callable[[object], int]):
         stats = self.stats
         counters = self.counters
         perf_counter = time.perf_counter
-        source = self.child.rows()
         while True:
             pages_before = counters.sequential_reads + counters.random_reads
             started = perf_counter()
             try:
-                row = next(source)
+                item = next(source)
             except StopIteration:
+                return
+            finally:
                 stats.seconds += perf_counter() - started
                 stats.pages_read += (
                     counters.sequential_reads + counters.random_reads - pages_before
                 )
-                return
-            stats.seconds += perf_counter() - started
-            stats.pages_read += (
-                counters.sequential_reads + counters.random_reads - pages_before
-            )
-            stats.rows += 1
-            yield row
+            stats.rows += rows_in(item)
+            yield item
 
 
-class LedgerProbeIterator(PlanIterator):
+class LedgerProbeIterator(BatchIterator):
     """Transparent row counter feeding the cardinality-feedback ledger.
 
     Wraps a pipeline breaker's output when the telemetry ledger is
     enabled; on natural exhaustion it records the observed cardinality
-    against the node's compile-time interval.  Early termination (a
-    parent stops pulling, e.g. Top-N) records nothing — a truncated
-    count is not an observation of the breaker's true cardinality.
+    against the node's compile-time interval.  Early termination (the
+    consumer stops pulling) records nothing — a truncated count is not an
+    observation of the breaker's true cardinality.  Rows or blocks pass
+    through untouched.
     """
 
     __slots__ = ("child", "ledger", "signature", "label", "interval", "catalog_version")
@@ -161,17 +259,23 @@ class LedgerProbeIterator(PlanIterator):
         self.catalog_version = catalog_version
 
     def rows(self) -> Iterator[Row]:
+        return self._counted(self.child.rows(), _one)
+
+    def batches(self) -> Iterator[RowBatch]:
+        return self._counted(self.child.batches(), len)
+
+    def _counted(self, source: Iterator, rows_in: Callable[[object], int]):
         count = 0
-        for row in self.child.rows():
-            count += 1
-            yield row
+        for item in source:
+            count += rows_in(item)
+            yield item
         self.ledger.record(
             self.signature, self.label, self.interval, count,
             self.catalog_version,
         )
 
 
-class CheckpointIterator(PlanIterator):
+class CheckpointIterator(RowStreamIterator):
     """Materializes a pipeline breaker's output for the adaptive guard.
 
     Installed outermost at eligible breaker sites when an adaptive guard
@@ -183,21 +287,23 @@ class CheckpointIterator(PlanIterator):
     so the executor stays free of adaptive-subsystem imports.
     """
 
-    __slots__ = ("child", "node", "guard")
+    __slots__ = ("node", "guard")
 
-    def __init__(self, child: PlanIterator, node, guard) -> None:
-        self.child = child
-        self.schema = child.schema
+    def __init__(
+        self, child: PlanIterator, node, guard,
+        batch_size: int = DEFAULT_BATCH_SIZE,
+    ) -> None:
+        super().__init__((child,), child.schema, batch_size)
         self.node = node
         self.guard = guard
 
-    def rows(self) -> Iterator[Row]:
-        stored = list(self.child.rows())
+    def _run(self, rows: Iterator[Row]) -> Iterator[Row]:
+        stored = list(rows)
         self.guard.on_breaker(self.node, self.schema, stored)
-        return iter(stored)
+        yield from stored
 
 
-class MaterializedIterator(PlanIterator):
+class MaterializedIterator(RowStreamIterator):
     """Serves a temporary result that was materialized earlier.
 
     Used by run-time adaptation (Section 7): a subplan evaluated to observe
@@ -205,19 +311,17 @@ class MaterializedIterator(PlanIterator):
     directly.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("stored_rows",)
 
-    def __init__(self, schema: RowSchema, rows: tuple[Row, ...]) -> None:
-        self.schema = schema
-        self._rows = rows
+    def __init__(
+        self, schema: RowSchema, rows: tuple[Row, ...],
+        batch_size: int = DEFAULT_BATCH_SIZE,
+    ) -> None:
+        super().__init__((), schema, batch_size)
+        self.stored_rows = rows
 
-    @property
-    def stored_rows(self) -> tuple[Row, ...]:
-        """The materialized result (read-only; batch mode re-blocks it)."""
-        return self._rows
-
-    def rows(self) -> Iterator[Row]:
-        return iter(self._rows)
+    def _run(self) -> Iterator[Row]:
+        return iter(self.stored_rows)
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +364,7 @@ class BtreeScanIterator(PlanIterator):
         self.relation = relation
         self.key = key
         self.schema = RowSchema.from_schema(db.catalog.relation(relation).schema)
-        self.low, self.high, self.include_low, self.include_high = _predicate_range(
+        self.low, self.high, self.include_low, self.include_high = predicate_range(
             predicate, bindings
         )
         self.residual = predicate if predicate is not None and not predicate.op.is_range else None
@@ -325,10 +429,10 @@ class ProjectIterator(PlanIterator):
 # ----------------------------------------------------------------------
 # Joins
 # ----------------------------------------------------------------------
-def _join_key_positions(
-    schema: RowSchema, predicates: tuple[JoinPredicate, ...], side_schema_of: RowSchema
+def join_key_positions(
+    schema: RowSchema, predicates: tuple[JoinPredicate, ...]
 ) -> list[int]:
-    del side_schema_of  # clarity only; positions come from `schema`
+    """Positions in ``schema`` of its side of each join predicate."""
     positions = []
     for predicate in predicates:
         attribute = (
@@ -338,6 +442,54 @@ def _join_key_positions(
         )
         positions.append(schema.position(attribute))
     return positions
+
+
+def _partition(
+    db: Database, rows: Iterator[Row], key_positions: list[int], partitions: int
+) -> list[str]:
+    disk = db.disk
+    files = [disk.create_temp_file() for _ in range(partitions)]
+    pages: list[list[Row]] = [[] for _ in range(partitions)]
+    rows_per_page = db.intermediate_rows_per_page
+    key_of = compile_key(key_positions)
+    for row in rows:
+        index = hash(key_of(row)) % partitions
+        pages[index].append(row)
+        if len(pages[index]) == rows_per_page:
+            disk.append_page(files[index], pages[index])
+            pages[index] = []
+    for index, page in enumerate(pages):
+        if page:
+            disk.append_page(files[index], page)
+    return files
+
+
+@contextmanager
+def grace_partitions(
+    db: Database,
+    build_rows: list[Row],
+    build_positions: list[int],
+    probe_rows: Iterator[Row],
+    probe_positions: list[int],
+    budget_rows: int,
+):
+    """Grace partitioning: both join inputs hashed to the same partitions.
+
+    Yields the ``(build file, probe file)`` pairs, each build file within
+    ``budget_rows`` on average, and drops the files on exit.  The one
+    partitioning scheme — tuple keys placed by hash modulo the partition
+    count, intermediate-result pages — shared by the row and batch
+    hash joins, so spill files and output order are identical across
+    modes.
+    """
+    partitions = -(-len(build_rows) // budget_rows)
+    build_files = _partition(db, iter(build_rows), build_positions, partitions)
+    probe_files = _partition(db, probe_rows, probe_positions, partitions)
+    try:
+        yield zip(build_files, probe_files)
+    finally:
+        for name in build_files + probe_files:
+            db.disk.drop_file(name)
 
 
 class HashJoinIterator(PlanIterator):
@@ -360,8 +512,8 @@ class HashJoinIterator(PlanIterator):
         self.db = db
         self.memory_pages = max(1, memory_pages)
         self.schema = build.schema.concat(probe.schema)
-        self._build_keys = _join_key_positions(build.schema, predicates, build.schema)
-        self._probe_keys = _join_key_positions(probe.schema, predicates, probe.schema)
+        self._build_keys = join_key_positions(build.schema, predicates)
+        self._probe_keys = join_key_positions(probe.schema, predicates)
 
     def rows(self) -> Iterator[Row]:
         rows_per_page = self.db.intermediate_rows_per_page
@@ -371,19 +523,15 @@ class HashJoinIterator(PlanIterator):
             yield from self._in_memory(build_rows, self.probe.rows())
             return
 
-        # Grace partitioning: both inputs hashed to the same partitions.
-        partitions = -(-len(build_rows) // budget_rows)
-        build_files = self._partition(iter(build_rows), self._build_keys, partitions)
-        probe_files = self._partition(self.probe.rows(), self._probe_keys, partitions)
-        try:
-            for build_file, probe_file in zip(build_files, probe_files):
-                part_build = list(self._read_partition(build_file))
+        disk = self.db.disk
+        with grace_partitions(
+            self.db, build_rows, self._build_keys,
+            self.probe.rows(), self._probe_keys, budget_rows,
+        ) as partitions:
+            for build_file, probe_file in partitions:
                 yield from self._in_memory(
-                    part_build, self._read_partition(probe_file)
+                    list(read_run(disk, build_file)), read_run(disk, probe_file)
                 )
-        finally:
-            for name in build_files + probe_files:
-                self.db.disk.drop_file(name)
 
     def _in_memory(
         self, build_rows: list[Row], probe_rows: Iterator[Row]
@@ -397,29 +545,8 @@ class HashJoinIterator(PlanIterator):
             for build_row in table.get(key, ()):
                 yield build_row + probe_row
 
-    def _partition(
-        self, rows: Iterator[Row], key_positions: list[int], partitions: int
-    ) -> list[str]:
-        files = [self.db.disk.create_temp_file() for _ in range(partitions)]
-        pages: list[list[Row]] = [[] for _ in range(partitions)]
-        rows_per_page = self.db.intermediate_rows_per_page
-        for row in rows:
-            index = hash(tuple(row[p] for p in key_positions)) % partitions
-            pages[index].append(row)
-            if len(pages[index]) == rows_per_page:
-                self.db.disk.append_page(files[index], pages[index])
-                pages[index] = []
-        for index, page in enumerate(pages):
-            if page:
-                self.db.disk.append_page(files[index], page)
-        return files
 
-    def _read_partition(self, name: str) -> Iterator[Row]:
-        for _, payload in self.db.disk.scan_pages(name):
-            yield from payload
-
-
-class NestedLoopsJoinIterator(PlanIterator):
+class NestedLoopsJoinIterator(RowStreamIterator):
     """Block nested-loops join; the only iterator that handles an empty
     predicate set (cross product).
 
@@ -427,7 +554,7 @@ class NestedLoopsJoinIterator(PlanIterator):
     simulated I/O), then re-read for every memory-sized block of the outer.
     """
 
-    __slots__ = ("outer", "inner", "predicates", "db", "memory_pages", "_outer_keys", "_inner_keys")
+    __slots__ = ("predicates", "db", "memory_pages", "_outer_key", "_inner_key")
 
     def __init__(
         self,
@@ -436,90 +563,73 @@ class NestedLoopsJoinIterator(PlanIterator):
         predicates: tuple[JoinPredicate, ...],
         db: Database,
         memory_pages: int,
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
-        self.outer = outer
-        self.inner = inner
+        super().__init__(
+            (outer, inner), outer.schema.concat(inner.schema), batch_size
+        )
         self.predicates = predicates
         self.db = db
         self.memory_pages = max(3, memory_pages)
-        self.schema = outer.schema.concat(inner.schema)
-        self._outer_keys = _join_key_positions(outer.schema, predicates, outer.schema)
-        self._inner_keys = _join_key_positions(inner.schema, predicates, inner.schema)
+        self._outer_key = compile_key(join_key_positions(outer.schema, predicates))
+        self._inner_key = compile_key(join_key_positions(inner.schema, predicates))
 
-    def rows(self) -> Iterator[Row]:
+    def _run(self, outer_rows: Iterator[Row], inner_rows: Iterator[Row]) -> Iterator[Row]:
+        disk = self.db.disk
         rows_per_page = self.db.intermediate_rows_per_page
         block_rows = max(1, (self.memory_pages - 2) * rows_per_page)
-
-        # Materialize the inner once.
-        inner_file = self.db.disk.create_temp_file()
-        page: list[Row] = []
-        inner_count = 0
-        for row in self.inner.rows():
-            page.append(row)
-            inner_count += 1
-            if len(page) == rows_per_page:
-                self.db.disk.append_page(inner_file, page)
-                page = []
-        if page:
-            self.db.disk.append_page(inner_file, page)
-
+        outer_key = self._outer_key
+        inner_key_of = self._inner_key
+        inner_file = spill_stream(disk, inner_rows, rows_per_page)
         try:
-            block: list[Row] = []
-            outer_iter = self.outer.rows()
             while True:
-                block.clear()
-                for row in outer_iter:
-                    block.append(row)
-                    if len(block) == block_rows:
-                        break
+                block = [
+                    (outer_key(row), row) for row in islice(outer_rows, block_rows)
+                ]
                 if not block:
                     return
-                for _, payload in self.db.disk.scan_pages(inner_file):
+                for _, payload in disk.scan_pages(inner_file):
                     for inner_row in payload:
-                        inner_key = tuple(inner_row[p] for p in self._inner_keys)
-                        for outer_row in block:
-                            if (
-                                tuple(outer_row[p] for p in self._outer_keys)
-                                == inner_key
-                            ):
+                        inner_key = inner_key_of(inner_row)
+                        for key, outer_row in block:
+                            if key == inner_key:
                                 yield outer_row + inner_row
                 if len(block) < block_rows:
                     return
         finally:
-            self.db.disk.drop_file(inner_file)
+            disk.drop_file(inner_file)
 
 
-class MergeJoinIterator(PlanIterator):
-    """Merge join of inputs sorted on the join attributes."""
+class MergeJoinIterator(RowStreamIterator):
+    """Merge join of inputs sorted on the join attributes.
 
-    __slots__ = ("left", "right", "predicates", "_left_keys", "_right_keys")
+    Duplicate-key groups of the right input are buffered and replayed for
+    every matching left row.
+    """
+
+    __slots__ = ("predicates", "_left_key", "_right_key")
 
     def __init__(
         self,
         left: PlanIterator,
         right: PlanIterator,
         predicates: tuple[JoinPredicate, ...],
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
-        self.left = left
-        self.right = right
+        super().__init__(
+            (left, right), left.schema.concat(right.schema), batch_size
+        )
         self.predicates = predicates
-        self.schema = left.schema.concat(right.schema)
-        self._left_keys = _join_key_positions(left.schema, predicates, left.schema)
-        self._right_keys = _join_key_positions(right.schema, predicates, right.schema)
+        self._left_key = compile_key(join_key_positions(left.schema, predicates))
+        self._right_key = compile_key(join_key_positions(right.schema, predicates))
 
-    def rows(self) -> Iterator[Row]:
-        left_iter = self.left.rows()
-        right_iter = self.right.rows()
+    def _run(self, left_iter: Iterator[Row], right_iter: Iterator[Row]) -> Iterator[Row]:
+        left_key_of = self._left_key
+        right_key_of = self._right_key
         left_row = next(left_iter, None)
         right_group: list[Row] = []
         right_key: tuple | None = None
         right_row = next(right_iter, None)
-
-        def left_key_of(row: Row) -> tuple:
-            return tuple(row[p] for p in self._left_keys)
-
-        def right_key_of(row: Row) -> tuple:
-            return tuple(row[p] for p in self._right_keys)
 
         while left_row is not None and (right_row is not None or right_group):
             lk = left_key_of(left_row)
@@ -569,25 +679,10 @@ class IndexJoinIterator(PlanIterator):
     def rows(self) -> Iterator[Row]:
         btree = self.db.btree_on(self.inner_key)
         heap = self.db.heap(self.inner_relation)
-        # The predicate served by the index probe, plus residual equijoins.
-        probe_predicate = next(
-            p
-            for p in self.predicates
-            if self.inner_key in (p.left, p.right)
+        outer_probe_position, residuals = index_probe_positions(
+            self.outer.schema, self.inner_schema, self.inner_relation,
+            self.inner_key, self.predicates,
         )
-        outer_probe_position = self.outer.schema.position(
-            probe_predicate.left
-            if probe_predicate.right == self.inner_key
-            else probe_predicate.right
-        )
-        residuals = [
-            (
-                self.outer.schema.position(_outer_side(p, self.inner_relation)),
-                self.inner_schema.position(_inner_side(p, self.inner_relation)),
-            )
-            for p in self.predicates
-            if p is not probe_predicate
-        ]
         for outer_row in self.outer.rows():
             probe_value = outer_row[outer_probe_position]
             for rid in btree.lookup(probe_value):
@@ -601,7 +696,7 @@ class IndexJoinIterator(PlanIterator):
 # ----------------------------------------------------------------------
 # Aggregation
 # ----------------------------------------------------------------------
-class _Accumulator:
+class Accumulator:
     """Running state of one group's aggregates."""
 
     __slots__ = ("count", "sums", "mins", "maxs")
@@ -624,9 +719,8 @@ class _Accumulator:
                 self.maxs[i] = value
 
 
-def _finalize(spec, key: tuple, accumulator: _Accumulator) -> tuple:
-    from repro.logical.aggregates import AggregateFunction
-
+def finalize_group(spec, key: tuple, accumulator: Accumulator) -> tuple:
+    """The output row of one group: its key, then each aggregate's value."""
     out: list[object] = list(key)
     for i, expr in enumerate(spec.aggregates):
         func = expr.function
@@ -645,25 +739,25 @@ def _finalize(spec, key: tuple, accumulator: _Accumulator) -> tuple:
     return tuple(out)
 
 
-class _AggregateBase(PlanIterator):
+class _AggregateBase(RowStreamIterator):
     """Shared plumbing for both aggregate implementations."""
 
-    __slots__ = ("child", "spec", "_key_positions", "_value_positions")
+    __slots__ = ("spec", "_key_of", "_value_positions")
 
-    def __init__(self, child: PlanIterator, spec) -> None:
-        self.child = child
+    def __init__(
+        self, child: PlanIterator, spec, batch_size: int = DEFAULT_BATCH_SIZE
+    ) -> None:
+        super().__init__(
+            (child,), RowSchema(spec.output_attributes()), batch_size
+        )
         self.spec = spec
-        self.schema = RowSchema(spec.output_attributes())
-        self._key_positions = [
-            child.schema.position(a) for a in spec.group_by
-        ]
+        self._key_of = compile_key(
+            [child.schema.position(a) for a in spec.group_by]
+        )
         self._value_positions = [
             child.schema.position(e.attribute) if e.attribute is not None else None
             for e in spec.aggregates
         ]
-
-    def _key_of(self, row: Row) -> tuple:
-        return tuple(row[p] for p in self._key_positions)
 
     def _values_of(self, row: Row) -> list:
         return [
@@ -676,23 +770,24 @@ class HashAggregateIterator(_AggregateBase):
 
     __slots__ = ()
 
-    def rows(self) -> Iterator[Row]:
-        table: dict[tuple, _Accumulator] = {}
-        n = len(self.spec.aggregates)
-        saw_input = False
-        for row in self.child.rows():
-            saw_input = True
-            key = self._key_of(row)
+    def _run(self, rows: Iterator[Row]) -> Iterator[Row]:
+        spec = self.spec
+        table: dict[tuple, Accumulator] = {}
+        n = len(spec.aggregates)
+        key_of = self._key_of
+        values_of = self._values_of
+        for row in rows:
+            key = key_of(row)
             accumulator = table.get(key)
             if accumulator is None:
-                accumulator = table[key] = _Accumulator(n)
-            accumulator.add(self._values_of(row))
-        if not table and not self.spec.group_by and saw_input is False:
+                accumulator = table[key] = Accumulator(n)
+            accumulator.add(values_of(row))
+        if not table and not spec.group_by:
             # SQL scalar-aggregate semantics: no input still yields one row.
-            yield _finalize(self.spec, (), _Accumulator(n))
+            yield finalize_group(spec, (), Accumulator(n))
             return
         for key, accumulator in table.items():
-            yield _finalize(self.spec, key, accumulator)
+            yield finalize_group(spec, key, accumulator)
 
 
 class SortedAggregateIterator(_AggregateBase):
@@ -708,35 +803,38 @@ class SortedAggregateIterator(_AggregateBase):
 
     __slots__ = ()
 
-    def rows(self) -> Iterator[Row]:
-        n = len(self.spec.aggregates)
+    def _run(self, rows: Iterator[Row]) -> Iterator[Row]:
+        spec = self.spec
+        n = len(spec.aggregates)
+        key_of = self._key_of
+        values_of = self._values_of
         current_lead: tuple | None = None
-        run: dict[tuple, _Accumulator] = {}
-        for row in self.child.rows():
-            key = self._key_of(row)
+        run: dict[tuple, Accumulator] = {}
+        for row in rows:
+            key = key_of(row)
             lead = key[:1]
             if current_lead is None:
                 current_lead = lead
             elif lead != current_lead:
                 for group, accumulator in run.items():
-                    yield _finalize(self.spec, group, accumulator)
+                    yield finalize_group(spec, group, accumulator)
                 run.clear()
                 current_lead = lead
             accumulator = run.get(key)
             if accumulator is None:
-                accumulator = run[key] = _Accumulator(n)
-            accumulator.add(self._values_of(row))
+                accumulator = run[key] = Accumulator(n)
+            accumulator.add(values_of(row))
         for group, accumulator in run.items():
-            yield _finalize(self.spec, group, accumulator)
+            yield finalize_group(spec, group, accumulator)
 
 
 # ----------------------------------------------------------------------
 # Enforcers
 # ----------------------------------------------------------------------
-class SortIterator(PlanIterator):
+class SortIterator(RowStreamIterator):
     """Sort enforcer via external merge sort (multi-key lexicographic)."""
 
-    __slots__ = ("child", "keys", "db", "memory_pages")
+    __slots__ = ("keys", "db", "memory_pages")
 
     def __init__(
         self,
@@ -744,27 +842,24 @@ class SortIterator(PlanIterator):
         keys: Attribute | tuple[Attribute, ...],
         db: Database,
         memory_pages: int,
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
-        self.child = child
+        super().__init__((child,), child.schema, batch_size)
         self.keys = (keys,) if isinstance(keys, Attribute) else tuple(keys)
         self.db = db
         self.memory_pages = max(3, memory_pages)
-        self.schema = child.schema
 
-    def rows(self) -> Iterator[Row]:
-        key_of = compile_sort_key(
-            [self.schema.position(k) for k in self.keys]
-        )
-        yield from external_sort(
+    def _run(self, rows: Iterator[Row]) -> Iterator[Row]:
+        return external_sort(
             self.db.disk,
-            self.child.rows(),
-            key=key_of,
+            rows,
+            key=compile_sort_key([self.schema.position(k) for k in self.keys]),
             memory_pages=self.memory_pages,
             rows_per_page=self.db.intermediate_rows_per_page,
         )
 
 
-class PartialSortIterator(PlanIterator):
+class PartialSortIterator(SortIterator):
     """Segmented sort: the input is already sorted on ``keys[:prefix_len]``.
 
     Rows arrive grouped into runs of equal prefix values; each run is
@@ -775,7 +870,7 @@ class PartialSortIterator(PlanIterator):
     largest run.
     """
 
-    __slots__ = ("child", "keys", "prefix_len", "db", "memory_pages")
+    __slots__ = ("prefix_len",)
 
     def __init__(
         self,
@@ -784,15 +879,12 @@ class PartialSortIterator(PlanIterator):
         prefix_len: int,
         db: Database,
         memory_pages: int,
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
-        self.child = child
-        self.keys = tuple(keys)
+        super().__init__(child, keys, db, memory_pages, batch_size)
         self.prefix_len = prefix_len
-        self.db = db
-        self.memory_pages = max(3, memory_pages)
-        self.schema = child.schema
 
-    def rows(self) -> Iterator[Row]:
+    def _run(self, rows: Iterator[Row]) -> Iterator[Row]:
         schema = self.schema
         prefix_positions = [
             schema.position(k) for k in self.keys[: self.prefix_len]
@@ -801,7 +893,7 @@ class PartialSortIterator(PlanIterator):
         budget_rows = self.memory_pages * self.db.intermediate_rows_per_page
         run: list[Row] = []
         current: tuple = ()
-        for row in self.child.rows():
+        for row in rows:
             lead = tuple(row[p] for p in prefix_positions)
             if run and lead != current:
                 yield from self._sorted_run(run, key_of, budget_rows)
@@ -827,30 +919,36 @@ class PartialSortIterator(PlanIterator):
         )
 
 
-class TopNIterator(PlanIterator):
-    """Top-N enforcer: the ``limit`` smallest rows by key, sorted.
+class TopNIterator(RowStreamIterator):
+    """Top-N enforcer: the ``limit`` smallest rows by key, delivered sorted.
 
-    Materializes the input and takes a stable ``sorted(...)[:limit]`` —
-    the reference semantics the batch implementation's incremental
-    pruning must reproduce exactly (ties keep first-encountered rows).
+    Reads the input ``4 × limit`` rows at a time and keeps the ``limit``
+    smallest seen so far (a stable ``sorted(...)[:limit]``), so the input
+    is never materialized.  Pruning incrementally is exactly equivalent to
+    one global stable sort: every row a prune drops is ordered after
+    ``limit`` earlier rows and can never re-enter the answer, and ties
+    keep first-encountered rows.
     """
 
-    __slots__ = ("child", "key", "limit")
+    __slots__ = ("key", "limit")
 
-    def __init__(self, child: PlanIterator, key: Attribute, limit: int) -> None:
+    def __init__(
+        self, child: PlanIterator, key: Attribute, limit: int,
+        batch_size: int = DEFAULT_BATCH_SIZE,
+    ) -> None:
         if limit <= 0:
             raise ExecutionError("top-n limit must be positive")
-        self.child = child
+        super().__init__((child,), child.schema, batch_size)
         self.key = key
         self.limit = limit
-        self.schema = child.schema
 
-    def rows(self) -> Iterator[Row]:
-        position = self.schema.position(self.key)
-        ranked = sorted(
-            self.child.rows(), key=lambda row: null_last_key(row[position])
-        )
-        yield from ranked[: self.limit]
+    def _run(self, rows: Iterator[Row]) -> Iterator[Row]:
+        key_of = compile_sort_key([self.schema.position(self.key)])
+        limit = self.limit
+        candidates: list[Row] = []
+        while chunk := list(islice(rows, 4 * limit)):
+            candidates = sorted(candidates + chunk, key=key_of)[:limit]
+        return iter(candidates)
 
 
 # ----------------------------------------------------------------------
@@ -928,12 +1026,14 @@ class LeftOuterHashJoinIterator(PlanIterator):
                 yield left_row + padding
 
 
-class UnionAllIterator(PlanIterator):
+class UnionAllIterator(RowStreamIterator):
     """Concatenate the children's streams in order (UNION ALL)."""
 
-    __slots__ = ("children",)
+    __slots__ = ()
 
-    def __init__(self, children: list[PlanIterator]) -> None:
+    def __init__(
+        self, children: list[PlanIterator], batch_size: int = DEFAULT_BATCH_SIZE
+    ) -> None:
         if len(children) < 2:
             raise ExecutionError("union needs at least two inputs")
         arities = {len(child.schema.attributes) for child in children}
@@ -941,26 +1041,25 @@ class UnionAllIterator(PlanIterator):
             raise ExecutionError(
                 f"union inputs have mismatched arities {sorted(arities)}"
             )
-        self.children = children
-        self.schema = children[0].schema
+        super().__init__(tuple(children), children[0].schema, batch_size)
 
-    def rows(self) -> Iterator[Row]:
-        for child in self.children:
-            yield from child.rows()
+    def _run(self, *streams: Iterator[Row]) -> Iterator[Row]:
+        return chain.from_iterable(streams)
 
 
-class DistinctIterator(PlanIterator):
+class DistinctIterator(RowStreamIterator):
     """Duplicate elimination keeping the first occurrence of each row."""
 
-    __slots__ = ("child",)
+    __slots__ = ()
 
-    def __init__(self, child: PlanIterator) -> None:
-        self.child = child
-        self.schema = child.schema
+    def __init__(
+        self, child: PlanIterator, batch_size: int = DEFAULT_BATCH_SIZE
+    ) -> None:
+        super().__init__((child,), child.schema, batch_size)
 
-    def rows(self) -> Iterator[Row]:
+    def _run(self, rows: Iterator[Row]) -> Iterator[Row]:
         seen: set[Row] = set()
-        for row in self.child.rows():
+        for row in rows:
             if row not in seen:
                 seen.add(row)
                 yield row
@@ -969,23 +1068,41 @@ class DistinctIterator(PlanIterator):
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
-def _outer_side(predicate: JoinPredicate, inner_relation: str) -> Attribute:
-    return (
-        predicate.left
-        if predicate.right.relation == inner_relation
-        else predicate.right
+def index_probe_positions(
+    outer_schema: RowSchema,
+    inner_schema: RowSchema,
+    inner_relation: str,
+    inner_key: Attribute,
+    predicates: tuple[JoinPredicate, ...],
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Where an index join reads its probe value and its residual columns.
+
+    Returns the outer-row position of the predicate served by the index
+    probe on ``inner_key``, and an ``(outer position, inner position)``
+    pair for every other (residual) equijoin predicate.
+    """
+    probe_predicate = next(p for p in predicates if inner_key in (p.left, p.right))
+    probe_position = outer_schema.position(
+        probe_predicate.left
+        if probe_predicate.right == inner_key
+        else probe_predicate.right
     )
-
-
-def _inner_side(predicate: JoinPredicate, inner_relation: str) -> Attribute:
-    return (
-        predicate.left
-        if predicate.left.relation == inner_relation
-        else predicate.right
+    residuals = tuple(
+        (
+            outer_schema.position(
+                p.left if p.right.relation == inner_relation else p.right
+            ),
+            inner_schema.position(
+                p.left if p.left.relation == inner_relation else p.right
+            ),
+        )
+        for p in predicates
+        if p is not probe_predicate
     )
+    return probe_position, residuals
 
 
-def _predicate_range(
+def predicate_range(
     predicate: SelectionPredicate | None, bindings: ValueBindings
 ) -> tuple[object | None, object | None, bool, bool]:
     """Translate a predicate into B-tree range bounds.

@@ -54,7 +54,7 @@ def external_sort(
         for i in range(0, len(runs), fan_in):
             group = runs[i : i + fan_in]
             merged_level.append(
-                _spill_stream(
+                spill_stream(
                     disk, _merge_runs(disk, group, key), rows_per_page
                 )
             )
@@ -73,12 +73,13 @@ def _spill_run(
     disk: SimulatedDisk, buffer: list[Row], key: KeyFunc, rows_per_page: int
 ) -> str:
     buffer.sort(key=key)
-    return _spill_stream(disk, iter(buffer), rows_per_page)
+    return spill_stream(disk, iter(buffer), rows_per_page)
 
 
-def _spill_stream(
+def spill_stream(
     disk: SimulatedDisk, rows: Iterator[Row], rows_per_page: int
 ) -> str:
+    """Write ``rows`` to a new temporary file in pages; return its name."""
     name = disk.create_temp_file()
     page: list[Row] = []
     for row in rows:
@@ -91,7 +92,8 @@ def _spill_stream(
     return name
 
 
-def _read_run(disk: SimulatedDisk, name: str) -> Iterator[Row]:
+def read_run(disk: SimulatedDisk, name: str) -> Iterator[Row]:
+    """Row stream of a temporary file written by :func:`spill_stream`."""
     for _, payload in disk.scan_pages(name):
         yield from payload
 
@@ -99,5 +101,5 @@ def _read_run(disk: SimulatedDisk, name: str) -> Iterator[Row]:
 def _merge_runs(
     disk: SimulatedDisk, run_names: list[str], key: KeyFunc
 ) -> Iterator[Row]:
-    streams = [_read_run(disk, name) for name in run_names]
+    streams = [read_run(disk, name) for name in run_names]
     yield from heapq.merge(*streams, key=key)

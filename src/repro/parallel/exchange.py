@@ -25,13 +25,18 @@ import heapq
 import queue
 import threading
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterator, Mapping
 
 from repro.catalog.schema import Attribute
 from repro.executor.database import Database
-from repro.executor.batch import BatchIterator
-from repro.executor.iterators import PlanIterator
-from repro.executor.tuples import Row, RowBatch, RowSchema
+from repro.executor.iterators import (
+    BatchIterator,
+    PlanIterator,
+    RowStreamIterator,
+    rebatch,
+)
+from repro.executor.tuples import DEFAULT_BATCH_SIZE, Row, RowBatch, RowSchema
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
 from repro.parallel.plan import ExchangeMode
@@ -87,47 +92,46 @@ class StripedFileScanIterator(PlanIterator):
             yield record
 
 
-class ModuloStripeIterator(PlanIterator):
+class ModuloStripeIterator(RowStreamIterator):
     """Keep every ``dop``-th row of a deterministic input stream.
 
     The stripe fallback for ordered scans (B-tree ranges): a subsequence
-    of the serial stream, so per-worker sort order is preserved.
+    of the serial stream, so per-worker sort order is preserved.  The row
+    index runs over the whole stream, so the kept subsequence does not
+    depend on how the input happens to be blocked.
     """
 
-    __slots__ = ("child", "worker", "dop")
-
-    def __init__(self, child: PlanIterator, worker: int, dop: int) -> None:
-        self.child = child
-        self.worker = worker
-        self.dop = dop
-        self.schema = child.schema
-
-    def rows(self) -> Iterator[Row]:
-        worker, dop = self.worker, self.dop
-        for index, row in enumerate(self.child.rows()):
-            if index % dop == worker:
-                yield row
-
-
-class HashStripeIterator(PlanIterator):
-    """Keep rows whose key hash falls in this worker's bucket."""
-
-    __slots__ = ("child", "key_position", "worker", "dop")
+    __slots__ = ("worker", "dop")
 
     def __init__(
-        self, child: PlanIterator, key_position: int, worker: int, dop: int
+        self, child: PlanIterator, worker: int, dop: int,
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
-        self.child = child
+        super().__init__((child,), child.schema, batch_size)
+        self.worker = worker
+        self.dop = dop
+
+    def _run(self, rows: Iterator[Row]) -> Iterator[Row]:
+        return islice(rows, self.worker, None, self.dop)
+
+
+class HashStripeIterator(RowStreamIterator):
+    """Keep rows whose key hash falls in this worker's bucket."""
+
+    __slots__ = ("key_position", "worker", "dop")
+
+    def __init__(
+        self, child: PlanIterator, key_position: int, worker: int, dop: int,
+        batch_size: int = DEFAULT_BATCH_SIZE,
+    ) -> None:
+        super().__init__((child,), child.schema, batch_size)
         self.key_position = key_position
         self.worker = worker
         self.dop = dop
-        self.schema = child.schema
 
-    def rows(self) -> Iterator[Row]:
+    def _run(self, rows: Iterator[Row]) -> Iterator[Row]:
         position, worker, dop = self.key_position, self.worker, self.dop
-        for row in self.child.rows():
-            if hash(row[position]) % dop == worker:
-                yield row
+        return (row for row in rows if hash(row[position]) % dop == worker)
 
 
 class ExchangeIterator(PlanIterator):
@@ -317,7 +321,7 @@ class ExchangeIterator(PlanIterator):
         # heapq.merge is deterministic on ties: equal keys resolve by
         # stream position, and each worker's stream is itself
         # deterministic, so a merged parallel run is repeatable.
-        yield from heapq.merge(
+        return heapq.merge(
             *(stream(q) for q in queues), key=lambda row: row[position]
         )
 
@@ -397,61 +401,6 @@ class BatchStripedFileScanIterator(BatchIterator):
                 pending = []
         if pending:
             yield RowBatch(pending)
-
-
-class BatchModuloStripeIterator(BatchIterator):
-    """Keep every ``dop``-th row of a deterministic batch stream.
-
-    The global row index carries across batch boundaries, so the kept
-    subsequence is identical to the row-mode stripe regardless of how the
-    input happens to be blocked.
-    """
-
-    __slots__ = ("child", "worker", "dop")
-
-    def __init__(self, child: BatchIterator, worker: int, dop: int) -> None:
-        self.child = child
-        self.worker = worker
-        self.dop = dop
-        self.schema = child.schema
-
-    def batches(self) -> Iterator[RowBatch]:
-        worker, dop = self.worker, self.dop
-        index = 0
-        for batch in self.child.batches():
-            rows = batch.rows
-            kept = [
-                row
-                for i, row in enumerate(rows, index)
-                if i % dop == worker
-            ]
-            index += len(rows)
-            if kept:
-                yield RowBatch(kept)
-
-
-class BatchHashStripeIterator(BatchIterator):
-    """Keep rows whose key hash falls in this worker's bucket."""
-
-    __slots__ = ("child", "key_position", "worker", "dop")
-
-    def __init__(
-        self, child: BatchIterator, key_position: int, worker: int, dop: int
-    ) -> None:
-        self.child = child
-        self.key_position = key_position
-        self.worker = worker
-        self.dop = dop
-        self.schema = child.schema
-
-    def batches(self) -> Iterator[RowBatch]:
-        position, worker, dop = self.key_position, self.worker, self.dop
-        for batch in self.child.batches():
-            kept = [
-                row for row in batch.rows if hash(row[position]) % dop == worker
-            ]
-            if kept:
-                yield RowBatch(kept)
 
 
 class BatchExchangeIterator(ExchangeIterator):
@@ -535,29 +484,4 @@ class BatchExchangeIterator(ExchangeIterator):
     def _consume_merge(
         self, queues: list[queue.Queue], cancel: threading.Event
     ) -> Iterator[RowBatch]:
-        position = self.merge_position
-        assert position is not None
-
-        def stream(source: queue.Queue) -> Iterator[Row]:
-            while True:
-                kind, _index, payload = self._get(source, cancel)
-                if kind == "rows":
-                    yield from payload
-                elif kind == "done":
-                    return
-                else:
-                    cancel.set()
-                    raise payload
-
-        merged = heapq.merge(
-            *(stream(q) for q in queues), key=lambda row: row[position]
-        )
-        size = self.batch_size
-        pending: list = []
-        for row in merged:
-            pending.append(row)
-            if len(pending) >= size:
-                yield RowBatch(pending)
-                pending = []
-        if pending:
-            yield RowBatch(pending)
+        return rebatch(super()._consume_merge(queues, cancel), self.batch_size)

@@ -14,11 +14,6 @@ import json
 import pytest
 
 from repro.errors import BindingError, ExecutionError
-from repro.executor.batch import (
-    BatchMergeJoinIterator,
-    BatchTopNIterator,
-    MaterializedBatchIterator,
-)
 from repro.executor.compiled import compile_filter, compile_key, compile_project
 from repro.executor.database import Database
 from repro.executor.iterators import (
@@ -138,13 +133,18 @@ class TestTopNBoundaries:
         return [(k, i) for i, k in enumerate(keys)]
 
     def _run(self, schema, key, rows, limit, batch_size):
-        child = MaterializedBatchIterator(schema, tuple(rows), batch_size)
-        top = BatchTopNIterator(child, key, limit, batch_size)
-        return [row for batch in top.batches() for row in batch.rows]
+        """Top-N through both entry points, which must agree."""
+        child = MaterializedIterator(schema, tuple(rows), batch_size)
+        top = TopNIterator(child, key, limit, batch_size)
+        blocked = [row for batch in top.batches() for row in batch.rows]
+        assert list(top.rows()) == blocked
+        return blocked
 
     def _reference(self, schema, key, rows, limit):
-        child = MaterializedIterator(schema, tuple(rows))
-        return list(TopNIterator(child, key, limit).rows())
+        # One global stable sort — what the bounded candidate list must
+        # reproduce (ties keep first-encountered rows).
+        position = schema.position(key)
+        return sorted(rows, key=lambda row: row[position])[:limit]
 
     def test_cutoff_mid_batch_matches_row_reference(self, left_schema, catalog):
         key = catalog.attribute("R.a")
@@ -180,9 +180,9 @@ class TestTopNBoundaries:
 
     def test_nonpositive_limit_rejected(self, left_schema, catalog):
         key = catalog.attribute("R.a")
-        child = MaterializedBatchIterator(left_schema, (), 4)
+        child = MaterializedIterator(left_schema, (), 4)
         with pytest.raises(ExecutionError):
-            BatchTopNIterator(child, key, 0, 4)
+            TopNIterator(child, key, 0, 4)
 
 
 class TestMergeJoinDuplicateRuns:
@@ -192,21 +192,29 @@ class TestMergeJoinDuplicateRuns:
         )
 
     def _run(self, left_schema, right_schema, left, right, predicates, size):
-        iterator = BatchMergeJoinIterator(
-            MaterializedBatchIterator(left_schema, tuple(left), size),
-            MaterializedBatchIterator(right_schema, tuple(right), size),
+        """Merge join through both entry points, which must agree."""
+        iterator = MergeJoinIterator(
+            MaterializedIterator(left_schema, tuple(left), size),
+            MaterializedIterator(right_schema, tuple(right), size),
             predicates,
             size,
         )
-        return [row for batch in iterator.batches() for row in batch.rows]
+        blocked = [row for batch in iterator.batches() for row in batch.rows]
+        assert list(iterator.rows()) == blocked
+        return blocked
 
     def _reference(self, left_schema, right_schema, left, right, predicates):
-        iterator = MergeJoinIterator(
-            MaterializedIterator(left_schema, tuple(left)),
-            MaterializedIterator(right_schema, tuple(right)),
-            predicates,
-        )
-        return list(iterator.rows())
+        # Both inputs are sorted on the key, so the merge order is the
+        # nested-loop order.
+        (predicate,) = predicates
+        left_position = left_schema.position(predicate.left)
+        right_position = right_schema.position(predicate.right)
+        return [
+            left_row + right_row
+            for left_row in left
+            for right_row in right
+            if left_row[left_position] == right_row[right_position]
+        ]
 
     def test_duplicate_runs_spanning_batches(
         self, catalog, left_schema, right_schema
@@ -270,24 +278,23 @@ class TestMeteringOverhead:
     def _count_wrappers(self, monkeypatch):
         import repro.executor.executor as executor_module
 
-        constructed = {"row": 0, "batch": 0}
-        real_batch = executor_module.MeteredBatchIterator
-        real_row = executor_module.MeteredIterator
+        constructed = {"wrappers": 0, "row_pulls": 0, "batch_pulls": 0}
+        real = executor_module.MeteredIterator
 
-        class CountingBatch(real_batch):
+        class Counting(real):
             def __init__(self, *args):
-                constructed["batch"] += 1
+                constructed["wrappers"] += 1
                 super().__init__(*args)
 
-        class CountingRow(real_row):
-            def __init__(self, *args):
-                constructed["row"] += 1
-                super().__init__(*args)
+            def rows(self):
+                constructed["row_pulls"] += 1
+                return super().rows()
 
-        monkeypatch.setattr(
-            executor_module, "MeteredBatchIterator", CountingBatch
-        )
-        monkeypatch.setattr(executor_module, "MeteredIterator", CountingRow)
+            def batches(self):
+                constructed["batch_pulls"] += 1
+                return super().batches()
+
+        monkeypatch.setattr(executor_module, "MeteredIterator", Counting)
         return constructed
 
     def test_no_wrappers_constructed_without_analyze(
@@ -301,7 +308,7 @@ class TestMeteringOverhead:
         execute_plan(plan, db, execution_mode="row")
         # The no-op path must add zero metering objects (and therefore
         # zero per-row/per-batch metering calls).
-        assert constructed == {"row": 0, "batch": 0}
+        assert constructed["wrappers"] == 0
 
     def test_per_batch_metering_keeps_exact_row_counts(
         self, catalog, db, model, monkeypatch
@@ -311,6 +318,8 @@ class TestMeteringOverhead:
         constructed = self._count_wrappers(monkeypatch)
         plan = self._static_plan(catalog, model).plan
         result = execute_plan(plan, db, analyze=True, batch_size=7)
-        assert constructed["batch"] > 0
+        # Every wrapper is driven through its block entry point only.
+        assert constructed["wrappers"] == constructed["batch_pulls"] > 0
+        assert constructed["row_pulls"] == 0
         root = result.operator_stats[id(plan)]
         assert root.rows == len(result.rows)

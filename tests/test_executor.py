@@ -2,16 +2,35 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.errors import ExecutionError
 from repro.executor.database import Database
 from repro.executor.executor import _CONTEXT_ARGS, _OPERATORS, execute_plan
 from repro.executor.iterators import PlanIterator
 from repro.optimizer.optimizer import OptimizationMode, optimize_query
-from repro.physical.plan import ChoosePlanNode, PlanNode
+from repro.physical.plan import (
+    ChoosePlanNode,
+    DistinctNode,
+    HashAggregateNode,
+    MergeJoinNode,
+    NestedLoopsJoinNode,
+    PartialSortNode,
+    PlanNode,
+    SortedAggregateNode,
+    SortNode,
+    TopNNode,
+    UnionAllNode,
+)
 from repro.runtime.chooser import resolve_plan
 from tests.test_wire_roundtrip import all_concrete_node_classes
+
+
+SRC = Path(repro.__file__).parent
 
 
 @pytest.fixture
@@ -135,6 +154,13 @@ class TestOperatorTable:
     """The builder's node-type table covers the whole plan algebra, so a
     new node type without operators fails here instead of on a request."""
 
+    #: Node types whose algorithm is per-row: one class, both entry points.
+    BLOCKING = {
+        MergeJoinNode, NestedLoopsJoinNode, SortNode, PartialSortNode,
+        TopNNode, HashAggregateNode, SortedAggregateNode, UnionAllNode,
+        DistinctNode,
+    }
+
     def test_every_node_type_has_a_row_with_both_operators(self):
         # Choose-plan does no run-time work: the builder resolves it
         # through the decision map and never instantiates it.
@@ -145,11 +171,26 @@ class TestOperatorTable:
             # The batch exchange extends the row exchange, so the batch
             # column is recognized by the protocol, not the base class.
             assert hasattr(row.batch, "batches"), cls.__name__
-            assert row.batch is not row.row, cls.__name__
+            # Blocking operators are written once; streaming operators
+            # keep the interpreted row reference beside the batch version.
+            assert (row.batch is row.row) == (cls in self.BLOCKING), cls.__name__
             for name in (*row.args, *filter(None, [row.relation])):
                 assert name in _CONTEXT_ARGS or hasattr(cls, name), (
                     f"{cls.__name__} has no field {name!r}"
                 )
+
+    def test_wrappers_and_stripes_are_defined_once(self):
+        source = "\n".join(
+            path.read_text() for path in sorted(SRC.rglob("*.py"))
+        )
+        for name in (
+            "Materialized", "LedgerProbe", "Checkpoint", "Metered",
+            "ModuloStripe", "HashStripe",
+        ):
+            defined = re.findall(rf"^class (\w*{name}\w*Iterator)\b", source, re.M)
+            assert defined == [f"{name}Iterator"], defined
+        # Grace partitioning — the hash placement of a row — exists once.
+        assert source.count("% partitions") == 1
 
     @pytest.mark.parametrize("mode", ["row", "batch", "fused"])
     def test_unknown_node_type_is_a_typed_error(self, db, mode):

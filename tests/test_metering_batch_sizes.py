@@ -1,8 +1,8 @@
 """Operator metering is batch-size invariant and mode invariant.
 
-The vectorized engine meters operators with
-:class:`~repro.executor.batch.MeteredBatchIterator`; the row engine with
-:class:`~repro.executor.iterators.MeteredIterator`.  Both feed the same
+Every mode meters operators with the one
+:class:`~repro.executor.iterators.MeteredIterator` — a pull is a row
+through ``rows()`` and a block through ``batches()`` — feeding the same
 ``OperatorStats`` records, and for fully-consumed plans the counted rows
 and pages are a property of the *plan*, not of the execution strategy:
 they must agree exactly for every batch size and with the row-at-a-time
@@ -13,12 +13,24 @@ bug ``analyze`` output would then mask instead of expose.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
 
 from repro.executor.database import Database
 from repro.executor.executor import execute_plan
+from repro.executor.iterators import (
+    CheckpointIterator,
+    LedgerProbeIterator,
+    MaterializedIterator,
+    MeteredIterator,
+    OperatorStats,
+)
+from repro.executor.tuples import RowSchema
+from repro.obs.telemetry import CardinalityLedger
 from repro.optimizer.optimizer import OptimizationMode
 from repro.runtime.prepared import PreparedQuery
+from repro.util.interval import Interval
 
 BATCH_SIZES = (1, 7, 1024)
 
@@ -95,16 +107,87 @@ def test_batch_metering_invariant_across_batch_sizes(catalog, sql, bindings):
 
 @pytest.mark.parametrize("sql,bindings", QUERIES)
 def test_batch_metering_matches_row_path(catalog, sql, bindings):
-    batch = _run(
-        catalog, sql, bindings, execution_mode="batch", batch_size=7
-    )
     row = _run(catalog, sql, bindings, execution_mode="row")
-    assert _counters(batch) == _counters(row)
-    assert batch.rows == row.rows
-    # Timing is wall-clock and cannot be identical, but every metered
-    # operator must have been timed in both modes.
-    for execution in (batch, row):
-        assert all(
-            stats.seconds >= 0.0
-            for stats in execution.operator_stats.values()
+    # A metered "fused" request builds plain batch: same counters.
+    for mode in ("batch", "fused"):
+        batch = _run(
+            catalog, sql, bindings, execution_mode=mode, batch_size=7
         )
+        assert _counters(batch) == _counters(row), mode
+        assert batch.rows == row.rows, mode
+        # Timing is wall-clock and cannot be identical, but every metered
+        # operator must have been timed in both modes.
+        for execution in (batch, row):
+            assert all(
+                stats.seconds >= 0.0
+                for stats in execution.operator_stats.values()
+            )
+
+
+class _SampledCounters:
+    """Disk counters that count how often the metering wrapper reads them."""
+
+    random_reads = 0
+
+    def __init__(self) -> None:
+        self.samples = 0
+
+    @property
+    def sequential_reads(self) -> int:
+        self.samples += 1
+        return 0
+
+
+class _RecordingGuard:
+    def __init__(self) -> None:
+        self.calls: list[list[tuple]] = []
+
+    def on_breaker(self, node, schema, rows) -> None:
+        self.calls.append(list(rows))
+
+
+@pytest.mark.parametrize("size", BATCH_SIZES)
+@pytest.mark.parametrize("entry", ["rows", "batches"])
+def test_wrapper_contracts_through_both_entry_points(catalog, entry, size):
+    """The builder's wrappers are one class each; what they promise holds
+    whether they are driven row by row or block by block."""
+    schema = RowSchema((catalog.attribute("R.a"),))
+    data = [(i,) for i in range(20)]
+
+    def source():
+        return MaterializedIterator(schema, tuple(data), size)
+
+    def drain(iterator, stop_after=None):
+        if entry == "rows":
+            return list(islice(iterator.rows(), stop_after))
+        blocks = islice(iterator.batches(), stop_after)
+        return [row for block in blocks for row in block.rows]
+
+    pulls = len(data) if entry == "rows" else -(-len(data) // size)
+
+    # Metered: exact row count; the clock and the disk counters are
+    # sampled once before and once after each pull — per block, not per
+    # row, when driven through ``batches()``.
+    stats, counters = OperatorStats("scan"), _SampledCounters()
+    assert drain(MeteredIterator(source(), stats, counters)) == data
+    assert stats.rows == len(data)
+    assert counters.samples == 2 * (pulls + 1)  # + the exhausting pull
+
+    # LedgerProbe: a consumer that stops early records nothing; natural
+    # exhaustion records the full cardinality once.
+    ledger = CardinalityLedger()
+    ledger.enable()
+    probe = LedgerProbeIterator(
+        source(), ledger, "sig", "breaker", Interval(0.0, 100.0), 1
+    )
+    drain(probe, stop_after=1)
+    assert ledger.records() == []
+    assert drain(probe) == data
+    (record,) = ledger.records()
+    assert (record.count, record.last_observed) == (1, float(len(data)))
+
+    # Checkpoint: the guard sees every row exactly once, before any is
+    # replayed, and the replayed stream is the child's.
+    guard = _RecordingGuard()
+    assert drain(CheckpointIterator(source(), None, guard, size)) == data
+    assert guard.calls == [data]

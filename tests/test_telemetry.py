@@ -216,11 +216,13 @@ class TestLedgerProbes:
         ledger = get_ledger()
         ledger.enable()
         observed = {}
-        for mode in ("row", "batch"):
+        for mode in ("row", "batch", "fused"):
             ledger.reset()
             _execute(prepared, db, {"v": 400}, execution_mode=mode)
             observed[mode] = ledger.observed_by_signature()
-        assert observed["row"] == observed["batch"]
+        # One probe class: ``rows()`` counts rows, ``batches()`` block
+        # lengths, below a fused pipeline or not.
+        assert observed["row"] == observed["batch"] == observed["fused"]
 
     def test_probe_sites_cover_plan_breakers(self, catalog, db):
         prepared = _prepare(AGG_SQL, catalog)
