@@ -13,7 +13,7 @@ two join attributes' domain sizes, i.e. selectivity = 1 / max(domains).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 from repro.catalog.schema import Attribute
@@ -144,6 +144,12 @@ class JoinPredicate:
 
     left: Attribute
     right: Attribute
+    #: The two relations the predicate connects.  Derived from the sides
+    #: once at construction (the search asks for it per partition), so it
+    #: takes no part in equality, hashing or the repr.
+    relations: frozenset[str] = field(
+        init=False, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self) -> None:
         if self.left.relation == self.right.relation:
@@ -151,11 +157,9 @@ class JoinPredicate:
                 f"join predicate must span two relations, both sides are "
                 f"{self.left.relation}"
             )
-
-    @property
-    def relations(self) -> frozenset[str]:
-        """The two relations the predicate connects."""
-        return frozenset((self.left.relation, self.right.relation))
+        object.__setattr__(
+            self, "relations", frozenset((self.left.relation, self.right.relation))
+        )
 
     def selectivity(self) -> Interval:
         """1 / max(domain sizes), the paper's join-selectivity model."""
@@ -176,9 +180,7 @@ class JoinPredicate:
     def connects(self, left_relations: frozenset[str], right_relations: frozenset[str]) -> bool:
         """True when the predicate spans the two relation sets."""
         sides = self.relations
-        left_side = sides & left_relations
-        right_side = sides & right_relations
-        return bool(left_side) and bool(right_side)
+        return not (sides.isdisjoint(left_relations) or sides.isdisjoint(right_relations))
 
     def __str__(self) -> str:
         return f"{self.left} = {self.right}"

@@ -81,6 +81,10 @@ class QueryGraph:
                         "outside the query's relations"
                     )
 
+        # The bit index is derived state, not a field: it takes no part in
+        # equality or ``dataclasses.replace`` and is rebuilt by this hook.
+        object.__setattr__(self, "_index", _BitIndex(self.relations, self.joins))
+
     @property
     def relation_set(self) -> frozenset[str]:
         """All relations as a frozenset (the root memo group)."""
@@ -92,33 +96,32 @@ class QueryGraph:
 
     def joins_within(self, subset: frozenset[str]) -> list[JoinPredicate]:
         """Join predicates both of whose relations lie inside ``subset``."""
-        return [j for j in self.joins if j.relations <= subset]
+        outside = ~self._index.mask(subset)
+        return [j for ends, j in self._index.joins if not ends & outside]
 
     def joins_between(
         self, left: frozenset[str], right: frozenset[str]
     ) -> list[JoinPredicate]:
         """Join predicates connecting the two disjoint relation sets."""
-        return [j for j in self.joins if j.connects(left, right)]
+        index = self._index
+        return index.joins_between(index.mask(left), index.mask(right))
 
     def is_connected(self, subset: frozenset[str]) -> bool:
         """True when ``subset`` induces a connected join subgraph."""
-        if len(subset) <= 1:
-            return True
-        adjacency: dict[str, set[str]] = {r: set() for r in subset}
-        for join in self.joins_within(subset):
-            a, b = tuple(join.relations)
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-        start = next(iter(subset))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            for neighbor in adjacency[node]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    frontier.append(neighbor)
-        return seen == subset
+        return self._index.is_connected(self._index.mask(subset))
+
+    def connected_partitions(self, subset: frozenset[str]) -> list[Partition]:
+        """Ordered two-way splits of ``subset`` a join can implement.
+
+        Every ``(left, right, predicates)`` has both sides inducing a
+        connected join subgraph and at least one predicate between them, so
+        no cross product is needed; both ``(L, R)`` and ``(R, L)`` appear
+        (join commutativity).  The list is in :func:`enumerate_partitions`
+        order and empty when ``subset`` itself is disconnected.  It depends
+        on the graph alone, not on a sort order or a cost, so a search
+        computes it once per relation set.
+        """
+        return self._index.connected_partitions(self._index.mask(subset))
 
     def count_join_trees(self) -> int:
         """Number of logical bushy join trees without cross products.
@@ -133,16 +136,143 @@ class QueryGraph:
         def trees(subset: frozenset[str]) -> int:
             if len(subset) == 1:
                 return 1
-            total = 0
-            for left, right in enumerate_partitions(subset):
-                if not self.joins_between(left, right):
-                    continue
-                if not (self.is_connected(left) and self.is_connected(right)):
-                    continue
-                total += trees(left) * trees(right)
-            return total
+            return sum(
+                trees(left) * trees(right)
+                for left, right, _ in self.connected_partitions(subset)
+            )
 
         return trees(self.relation_set)
+
+
+#: One way to join a relation set: the two sides and the predicates between.
+Partition = tuple[frozenset[str], frozenset[str], tuple[JoinPredicate, ...]]
+
+
+class _BitIndex:
+    """A query graph's relations as bit positions, built once per graph.
+
+    Relation ``sorted(relations)[i]`` is bit ``i``; a relation set is an
+    int mask.  Sorted assignment makes ascending sub-mask order of any
+    subset coincide with :func:`enumerate_partitions` order, which is what
+    lets :meth:`connected_partitions` replace the brute-force walk without
+    reordering rule application.
+    """
+
+    __slots__ = ("names", "bit", "adjacent", "joins")
+
+    def __init__(
+        self, relations: tuple[str, ...], joins: tuple[JoinPredicate, ...]
+    ) -> None:
+        self.names = tuple(sorted(relations))
+        self.bit = {name: 1 << i for i, name in enumerate(self.names)}
+        #: Per bit position, the mask of relations sharing a predicate.
+        self.adjacent = [0] * len(self.names)
+        #: ``(mask of the two relations, predicate)`` in declaration order.
+        self.joins: list[tuple[int, JoinPredicate]] = []
+        for join in joins:
+            a = self.bit[join.left.relation]
+            b = self.bit[join.right.relation]
+            self.adjacent[a.bit_length() - 1] |= b
+            self.adjacent[b.bit_length() - 1] |= a
+            self.joins.append((a | b, join))
+
+    def mask(self, subset: frozenset[str]) -> int:
+        """The int mask of a relation set."""
+        bit = self.bit
+        try:
+            return sum(bit[name] for name in subset)
+        except KeyError as missing:
+            raise OptimizationError(
+                f"relation {missing.args[0]} is not part of the query"
+            ) from None
+
+    def subset(self, mask: int) -> frozenset[str]:
+        """The relation set of a mask."""
+        names = self.names
+        return frozenset(
+            names[i] for i in range(mask.bit_length()) if mask >> i & 1
+        )
+
+    def neighbors(self, mask: int) -> int:
+        """Relations sharing a predicate with some relation in ``mask``."""
+        adjacent = self.adjacent
+        reached = 0
+        while mask:
+            low = mask & -mask
+            reached |= adjacent[low.bit_length() - 1]
+            mask ^= low
+        return reached
+
+    def is_connected(self, mask: int) -> bool:
+        """True when the relations in ``mask`` induce a connected subgraph."""
+        reached = mask & -mask
+        while True:
+            grown = reached | self.neighbors(reached) & mask
+            if grown == reached:
+                return reached == mask
+            reached = grown
+
+    def joins_between(self, left: int, right: int) -> list[JoinPredicate]:
+        """Predicates with a relation on each side, in declaration order."""
+        return [j for ends, j in self.joins if ends & left and ends & right]
+
+    def connected_submasks(self, mask: int) -> list[int]:
+        """Every sub-mask of ``mask`` inducing a connected subgraph, once.
+
+        Grows each connected set outward from its highest relation by every
+        non-empty subset of its not-yet-excluded neighborhood (Moerkotte &
+        Neumann's connected-subgraph enumeration), so the work follows the
+        number of connected sets — n(n+1)/2 for a chain — not 2ⁿ.
+        """
+        found: list[int] = []
+
+        def grow(core: int, excluded: int) -> None:
+            fringe = self.neighbors(core) & mask & ~excluded
+            if not fringe:
+                return
+            grown = []
+            extra = -fringe & fringe  # sub-masks of fringe, ascending
+            while True:
+                grown.append(core | extra)
+                if extra == fringe:
+                    break
+                extra = (extra - fringe) & fringe
+            found.extend(grown)
+            for larger in grown:
+                grow(larger, excluded | fringe)
+
+        rest = mask
+        while rest:
+            seed = 1 << rest.bit_length() - 1
+            rest ^= seed
+            found.append(seed)
+            grow(seed, seed | seed - 1)
+        return found
+
+    def connected_partitions(self, mask: int) -> list[Partition]:
+        """See :meth:`QueryGraph.connected_partitions`."""
+        connected = set(self.connected_submasks(mask))
+        if mask not in connected:
+            # Two connected sides with a predicate between them would make
+            # the whole set connected.
+            return []
+        lefts = [
+            left
+            for left in sorted(connected)
+            if left != mask and mask ^ left in connected
+        ]
+        # Every right side is some other split's left side.
+        sides = {side: self.subset(side) for side in lefts}
+        # Both sides connected inside a connected set: at least one
+        # predicate necessarily crosses the split.
+        return [
+            (
+                sides[left],
+                sides[mask ^ left],
+                tuple(self.joins_between(left, mask ^ left)),
+            )
+            for left in lefts
+        ]
 
 
 def enumerate_partitions(

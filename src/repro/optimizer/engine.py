@@ -29,7 +29,7 @@ from repro.catalog.schema import Attribute
 from repro.cost.context import DOP_PARAMETER, CostContext
 from repro.errors import OptimizationError
 from repro.logical.estimation import estimate_selectivity
-from repro.logical.query import QueryGraph, enumerate_partitions
+from repro.logical.query import Partition, QueryGraph, enumerate_partitions
 from repro.logical.predicates import JoinPredicate
 from repro.obs.trace import get_tracer
 from repro.optimizer.memo import GroupResult, Memo, Pruned
@@ -64,6 +64,9 @@ class SearchStats:
     candidates_considered: int = 0
     candidates_retained: int = 0
     candidates_pruned: int = 0
+    #: Join-rule applications not built because the rule cannot deliver
+    #: the group's required order (never costed, so not "considered").
+    candidates_skipped: int = 0
     largest_winner_set: int = 0
 
     def as_dict(self) -> dict[str, int]:
@@ -88,6 +91,14 @@ class SearchEngine:
 
     def __post_init__(self) -> None:
         self._cardinalities: dict[frozenset[str], Interval] = {}
+        # Connected partitions per relation set: a property of the query
+        # graph alone, so every sort-order group of a set shares one list.
+        self._partitions: dict[frozenset[str], list[Partition]] = {}
+        # A rule's optional applicability check on the required order
+        # (None: a DBI rule without one competes in every group).
+        self._may_deliver = tuple(
+            getattr(rule, "may_deliver", None) for rule in self.join_rules
+        )
         # One tracer lookup per engine; hot paths guard on `.enabled` so
         # the default no-op tracer costs a single attribute check.
         self._obs = get_tracer()
@@ -355,16 +366,18 @@ class SearchEngine:
 
         The first pass considers only *connected* partitions joined by at
         least one predicate — the useful plan space for connected query
-        graphs.  When that yields nothing (the subset's join graph is
-        disconnected), a fallback pass offers predicate-free partitions so
-        cross-product-capable rules (nested-loops join) can cover it.
+        graphs — which the query graph enumerates once per relation set,
+        whatever the order.  When that yields nothing (the subset's join
+        graph is disconnected), a fallback pass offers predicate-free
+        partitions so cross-product-capable rules (nested-loops join) can
+        cover it.
         """
-        for left, right in enumerate_partitions(subset):
-            predicates = tuple(self.query.joins_between(left, right))
-            if not predicates:
-                continue
-            if not (self.query.is_connected(left) and self.query.is_connected(right)):
-                continue
+        partitions = self._partitions.get(subset)
+        if partitions is None:
+            partitions = self._partitions[subset] = (
+                self.query.connected_partitions(subset)
+            )
+        for left, right, predicates in partitions:
             self._apply_join_rules(left, right, predicates, winners, order)
         if winners.plans:
             return
@@ -381,7 +394,26 @@ class SearchEngine:
         order: Attribute | None,
     ) -> None:
         self.stats.partitions_considered += 1
-        for rule in self.join_rules:
+        for rule, may_deliver in zip(self.join_rules, self._may_deliver):
+            if (
+                order is not None
+                and may_deliver is not None
+                and not may_deliver(order, left, predicates)
+            ):
+                # Volcano's applicability check on the required physical
+                # property: whatever this rule builds would be dropped by
+                # `_consider`, so it is not built (nor its inputs costed).
+                self.stats.candidates_skipped += 1
+                if self._obs.enabled:
+                    self._obs.event(
+                        "search.skip",
+                        reason="order",
+                        rule=type(rule).__name__,
+                        left=sorted(left),
+                        right=sorted(right),
+                        order=order.qualified_name,
+                    )
+                continue
             budget = self._budget(winners)
             for outcome in rule.build(self, left, right, predicates, budget):
                 if outcome is PRUNED:
@@ -472,17 +504,21 @@ class SearchEngine:
         when any input optimization is pruned (the candidate is infeasible
         under the budget).
         """
+        if budget is None:
+            # Nothing to divide among the inputs, so none can be pruned and
+            # their proven minima are never read.
+            return tuple(
+                self.optimize_group(subset, order, None).plan
+                for subset, order in requests
+            )
         pending_lower_bounds = [
             self._proven_lower_bound(subset, order) for subset, order in requests
         ]
         results: list[GroupResult] = []
         for i, (subset, order) in enumerate(requests):
-            if budget is None:
-                child_limit = None
-            else:
-                already = sum(r.plan.execution_cost.low for r in results)
-                pending = sum(pending_lower_bounds[i + 1 :])
-                child_limit = budget - operator_lower_bound - already - pending
+            already = sum(r.plan.execution_cost.low for r in results)
+            pending = sum(pending_lower_bounds[i + 1 :])
+            child_limit = budget - operator_lower_bound - already - pending
             outcome = self.optimize_group(subset, order, child_limit)
             if isinstance(outcome, Pruned):
                 return None

@@ -78,6 +78,21 @@ class JoinRule(Protocol):
         """Yield candidate join plans, or ``PRUNED`` markers."""
         ...
 
+    def may_deliver(
+        self,
+        order: Attribute,
+        left: frozenset[str],
+        predicates: tuple[JoinPredicate, ...],
+    ) -> bool:
+        """Whether a plan this rule builds for the partition could come out
+        sorted on ``order`` — Volcano's applicability check on the required
+        physical property.  The engine asks it in ordered groups only and
+        skips the rule on False: a candidate not delivering the order is
+        dropped anyway, so answering False must be certain, True may be a
+        guess.  Optional — a rule without the method always competes.
+        """
+        ...
+
 
 def _apply_filters(
     ctx: CostContext, plan: PlanNode, predicates: Iterator[SelectionPredicate]
@@ -182,6 +197,9 @@ class HashJoinRule:
         build_input, probe_input = inputs
         yield HashJoinNode(ctx, build_input, probe_input, predicates)
 
+    def may_deliver(self, order, left, predicates):
+        return False  # hashing destroys any input order
+
 
 class MergeJoinRule:
     """Join → Merge-Join; inputs must deliver the join attributes' order.
@@ -214,6 +232,10 @@ class MergeJoinRule:
             return
         left_input, right_input = inputs
         yield MergeJoinNode(ctx, left_input, right_input, predicates)
+
+    def may_deliver(self, order, left, predicates):
+        # The output is sorted on exactly the left merge key.
+        return bool(predicates) and _side_in(predicates[0], left) == order
 
 
 class IndexJoinRule:
@@ -258,6 +280,11 @@ class IndexJoinRule:
         inner_selections = engine.query.selections_on(inner_relation)
         yield _apply_filters(ctx, plan, iter(inner_selections))
 
+    def may_deliver(self, order, left, predicates):
+        # Keeps the outer's order, and the unordered outer group's plan may
+        # happen to be sorted on it: not known before the plan is built.
+        return True
+
 
 class NestedLoopsJoinRule:
     """Join → block nested-loops join.
@@ -293,6 +320,9 @@ class NestedLoopsJoinRule:
             return
         outer, inner = inputs
         yield NestedLoopsJoinNode(ctx, outer, inner, predicates)
+
+    def may_deliver(self, order, left, predicates):
+        return True  # conservative: a DBI subclass may keep the outer's order
 
 
 def _side_in(predicate: JoinPredicate, relations: frozenset[str]) -> Attribute:

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import functools
+from pathlib import Path
+
 import pytest
 
 from repro.cost.context import CostContext
 from repro.errors import OptimizationError
+from repro.experiments.catalogs import make_experiment_catalog
+from repro.experiments.queries import paper_queries
 from repro.logical.query import QueryGraph
+from repro.obs.metrics import use_metrics
 from repro.optimizer.engine import SearchEngine
 from repro.optimizer.optimizer import OptimizationMode, optimize_query
+from repro.optimizer.rules import DEFAULT_JOIN_RULES
+from repro.optimizer.statement import optimize_statement
 from repro.physical.plan import (
     BtreeScanNode,
     ChoosePlanNode,
@@ -18,6 +26,10 @@ from repro.physical.plan import (
     SortNode,
     iter_plan_nodes,
 )
+from repro.qa import load_artifact
+from repro.query.parser import parse_statement
+from repro.runtime.access_module import AccessModule
+from tests.test_partitions import ref_connected_partitions
 
 
 class TestStaticMode:
@@ -230,3 +242,132 @@ class TestEngineInternals:
         assert first is second  # memoized
         # 1000 * 0.05 * 600 / 300 = 100
         assert first.low == pytest.approx(100.0)
+
+    def test_partitions_asked_once_per_relation_set(self, monkeypatch):
+        # Ordered and unordered groups of one relation set share the list.
+        catalog = make_experiment_catalog()
+        graph = paper_queries(catalog)[3].graph
+        asked: list[frozenset[str]] = []
+        enumerate_connected = QueryGraph.connected_partitions
+
+        def counting(self, subset):
+            asked.append(subset)
+            return enumerate_connected(self, subset)
+
+        monkeypatch.setattr(QueryGraph, "connected_partitions", counting)
+        stats = optimize_query(graph, catalog).stats
+        assert len(asked) == len(set(asked)) == 15  # 6-chain: 21 intervals - 6 leaves
+        assert stats.groups_completed > len(asked)
+
+
+# ----------------------------------------------------------------------
+# Identity oracle: the indexed, property-checked search against the
+# brute-force one it replaced
+# ----------------------------------------------------------------------
+_QA_ARTIFACTS = sorted((Path(__file__).parent / "qa_corpus").glob("case-*.json"))
+_MODES = (OptimizationMode.STATIC, OptimizationMode.DYNAMIC, OptimizationMode.RUN_TIME)
+_EQUAL_STATS = ("candidates_retained", "partitions_considered", "largest_winner_set")
+
+
+def _compile(optimize, parameters, mode):
+    """(module JSON, optimizer counters) of one optimization, counted on a
+    private registry so compound statements sum over their branches."""
+    binding = None
+    if mode is OptimizationMode.RUN_TIME:
+        binding = {parameter.name: parameter.expected for parameter in parameters}
+    with use_metrics() as registry:
+        result = optimize(mode=mode, binding=binding)
+    return (
+        AccessModule.compile(result.plan, result.ctx).to_json(),
+        registry.snapshot(),
+    )
+
+
+class TestIdentityOracle:
+    """Searching connected partitions from the bit index and skipping rules
+    that cannot deliver the required order must change *nothing* about the
+    emitted plan: restore the brute-force enumeration and cost every rule
+    everywhere, and the access module is byte-identical."""
+
+    @pytest.fixture
+    def assert_same_as_brute_force(self, monkeypatch):
+        def check(optimize, parameters):
+            for mode in _MODES:
+                with monkeypatch.context() as patch:
+                    patch.setattr(
+                        QueryGraph, "connected_partitions", ref_connected_partitions
+                    )
+                    for rule in DEFAULT_JOIN_RULES:
+                        patch.setattr(
+                            type(rule), "may_deliver", lambda *_: True, raising=False
+                        )
+                    want_json, want = _compile(optimize, parameters, mode)
+                got_json, got = _compile(optimize, parameters, mode)
+                assert got_json == want_json, mode
+                for name in _EQUAL_STATS:
+                    assert got[f"optimizer.{name}"] == want[f"optimizer.{name}"], name
+                # Every skipped application is one the oracle costed and
+                # dropped (or had pruned) — never more work, only less.
+                assert want["optimizer.candidates_skipped"] == 0
+                assert (
+                    got["optimizer.candidates_considered"]
+                    <= want["optimizer.candidates_considered"]
+                )
+                assert (
+                    got["optimizer.candidates_considered"]
+                    + got["optimizer.candidates_pruned"]
+                    + got["optimizer.candidates_skipped"]
+                    >= want["optimizer.candidates_considered"]
+                    + want["optimizer.candidates_pruned"]
+                )
+
+        return check
+
+    @pytest.mark.parametrize("with_memory", (False, True), ids=("plain", "memory"))
+    @pytest.mark.parametrize("number", (1, 2, 3, 4, 5))
+    def test_paper_queries(self, assert_same_as_brute_force, number, with_memory):
+        catalog = make_experiment_catalog()
+        query = paper_queries(catalog, with_memory=with_memory)[number - 1]
+        assert_same_as_brute_force(
+            functools.partial(optimize_query, query.graph, catalog),
+            query.graph.parameters,
+        )
+
+    @pytest.mark.parametrize(
+        "sql",
+        (
+            "SELECT * FROM R1, R2, R3, R4 WHERE R1.a < :v1 AND R3.a < :v3 "
+            "AND R1.k = R2.j AND R2.k = R3.j AND R3.k = R4.j ORDER BY R2.j",
+            "SELECT * FROM R1, R2, R3 WHERE R2.a < :v2 "
+            "AND R1.k = R2.j AND R2.k = R3.j ORDER BY R3.j, R3.a",
+            "SELECT R2.j, COUNT(*), SUM(R3.a) FROM R1, R2, R3, R4 WHERE R1.a < :v1 "
+            "AND R1.k = R2.j AND R2.k = R3.j AND R3.k = R4.j GROUP BY R2.j",
+        ),
+        ids=("order-by", "order-by-two-keys", "aggregate"),
+    )
+    def test_ordered_and_aggregate_statements(self, assert_same_as_brute_force, sql):
+        catalog = make_experiment_catalog()
+        statement = parse_statement(sql, catalog).statement
+        assert_same_as_brute_force(
+            functools.partial(optimize_statement, statement, catalog),
+            statement.parameters,
+        )
+
+    @pytest.mark.parametrize("path", _QA_ARTIFACTS, ids=lambda p: p.stem)
+    def test_qa_corpus(self, assert_same_as_brute_force, path):
+        case = load_artifact(path)
+        catalog = case.build_catalog()
+        statement = parse_statement(case.query.to_sql(), catalog).statement
+        assert_same_as_brute_force(
+            functools.partial(optimize_statement, statement, catalog),
+            statement.parameters,
+        )
+
+    def test_the_oracle_is_not_vacuous(self):
+        # The five-relation chain really does skip rule applications and
+        # really does cost fewer candidates than it retains-plus-drops.
+        catalog = make_experiment_catalog()
+        graph = paper_queries(catalog)[2].graph
+        stats = optimize_query(graph, catalog).stats
+        assert stats.candidates_skipped > 0
+        assert stats.candidates_considered < 134  # brute force costed 134

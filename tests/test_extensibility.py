@@ -7,8 +7,13 @@ import pytest
 from repro.cost.cost import Comparison, IntervalCost
 from repro.cost.model import CostModel
 from repro.optimizer.optimizer import OptimizationMode, optimize_query
-from repro.optimizer.rules import DEFAULT_ACCESS_RULES, _apply_filters
-from repro.physical.plan import PlanNode, iter_plan_nodes
+from repro.optimizer.rules import (
+    DEFAULT_ACCESS_RULES,
+    DEFAULT_JOIN_RULES,
+    _apply_filters,
+    _side_in,
+)
+from repro.physical.plan import ChoosePlanNode, PlanNode, iter_plan_nodes
 from repro.util.interval import Interval
 
 
@@ -77,6 +82,85 @@ class TestCustomAccessRule:
         )
         kinds = {type(n).__name__ for n in iter_plan_nodes(result.plan)}
         assert "CheapScanNode" not in kinds
+
+
+class StreamJoinNode(PlanNode):
+    """A custom join that keeps its left input's order, nearly for free."""
+
+    __slots__ = ("predicates",)
+
+    def __init__(self, ctx, left, right, predicates) -> None:
+        self.predicates = predicates
+        super().__init__(ctx, (left, right))
+
+    def _compute(self, ctx, input_cards, input_orders):
+        return input_cards[0], Interval.point(0.001), input_orders[0]
+
+    @property
+    def label(self) -> str:
+        return "Stream-Join"
+
+
+class StreamJoinRule:
+    """Written against the pre-`may_deliver` protocol: only ``build``."""
+
+    name = "stream-join"
+
+    def build(self, engine, left, right, predicates, budget):
+        left_key = _side_in(predicates[0], left)
+        inputs = engine.optimize_inputs(((left, left_key), (right, None)), 0.0, budget)
+        if inputs is not None:
+            yield StreamJoinNode(engine.ctx, *inputs, predicates)
+
+
+class NeverOrderedStreamJoinRule(StreamJoinRule):
+    def may_deliver(self, order, left, predicates):
+        return False
+
+
+class TestCustomJoinRule:
+    def _optimize(self, join_query, catalog, rule):
+        return optimize_query(
+            join_query,
+            catalog,
+            mode=OptimizationMode.DYNAMIC,
+            required_order=catalog.attribute("R.k"),
+            join_rules=DEFAULT_JOIN_RULES + (rule,),
+        )
+
+    def test_rule_without_may_deliver_competes_in_ordered_groups(
+        self, join_query, catalog
+    ):
+        result = self._optimize(join_query, catalog, StreamJoinRule())
+        assert result.plan.order == catalog.attribute("R.k")
+        # Cheapest way to R ⋈ S sorted on R.k, so it is in the plan — it
+        # was built in the ordered group although it never said it could
+        # deliver the order.
+        assert any(
+            isinstance(node, StreamJoinNode) and node.order == result.plan.order
+            for node in iter_plan_nodes(result.plan)
+        )
+
+    def test_rule_declining_the_order_is_skipped_there(self, join_query, catalog):
+        asked = self._optimize(join_query, catalog, StreamJoinRule())
+        declined = self._optimize(join_query, catalog, NeverOrderedStreamJoinRule())
+        # One skip per partition of the ordered {R, S} group.
+        assert (
+            declined.stats.candidates_skipped == asked.stats.candidates_skipped + 2
+        )
+        # Not a winner of the ordered root group any more, but still offered
+        # to the unordered one — it survives beneath a Sort enforcer.
+        assert any(isinstance(w, StreamJoinNode) for w in _root_winners(asked.plan))
+        assert not any(
+            isinstance(w, StreamJoinNode) for w in _root_winners(declined.plan)
+        )
+        assert any(
+            isinstance(node, StreamJoinNode) for node in iter_plan_nodes(declined.plan)
+        )
+
+
+def _root_winners(plan: PlanNode) -> tuple[PlanNode, ...]:
+    return plan.inputs if isinstance(plan, ChoosePlanNode) else (plan,)
 
 
 class TestCustomCostModel:

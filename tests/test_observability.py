@@ -7,6 +7,8 @@ import pytest
 
 from repro.executor.database import Database
 from repro.executor.executor import execute_plan
+from repro.experiments.catalogs import make_experiment_catalog
+from repro.experiments.queries import build_chain_query
 from repro.obs.trace import RecordingTracer, use_tracer
 from repro.optimizer.optimizer import OptimizationMode, optimize_query
 from repro.physical.explain import explain_analyze
@@ -66,6 +68,26 @@ class TestOptimizerTracing:
         ]
         assert len(budget_prunes) == result.stats.candidates_pruned
         assert result.stats.candidates_pruned > 0
+
+    def test_skip_events_explain_uncosted_rule_applications(self):
+        chain_catalog = make_experiment_catalog()
+        tracer = RecordingTracer()
+        with use_tracer(tracer):
+            result = optimize_query(
+                build_chain_query(chain_catalog, 4),
+                chain_catalog,
+                mode=OptimizationMode.DYNAMIC,
+            )
+        skips = tracer.find_events("search.skip")
+        assert len(skips) == result.stats.candidates_skipped > 0
+        assert {e["attrs"]["reason"] for e in skips} == {"order"}
+        assert {e["attrs"]["rule"] for e in skips} == {"HashJoinRule", "MergeJoinRule"}
+        # Skipped applications are never costed: the modeled optimization
+        # time keeps counting costed candidates only.
+        assert result.modeled_optimization_seconds == pytest.approx(
+            result.stats.candidates_considered
+            * result.ctx.model.optimizer_candidate_seconds
+        )
 
     def test_no_events_without_tracer(self, join_query, catalog):
         # The default tracer records nothing; this exercises the guarded
@@ -263,6 +285,7 @@ class TestSearchStatsAsDict:
             "candidates_considered",
             "candidates_retained",
             "candidates_pruned",
+            "candidates_skipped",
             "largest_winner_set",
         }
 
