@@ -115,7 +115,7 @@ class ReplanEvent:
     parameter_values: dict[str, float] = field(repr=False)
 
     def as_dict(self) -> dict[str, Any]:
-        """JSON-ready summary (CLI ``analyze`` / bench artifacts)."""
+        """JSON-ready summary of one replan event."""
         cost = self.outcome.result.plan.cost
         return {
             "signature": self.signature,

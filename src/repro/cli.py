@@ -21,26 +21,10 @@ Commands:
     re-optimization at pipeline breakers.
 ``experiments``
     Regenerate the paper's Section 6 evaluation tables.
-``serve-bench``
-    Run a Zipfian workload against the concurrent query service and
-    report throughput, latency percentiles, and plan-cache hit rate;
-    writes a JSON artifact (default ``benchmarks/results/serve_bench.json``).
-``parallel-bench``
-    Time the speedup benchmark: one hash join executed serially and
-    through the exchange operator at DOP 2 and 4, with the disk's
-    latency simulation on; writes a JSON artifact (default
-    ``benchmarks/results/BENCH_parallel.json``).
-``exec-bench``
-    Time the vectorized executor against the row-at-a-time baseline on a
-    CPU-bound scan+join workload across a batch-size sweep; writes a
-    JSON artifact (default ``benchmarks/results/BENCH_exec.json``) and
-    fails if the default batch size is not at least 3x faster.
-``adaptive-bench``
-    Static vs adaptive execution on a deliberately mis-estimated skewed
-    join (and a never-triggering control); writes a JSON artifact
-    (default ``benchmarks/results/BENCH_adaptive.json``) and fails if
-    the adaptive run does not beat static by 1.5x or the control run
-    pays more than the overhead budget.
+``metrics``
+    Drive a small seeded workload through a query service with full
+    telemetry and export the metrics registry as OpenMetrics text or
+    JSONL.
 ``fuzz``
     Differential fuzzing: generate random catalogs + parameterized
     queries, execute every optimization mode, and compare against a
@@ -287,157 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     metrics_cmd.set_defaults(handler=_cmd_metrics)
 
-    serve_cmd = commands.add_parser(
-        "serve-bench",
-        help="benchmark the concurrent query service with a shared plan cache",
-    )
-    _add_catalog_options(serve_cmd)
-    serve_cmd.add_argument(
-        "--invocations", type=int, default=500, help="workload size (default 500)"
-    )
-    serve_cmd.add_argument(
-        "--workers", type=int, default=4, help="service worker threads"
-    )
-    serve_cmd.add_argument(
-        "--queue-limit",
-        type=int,
-        default=64,
-        help="admission-control queue depth (backpressure beyond this)",
-    )
-    serve_cmd.add_argument(
-        "--statements",
-        type=int,
-        default=None,
-        metavar="N",
-        help="distinct statements (default: one per catalog relation)",
-    )
-    serve_cmd.add_argument(
-        "--zipf",
-        type=float,
-        default=1.1,
-        help="Zipf skew of statement popularity (0 = uniform)",
-    )
-    serve_cmd.add_argument(
-        "--cache-capacity", type=int, default=128, help="plan cache entries"
-    )
-    serve_cmd.add_argument(
-        "--cache-ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="plan cache entry TTL (default: no expiry)",
-    )
-    serve_cmd.add_argument(
-        "--seed", type=int, default=0, help="data + workload RNG seed"
-    )
-    serve_cmd.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="enable mid-query re-optimization for every request "
-        "(replans also flag the cached plan for recompile)",
-    )
-    serve_cmd.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny fast run for CI (2 workers, 2 statements, 25 invocations)",
-    )
-    serve_cmd.add_argument(
-        "--output",
-        type=Path,
-        default=Path("benchmarks/results/serve_bench.json"),
-        metavar="FILE",
-        help="JSON benchmark artifact path",
-    )
-    serve_cmd.set_defaults(handler=_cmd_serve_bench)
-
-    parallel_cmd = commands.add_parser(
-        "parallel-bench",
-        help="serial vs exchange-parallel hash join wall time at "
-        "DOP 2 and 4 (I/O-latency-bound workload)",
-    )
-    parallel_cmd.add_argument(
-        "--smoke",
-        action="store_true",
-        help="reduced configuration for CI (smaller relations, DOP=4 only)",
-    )
-    parallel_cmd.add_argument(
-        "--output",
-        type=Path,
-        default=Path("benchmarks/results/BENCH_parallel.json"),
-        metavar="FILE",
-        help="JSON benchmark artifact path",
-    )
-    parallel_cmd.set_defaults(handler=_cmd_parallel_bench)
-
-    shard_cmd = commands.add_parser(
-        "shard-bench",
-        help="single-process thread pool vs multiprocess sharded serving "
-        "on a Zipfian point-lookup + analytics workload (asserts "
-        "byte-identical results; full mode gates on the 5x speedup "
-        "target at 8 shards)",
-    )
-    shard_cmd.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard process count (default: 8 full, 2 smoke)",
-    )
-    shard_cmd.add_argument(
-        "--smoke",
-        action="store_true",
-        help="reduced configuration for CI (2 shards, small relations, "
-        "correctness asserted, no speedup gate)",
-    )
-    shard_cmd.add_argument(
-        "--output",
-        type=Path,
-        default=Path("benchmarks/results/BENCH_shard.json"),
-        metavar="FILE",
-        help="JSON benchmark artifact path",
-    )
-    shard_cmd.set_defaults(handler=_cmd_shard_bench)
-
-    exec_cmd = commands.add_parser(
-        "exec-bench",
-        help="row-at-a-time vs vectorized batch execution wall time "
-        "across a batch-size sweep (CPU-bound workload)",
-    )
-    exec_cmd.add_argument(
-        "--smoke",
-        action="store_true",
-        help="reduced configuration for CI (smaller probe relation, "
-        "two batch sizes, no speedup assertion)",
-    )
-    exec_cmd.add_argument(
-        "--output",
-        type=Path,
-        default=Path("benchmarks/results/BENCH_exec.json"),
-        metavar="FILE",
-        help="JSON benchmark artifact path",
-    )
-    exec_cmd.set_defaults(handler=_cmd_exec_bench)
-
-    adaptive_cmd = commands.add_parser(
-        "adaptive-bench",
-        help="static vs adaptive execution on a mis-estimated skewed "
-        "join, plus a never-triggering accurate-estimate control",
-    )
-    adaptive_cmd.add_argument(
-        "--smoke",
-        action="store_true",
-        help="reduced configuration for CI (smaller relations, zero disk "
-        "latency, no wall-clock assertions)",
-    )
-    adaptive_cmd.add_argument(
-        "--output",
-        type=Path,
-        default=Path("benchmarks/results/BENCH_adaptive.json"),
-        metavar="FILE",
-        help="JSON benchmark artifact path",
-    )
-    adaptive_cmd.set_defaults(handler=_cmd_adaptive_bench)
-
     fuzz_cmd = commands.add_parser(
         "fuzz",
         help="differential fuzzing of the whole pipeline against a "
@@ -577,11 +410,6 @@ def _build_parser() -> argparse.ArgumentParser:
         run_cmd,
         experiments_cmd,
         metrics_cmd,
-        serve_cmd,
-        parallel_cmd,
-        shard_cmd,
-        exec_cmd,
-        adaptive_cmd,
         fuzz_cmd,
         demo_cmd,
     ):
@@ -1017,29 +845,26 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         validate_openmetrics,
     )
     from repro.obs.telemetry import enable_telemetry
-    from repro.service import (
-        QueryService,
-        default_statements,
-        generate_invocations,
-        run_workload,
-    )
+    from repro.service import QueryService, default_statements
+    from repro.util.rng import make_rng
 
     catalog = _load_catalog(args)
     if args.workload:
         enable_telemetry()
-        service = QueryService(
-            catalog, CostModel(), workers=2, seed=args.seed
-        )
-        try:
-            statements = default_statements(catalog)
-            run_workload(
-                service,
-                generate_invocations(
-                    statements, args.workload, seed=args.seed + 1
-                ),
-            )
-        finally:
-            service.close()
+        statements = default_statements(catalog)
+        rng = make_rng(args.seed + 1)
+        with QueryService(
+            catalog, CostModel(), workers=1, seed=args.seed
+        ) as service:
+            for index in range(args.workload):
+                spec = statements[index % len(statements)]
+                service.execute(
+                    spec.sql,
+                    {
+                        name: rng.randrange(low, high)
+                        for name, (low, high) in spec.bindings.items()
+                    },
+                )
     if args.format == "jsonl":
         text = snapshot_jsonl()
     else:
@@ -1052,366 +877,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     else:
         print(text, end="")
     return 0
-
-
-def _telemetry_drift_phase(service, catalog) -> dict:
-    """Exercise the telemetry feedback loop end to end, deterministically.
-
-    Two controlled provocations against the first catalog relation:
-
-    1. **Plan regression** — warm a grouped statement's runtime baseline
-       at a near-empty binding, then invoke it at full selectivity; the
-       flight recorder sees a multiple of the baseline, emits
-       ``plan.regression``, and flags the cached plan for recompile.
-    2. **Estimation drift** — deflate the relation's catalog cardinality
-       (the plan cache recompiles against the new statistics) while the
-       workers' loaded data keeps its original size; the aggregation
-       breaker observes far more rows than the compile-time interval
-       allows and the ledger records ``estimate.out_of_interval``.
-
-    Returns the telemetry evidence for the benchmark artifact.  The
-    catalog statistics are restored before returning.
-    """
-    from repro.obs.telemetry import get_flight_recorder, get_ledger
-
-    relation = catalog.relation_names[0]
-    info = catalog.relation(relation)
-    attribute = next(iter(info.schema))
-    qualified = f"{relation}.{attribute.name}"
-    recorder = get_flight_recorder()
-    ledger = get_ledger()
-
-    grouped = (
-        f"SELECT {qualified}, COUNT(*) FROM {relation} "
-        f"WHERE {qualified} < :v GROUP BY {qualified}"
-    )
-    floor = recorder.min_seconds
-    recorder.min_seconds = 0.0  # keep the demo deterministic across hosts
-    try:
-        for _ in range(recorder.warmup + 1):
-            service.execute(grouped, {"v": 2})
-        service.execute(grouped, {"v": attribute.domain_size})
-    finally:
-        recorder.min_seconds = floor
-
-    actual = info.stats.cardinality
-    catalog.set_cardinality(relation, max(1, actual // 5))
-    try:
-        service.execute(
-            f"SELECT {qualified}, COUNT(*) FROM {relation} "
-            f"GROUP BY {qualified}"
-        )
-    finally:
-        catalog.set_cardinality(relation, actual)
-
-    entries = ledger.records()
-    return {
-        "plan_regressions": len(recorder.regressions()),
-        "out_of_interval_entries": sum(
-            1 for entry in entries if entry.out_of_interval
-        ),
-        "worst_error_ratio": max(
-            (entry.max_error_ratio for entry in entries), default=1.0
-        ),
-        "ledger_entries": len(entries),
-        "flight_records": len(recorder.records()),
-    }
-
-
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.obs.metrics import get_metrics as _get_metrics
-    from repro.obs.telemetry import enable_telemetry
-    from repro.service import (
-        QueryService,
-        default_statements,
-        generate_invocations,
-        run_workload,
-    )
-
-    catalog = _load_catalog(args)
-    invocations = args.invocations
-    if invocations < 1:
-        raise ValueError("--invocations must be at least 1")
-    workers = args.workers
-    statements_count = args.statements
-    if args.smoke:
-        invocations = min(invocations, 25)
-        workers = min(workers, 2)
-        statements_count = 2 if statements_count is None else statements_count
-
-    statements = default_statements(catalog, statements_count)
-    service = QueryService(
-        catalog,
-        CostModel(),
-        workers=workers,
-        queue_limit=args.queue_limit,
-        cache_capacity=args.cache_capacity,
-        cache_ttl_seconds=args.cache_ttl,
-        seed=args.seed,
-        adaptive=args.adaptive,
-    )
-    enable_telemetry()
-    try:
-        stream = generate_invocations(
-            statements, invocations, zipf_s=args.zipf, seed=args.seed + 1
-        )
-        report = run_workload(service, stream)
-        drift = _telemetry_drift_phase(service, catalog)
-    finally:
-        service.close()
-
-    print(
-        f"{report.completed}/{report.invocations} invocations over "
-        f"{len(statements)} statements ({workers} workers, "
-        f"queue limit {args.queue_limit}, zipf s={args.zipf})"
-    )
-    print(
-        f"throughput: {report.throughput_qps:,.0f} queries/s "
-        f"in {report.elapsed_seconds:.3f} s wall"
-    )
-    print(
-        f"latency: p50 {report.latency_p50_seconds * 1e3:.2f} ms, "
-        f"p95 {report.latency_p95_seconds * 1e3:.2f} ms, "
-        f"p99 {report.latency_p99_seconds * 1e3:.2f} ms"
-    )
-    print(
-        f"plan cache: {report.cache_hit_rate * 100:.1f}% hit rate "
-        f"({report.cache_hits} hits / {report.cache_misses} misses), "
-        f"{report.optimizer_runs} optimizer runs"
-    )
-    print(
-        f"backpressure: {report.rejections} overload rejections "
-        f"(retried), {report.failed} failures"
-    )
-    if report.rejections:
-        reasons = ", ".join(
-            f"{reason}={count}"
-            for reason, count in sorted(report.shed_load_reasons.items())
-        )
-        print(
-            f"shed load: {reasons} (max retry_after_hint "
-            f"{report.max_retry_after_hint * 1e3:.2f} ms, max queue depth "
-            f"{report.max_rejection_queue_depth})"
-        )
-    print(
-        f"telemetry drift phase: {drift['plan_regressions']} plan "
-        f"regression(s), {drift['out_of_interval_entries']} out-of-interval "
-        f"ledger entr(ies) (worst error ratio "
-        f"{drift['worst_error_ratio']:.2f}x, {drift['ledger_entries']} "
-        f"ledger entries, {drift['flight_records']} flight records)"
-    )
-
-    snapshot = _get_metrics().snapshot()
-    codegen_hits = float(snapshot.get("codegen.cache_hits", 0.0))
-    codegen_misses = float(snapshot.get("codegen.cache_misses", 0.0))
-    codegen_total = codegen_hits + codegen_misses
-    if codegen_total:
-        print(
-            f"codegen cache: {codegen_hits / codegen_total * 100:.1f}% hit "
-            f"rate ({codegen_hits:.0f} hits / {codegen_misses:.0f} misses) "
-            "— fused pipelines compile once per plan signature"
-        )
-    payload = {
-        "config": {
-            "invocations": invocations,
-            "workers": workers,
-            "queue_limit": args.queue_limit,
-            "statements": len(statements),
-            "zipf_s": args.zipf,
-            "cache_capacity": args.cache_capacity,
-            "cache_ttl_seconds": args.cache_ttl,
-            "seed": args.seed,
-            "adaptive": bool(args.adaptive),
-            "smoke": bool(args.smoke),
-        },
-        "report": report.as_dict(),
-        "telemetry": drift,
-        "metrics": {
-            name: value
-            for name, value in snapshot.items()
-            if name.startswith(
-                (
-                    "plan_cache.",
-                    "service.",
-                    "optimizer.runs",
-                    "telemetry.",
-                    "adaptive.",
-                    "codegen.",
-                )
-            )
-        },
-    }
-    args.output.parent.mkdir(parents=True, exist_ok=True)
-    args.output.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.output}")
-    return 0
-
-
-def _cmd_parallel_bench(args: argparse.Namespace) -> int:
-    from repro.parallel.bench import SMOKE_CONFIG, run_speedup_bench
-
-    payload = run_speedup_bench(**(SMOKE_CONFIG if args.smoke else {}))
-    serial = payload["serial"]
-    print(
-        f"serial: {serial['seconds']:.2f}s "
-        f"({serial['rows']} rows, {serial['active_exchanges']} exchanges)"
-    )
-    ok = serial["active_exchanges"] == 0
-    for run in payload["runs"]:
-        print(
-            f"DOP={run['dop']}: {run['seconds']:.2f}s "
-            f"(speedup {run['speedup']:.2f}x, "
-            f"{run['active_exchanges']} exchange(s), {run['rows']} rows)"
-        )
-        ok = ok and run["rows"] == serial["rows"] and run["active_exchanges"] >= 1
-    top = max(payload["runs"], key=lambda run: run["dop"])
-    if top["speedup"] < 2.0:
-        print(f"FAIL: DOP={top['dop']} speedup below the 2x acceptance bar")
-        ok = False
-    args.output.parent.mkdir(parents=True, exist_ok=True)
-    args.output.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.output}")
-    return 0 if ok else 1
-
-
-def _cmd_shard_bench(args: argparse.Namespace) -> int:
-    from repro.shard.bench import SMOKE_CONFIG, SPEEDUP_TARGET, run_shard_bench
-
-    config = dict(SMOKE_CONFIG) if args.smoke else {}
-    if args.shards is not None:
-        if args.shards < 1:
-            raise ValueError("--shards must be at least 1")
-        config["shards"] = args.shards
-    payload = run_shard_bench(**config)
-
-    correctness = payload["correctness"]
-    print(
-        f"correctness: {correctness['statements_verified']} statement(s) "
-        f"byte-identical to single-process execution"
-    )
-    for index, round_ in enumerate(payload["rounds"]):
-        print(
-            f"round {index}: baseline {round_['baseline_qps']:,.1f} qps, "
-            f"sharded {round_['sharded_qps']:,.1f} qps "
-            f"(speedup {round_['speedup']:.2f}x)"
-        )
-    base, shard = payload["baseline"], payload["sharded"]
-    print(
-        f"best: {payload['speedup']:.2f}x at "
-        f"{payload['config']['shards']} shards "
-        f"(baseline p99 {base['latency_p99_seconds'] * 1e3:.1f} ms, "
-        f"sharded p99 {shard['latency_p99_seconds'] * 1e3:.1f} ms)"
-    )
-    routed = payload["metrics"].get("shard.routed", 0)
-    scattered = payload["metrics"].get("shard.scattered", 0)
-    print(
-        f"routing: {routed} partition-pruned invocation(s), "
-        f"{scattered} scatter/gather invocation(s)"
-    )
-    for sql, stat in payload["decision_divergence"].items():
-        if stat["diverged_invocations"]:
-            print(
-                f"divergence: {stat['diverged_shards']} shard decision(s) "
-                f"across {stat['diverged_invocations']}/"
-                f"{stat['invocations']} invocation(s) for {sql!r}"
-            )
-    ok = True
-    if not args.smoke and not payload["speedup_ok"]:
-        print(
-            f"FAIL: speedup {payload['speedup']:.2f}x below the "
-            f"{SPEEDUP_TARGET:.0f}x acceptance bar"
-        )
-        ok = False
-    args.output.parent.mkdir(parents=True, exist_ok=True)
-    args.output.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.output}")
-    return 0 if ok else 1
-
-
-def _cmd_exec_bench(args: argparse.Namespace) -> int:
-    from repro.executor.bench import SMOKE_CONFIG, run_exec_bench
-
-    payload = run_exec_bench(**(SMOKE_CONFIG if args.smoke else {}))
-    row = payload["row"]
-    print(f"row mode: {row['seconds'] * 1e3:.1f}ms ({row['rows']} rows)")
-    at_default = None
-    for run in payload["batch_runs"]:
-        print(
-            f"batch: batch_size={run['batch_size']}: "
-            f"{run['seconds'] * 1e3:.1f}ms (speedup {run['speedup']:.2f}x)"
-        )
-        if run["batch_size"] == 1024:
-            at_default = run["speedup"]
-    fused_vs_batch = 0.0
-    for run in payload["fused_runs"]:
-        print(
-            f"fused: batch_size={run['batch_size']}: "
-            f"{run['seconds'] * 1e3:.1f}ms (speedup {run['speedup']:.2f}x, "
-            f"vs batch {run['speedup_vs_batch']:.2f}x)"
-        )
-        fused_vs_batch = max(fused_vs_batch, run["speedup_vs_batch"])
-    sort = payload["partial_sort_scenario"]
-    print(
-        f"near-sorted ORDER BY: partial sort "
-        f"{sort['partial_sort']['wall_seconds'] * 1e3:.1f}ms / "
-        f"{sort['partial_sort']['writes']} spill writes vs full sort "
-        f"{sort['full_sort']['wall_seconds'] * 1e3:.1f}ms / "
-        f"{sort['full_sort']['writes']} writes "
-        f"(wall {sort['wall_speedup']:.2f}x, "
-        f"io saved {sort['io_seconds_saved']:.3f}s)"
-    )
-    ok = True
-    # The smoke workload is too small to amortize batching or codegen
-    # fully; the acceptance bars apply to the full configuration only.
-    if not args.smoke:
-        if at_default is None or at_default < 3.0:
-            print(
-                f"FAIL: batch_size=1024 speedup "
-                f"{at_default if at_default is not None else 'missing'} "
-                "below the 3x acceptance bar"
-            )
-            ok = False
-        if fused_vs_batch < 2.0:
-            print(
-                f"FAIL: fused-over-batch speedup {fused_vs_batch:.2f} "
-                "below the 2x acceptance bar"
-            )
-            ok = False
-        if sort["writes_saved"] <= 0 or sort["io_seconds_saved"] <= 0:
-            print("FAIL: partial sort shows no I/O win over the full sort")
-            ok = False
-    args.output.parent.mkdir(parents=True, exist_ok=True)
-    args.output.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.output}")
-    return 0 if ok else 1
-
-
-def _cmd_adaptive_bench(args: argparse.Namespace) -> int:
-    from repro.adaptive.bench import SMOKE_CONFIG, run_adaptive_bench
-
-    payload = run_adaptive_bench(**(SMOKE_CONFIG if args.smoke else {}))
-    for config in ("skewed", "uniform"):
-        for label in ("static", "adaptive"):
-            run = payload[config][label]
-            print(
-                f"{config}/{label}: {run['rows']} rows, "
-                f"simulated I/O {run['io_seconds']:.2f}s, "
-                f"wall {run['wall_seconds']:.2f}s, "
-                f"{run['replans']} replan(s)"
-            )
-    print(
-        f"skewed: io speedup {payload['io_speedup']:.2f}x, "
-        f"wall speedup {payload['wall_speedup']:.2f}x; "
-        f"uniform: wall overhead "
-        f"{payload['uniform_wall_overhead'] * 100:+.1f}%"
-    )
-    for name, passed in payload["checks"].items():
-        if not passed:
-            print(f"FAIL: acceptance check {name}")
-    args.output.parent.mkdir(parents=True, exist_ok=True)
-    args.output.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.output}")
-    return 0 if payload["ok"] else 1
 
 
 # The smoke configuration is pinned so CI runs are reproducible: any

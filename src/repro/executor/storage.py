@@ -21,9 +21,9 @@ when they divide scan I/O by the degree of parallelism.
 
 ``latency_scale`` (default 0: off) optionally turns charged I/O time into
 real ``time.sleep`` — performed *outside* the lock — making execution
-I/O-bound in wall-clock terms.  The speedup benchmark uses it so striped
-parallel scans genuinely overlap their waits; everything else (tests,
-paper experiments) keeps the zero-latency default.
+I/O-bound in wall-clock terms, so striped parallel scans genuinely
+overlap their waits; tests, paper experiments and ``benchmarks/e2e`` keep
+the zero-latency default.
 """
 
 from __future__ import annotations

@@ -539,13 +539,15 @@ class SearchEngine:
         Plan-shape independent: the product of base cardinalities, selection
         selectivities, and the selectivities of every join predicate inside
         the subset.  Memoized per subset so all candidates of a group cost
-        against identical statistics.
+        against identical statistics.  Relations are multiplied in sorted
+        order: float products are not associative, and set iteration order
+        changes with ``PYTHONHASHSEED``.
         """
         cached = self._cardinalities.get(subset)
         if cached is not None:
             return cached
         cardinality = Interval.point(1.0)
-        for relation in subset:
+        for relation in sorted(subset):
             stats = self.ctx.catalog.relation(relation).stats
             cardinality = cardinality * Interval.point(float(stats.cardinality))
             for predicate in self.query.selections_on(relation):

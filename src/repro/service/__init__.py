@@ -12,9 +12,10 @@ to a process-wide serving layer:
 * :class:`QueryService` — a bounded worker pool with admission control
   (fast-reject backpressure), per-query latency metrics, and graceful
   draining shutdown.
-* :mod:`repro.service.workload` — Zipfian synthetic invocation streams
-  and a measured :func:`run_workload` report (throughput, p50/p95/p99
-  latency, cache hit rate), driving the ``repro serve-bench`` CLI.
+* :func:`default_statements` — one parameterized statement per catalog
+  relation with its binding ranges, for driving a service without
+  writing SQL.  Throughput, latency percentiles and cache hit share
+  under load are measured by ``benchmarks/e2e`` (workload ``serve_hot``).
 """
 
 from repro.service.cache import (
@@ -24,16 +25,7 @@ from repro.service.cache import (
     normalize_query_text,
 )
 from repro.service.service import QueryService, ServiceResult
-from repro.service.workload import (
-    Invocation,
-    StatementSpec,
-    WorkloadReport,
-    default_statements,
-    generate_invocations,
-    percentile,
-    run_workload,
-    zipf_weights,
-)
+from repro.service.workload import StatementSpec, default_statements
 
 __all__ = [
     "CacheEntry",
@@ -42,12 +34,6 @@ __all__ = [
     "normalize_query_text",
     "QueryService",
     "ServiceResult",
-    "Invocation",
     "StatementSpec",
-    "WorkloadReport",
     "default_statements",
-    "generate_invocations",
-    "percentile",
-    "run_workload",
-    "zipf_weights",
 ]

@@ -1,33 +1,18 @@
-"""Synthetic invocation streams for the serving layer.
+"""Default statement set for driving the serving layer.
 
-Production query traffic is highly skewed: a few prepared statements
-account for most invocations, which is exactly what makes a shared plan
-cache pay off.  This driver models that shape — statement popularity is
-Zipfian over a statement list, and each invocation draws fresh
-host-variable values from the statement's binding ranges — so service
-throughput, latency percentiles, and cache hit rates are measurable under
-a controlled, reproducible load.
-
-The pieces compose::
-
-    statements = default_statements(catalog)            # one per relation
-    invocations = generate_invocations(statements, n=10_000, zipf_s=1.1)
-    report = run_workload(service, invocations)
-    print(report.as_dict())
+``default_statements(catalog)`` gives one parameterized statement per
+relation together with the value ranges of its host variables, so a
+caller (``repro metrics --workload N``, the ``serve_hot`` workload of
+``benchmarks/e2e``) can draw reproducible bindings and invoke a
+:class:`~repro.service.service.QueryService` without writing SQL.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from time import perf_counter
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.catalog.catalog import Catalog
-from repro.errors import ServiceOverloadedError
-from repro.obs.metrics import get_metrics
-from repro.service.service import QueryService
-from repro.util.rng import make_rng
 
 
 @dataclass(frozen=True)
@@ -40,30 +25,7 @@ class StatementSpec:
     bindings: Mapping[str, tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class Invocation:
-    """One concrete call: statement text plus bound host-variable values."""
-
-    sql: str
-    value_bindings: Mapping[str, object]
-
-
-def zipf_weights(n: int, s: float = 1.0) -> list[float]:
-    """Normalized Zipfian popularity for ranks 1..n (``s`` = skew).
-
-    ``s=0`` degenerates to uniform; larger ``s`` concentrates traffic on
-    the first statements.
-    """
-    if n < 1:
-        raise ValueError("need at least one rank")
-    raw = [1.0 / (rank**s) for rank in range(1, n + 1)]
-    total = sum(raw)
-    return [w / total for w in raw]
-
-
-def default_statements(
-    catalog: Catalog, count: int | None = None
-) -> list[StatementSpec]:
+def default_statements(catalog: Catalog) -> list[StatementSpec]:
     """One unbound-selection statement per catalog relation.
 
     Each statement is the paper's motivating shape — ``SELECT * FROM R
@@ -72,10 +34,7 @@ def default_statements(
     whenever the attribute is indexed.
     """
     specs: list[StatementSpec] = []
-    names = catalog.relation_names
-    if count is not None:
-        names = names[:count]
-    for name in names:
+    for name in catalog.relation_names:
         info = catalog.relation(name)
         attribute = next(iter(info.schema))
         specs.append(
@@ -90,168 +49,3 @@ def default_statements(
     if not specs:
         raise ValueError("catalog has no relations to build statements from")
     return specs
-
-
-def generate_invocations(
-    statements: Sequence[StatementSpec],
-    n: int,
-    *,
-    zipf_s: float = 1.0,
-    seed: int = 2026,
-) -> list[Invocation]:
-    """Draw ``n`` invocations: Zipfian statement choice, uniform bindings.
-
-    Statement rank follows list order (first = most popular).
-    Deterministic given ``seed``.
-    """
-    rng = make_rng(seed)
-    weights = zipf_weights(len(statements), zipf_s)
-    invocations: list[Invocation] = []
-    for _ in range(n):
-        spec = rng.choices(statements, weights=weights)[0]
-        values = {
-            name: rng.randrange(low, high)
-            for name, (low, high) in spec.bindings.items()
-        }
-        invocations.append(Invocation(sql=spec.sql, value_bindings=values))
-    return invocations
-
-
-def percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending sequence (``q`` in [0, 100])."""
-    if not sorted_values:
-        return 0.0
-    rank = max(1, -(-len(sorted_values) * q // 100))  # ceil without math
-    return sorted_values[int(rank) - 1]
-
-
-@dataclass(frozen=True)
-class WorkloadReport:
-    """Measured outcome of one workload run against a service."""
-
-    invocations: int
-    completed: int
-    failed: int
-    rejections: int  # backpressure events (retried, not lost)
-    elapsed_seconds: float
-    throughput_qps: float
-    latency_p50_seconds: float
-    latency_p95_seconds: float
-    latency_p99_seconds: float
-    cache_hits: int
-    cache_misses: int
-    cache_hit_rate: float
-    optimizer_runs: int  # optimizations triggered during the run
-    # Shed-load accounting: the distinct machine-readable rejection
-    # reasons seen (message -> count) and the largest retry_after_hint /
-    # queue_depth the service reported, so overload shows up as data
-    # rather than a bare exception string.
-    shed_load_reasons: Mapping[str, int] = None  # type: ignore[assignment]
-    max_retry_after_hint: float = 0.0
-    max_rejection_queue_depth: int = 0
-
-    def as_dict(self) -> dict[str, object]:
-        """Flat JSON-ready form (CLI artifact and benchmark tables)."""
-        return {
-            "invocations": self.invocations,
-            "completed": self.completed,
-            "failed": self.failed,
-            "rejections": self.rejections,
-            "elapsed_seconds": self.elapsed_seconds,
-            "throughput_qps": self.throughput_qps,
-            "latency_p50_seconds": self.latency_p50_seconds,
-            "latency_p95_seconds": self.latency_p95_seconds,
-            "latency_p99_seconds": self.latency_p99_seconds,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": self.cache_hit_rate,
-            "optimizer_runs": self.optimizer_runs,
-            "shed_load_reasons": dict(self.shed_load_reasons or {}),
-            "max_retry_after_hint": self.max_retry_after_hint,
-            "max_rejection_queue_depth": self.max_rejection_queue_depth,
-        }
-
-
-def run_workload(
-    service: QueryService,
-    invocations: Sequence[Invocation],
-    *,
-    overload_backoff_seconds: float = 0.0005,
-) -> WorkloadReport:
-    """Drive ``invocations`` through ``service`` and measure the outcome.
-
-    Overload rejections are counted and the submission retried after a
-    short backoff, so backpressure shows up in the report without losing
-    invocations.  Cache and optimizer figures are deltas of the process
-    metrics over the run, so concurrent unrelated work would distort them
-    — drive one workload at a time.
-    """
-    metrics = get_metrics()
-    before = metrics.snapshot()
-    futures = []
-    rejections = 0
-    shed_reasons: dict[str, int] = {}
-    max_hint = 0.0
-    max_depth = 0
-    started = perf_counter()
-    for invocation in invocations:
-        while True:
-            try:
-                futures.append(
-                    service.submit(invocation.sql, invocation.value_bindings)
-                )
-                break
-            except ServiceOverloadedError as overload:
-                rejections += 1
-                reason = str(overload)
-                shed_reasons[reason] = shed_reasons.get(reason, 0) + 1
-                max_hint = max(max_hint, overload.retry_after_hint)
-                max_depth = max(max_depth, overload.queue_depth)
-                # Back off by the service's own hint when it gives one
-                # (capped — the hint estimates full-backlog drain, one
-                # slot frees much sooner); the fixed backoff is the
-                # floor for hintless rejections.
-                time.sleep(
-                    min(
-                        max(
-                            overload_backoff_seconds,
-                            overload.retry_after_hint,
-                        ),
-                        0.05,
-                    )
-                )
-    latencies: list[float] = []
-    failed = 0
-    for future in futures:
-        try:
-            latencies.append(future.result().latency_seconds)
-        except Exception:
-            failed += 1
-    elapsed = perf_counter() - started
-    after = metrics.snapshot()
-
-    def delta(name: str) -> float:
-        return after.get(name, 0.0) - before.get(name, 0.0)
-
-    hits = int(delta("plan_cache.hits"))
-    misses = int(delta("plan_cache.misses"))
-    looked_up = hits + misses
-    latencies.sort()
-    return WorkloadReport(
-        invocations=len(invocations),
-        completed=len(latencies),
-        failed=failed,
-        rejections=rejections,
-        elapsed_seconds=elapsed,
-        throughput_qps=len(latencies) / elapsed if elapsed > 0 else 0.0,
-        latency_p50_seconds=percentile(latencies, 50),
-        latency_p95_seconds=percentile(latencies, 95),
-        latency_p99_seconds=percentile(latencies, 99),
-        cache_hits=hits,
-        cache_misses=misses,
-        cache_hit_rate=hits / looked_up if looked_up else 0.0,
-        optimizer_runs=int(delta("optimizer.runs")),
-        shed_load_reasons=shed_reasons,
-        max_retry_after_hint=max_hint,
-        max_rejection_queue_depth=max_depth,
-    )

@@ -1,6 +1,6 @@
 """Mid-query re-optimization: trigger, replan, splice, and the knobs.
 
-The workload fixtures reuse the adaptive benchmark's recipe: a chain join
+The fixtures use the recipe in ``tests/builders.py``: a chain join
 whose literal equality on ``R`` is ~20x under-estimated when the data is
 loaded skewed, so the hash-join build over ``Filter(R)`` observes a
 cardinality far outside its compile-time interval and triggers a replan.
@@ -13,11 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.adaptive import AdaptivePolicy, execute_adaptive_plan
-from repro.adaptive.bench import (
-    load_bench_data,
-    make_bench_catalog,
-    make_bench_query,
-)
 from repro.catalog.catalog import Catalog
 from repro.cost.model import CostModel
 from repro.errors import OptimizationError
@@ -27,6 +22,7 @@ from repro.optimizer.optimizer import OptimizationMode, optimize_query
 from repro.runtime.chooser import resolve_plan
 from repro.runtime.prepared import PreparedQuery
 from repro.service import QueryService
+from tests.builders import load_bench_data, make_bench_catalog, make_bench_query
 
 SIZES = dict(r_rows=400, s_rows=1_500, t_rows=4_000)
 SEED = 7
@@ -116,6 +112,27 @@ class TestTriggerAndSplice:
         assert len(adaptive.replans) >= 1
         assert adaptive.schema == plain.schema
         assert sorted(adaptive.rows) == sorted(plain.rows)
+
+    def test_replan_beats_static_on_simulated_io(
+        self, bench_catalog, bench_graph, bench_dynamic
+    ):
+        """The mis-estimated plan probes ``T`` once per blown-up row; the
+        spliced plan scans it once.  Simulated I/O is deterministic, and
+        each side gets a fresh database so no buffer state is shared."""
+        db, bindings, values, decision = _setup(
+            bench_catalog, bench_graph, bench_dynamic
+        )
+        static = _plain(bench_dynamic, db, bindings, decision)
+        db, bindings, values, decision = _setup(
+            bench_catalog, bench_graph, bench_dynamic
+        )
+        adaptive = _adaptive(
+            bench_graph, bench_dynamic, db, bindings, values, decision
+        )
+        assert (
+            static.metrics.io_seconds
+            >= 1.5 * adaptive.result.metrics.io_seconds
+        )
 
     def test_counters_and_event_payload(
         self, bench_catalog, bench_graph, bench_dynamic

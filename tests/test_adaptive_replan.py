@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.adaptive.bench import make_bench_catalog, make_bench_query
 from repro.adaptive.replan import replan_remaining
 from repro.adaptive.guard import Checkpoint
 from repro.cost.model import CostModel
@@ -19,6 +18,7 @@ from repro.executor.tuples import RowSchema
 from repro.optimizer.optimizer import OptimizationMode
 from repro.params.parameter import ParameterKind
 from repro.physical.plan import count_choose_plan_nodes
+from tests.builders import make_bench_catalog, make_bench_query
 
 
 def _checkpoint(catalog, relations, rows, *, signature="cp-0"):

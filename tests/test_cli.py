@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.catalog.catalog import Catalog
 from repro.cli import main
+from repro.obs.metrics import validate_openmetrics
 
 
 @pytest.fixture
@@ -233,37 +238,32 @@ class TestObservabilityOptions:
         assert "optimizer.query" in names
 
 
-class TestServeBench:
-    def test_smoke_writes_valid_json_report(self, capsys, tmp_path, catalog_file):
-        output = tmp_path / "bench.json"
+class TestMetrics:
+    def test_demo_catalog_workload_exports_valid_exposition(self, tmp_path):
+        output = tmp_path / "metrics.prom"
         code = main(
-            [
-                "serve-bench",
-                "--catalog",
-                str(catalog_file),
-                "--smoke",
-                "--output",
-                str(output),
-            ]
+            ["metrics", "--demo-catalog", "--workload", "5", "--output", str(output)]
         )
-        out = capsys.readouterr().out
         assert code == 0
-        assert "throughput" in out
-        assert "hit rate" in out
-        payload = json.loads(output.read_text())
-        assert payload["report"]["completed"] > 0
-        assert payload["report"]["failed"] == 0
-        assert 0.0 <= payload["report"]["cache_hit_rate"] <= 1.0
-        assert payload["config"]["smoke"] is True
-        assert "plan_cache.hits" in payload["metrics"]
+        text = output.read_text()
+        validate_openmetrics(text)
+        assert "repro_service_latency_seconds_bucket" in text
 
-    def test_demo_catalog_smoke(self, tmp_path):
-        output = tmp_path / "bench.json"
-        code = main(
-            ["serve-bench", "--demo-catalog", "--smoke", "--output", str(output)]
+
+class TestSurface:
+    def test_registered_subcommands_are_the_documented_ones(self):
+        """Every subcommand has a docstring entry and vice versa, and no
+        benchmark driver lives inside the shipped package."""
+        (subparsers,) = (
+            action
+            for action in cli._build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
         )
-        assert code == 0
-        assert json.loads(output.read_text())["report"]["completed"] > 0
+        documented = set(re.findall(r"^``([a-z-]+)``$", cli.__doc__, re.MULTILINE))
+        assert set(subparsers.choices) == documented
+        package = Path(cli.__file__).parent
+        assert not list(package.rglob("bench.py"))
+        assert not list(package.rglob("bench/__init__.py"))
 
 
 class TestCatalogSerialization:

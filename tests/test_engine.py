@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import functools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +33,34 @@ from repro.qa import load_artifact
 from repro.query.parser import parse_statement
 from repro.runtime.access_module import AccessModule
 from tests.test_partitions import ref_connected_partitions
+
+
+# (low, high) of SearchEngine.cardinality over the 55 contiguous subsets
+# of the 10-relation chain under one fixed RUN_TIME binding.
+_CARDINALITY_DIGEST = """
+import hashlib
+from repro.cost.context import CostContext
+from repro.cost.model import CostModel
+from repro.experiments.catalogs import make_experiment_catalog
+from repro.experiments.queries import build_chain_query
+from repro.experiments.workload import generate_bindings
+from repro.optimizer.engine import SearchEngine
+
+catalog = make_experiment_catalog()
+query = build_chain_query(catalog, 10)
+binding = generate_bindings(query.parameters, n=1)[0]
+ctx = CostContext(
+    catalog=catalog, model=CostModel(), env=query.parameters.bind(binding)
+)
+engine = SearchEngine(query=query, ctx=ctx)
+names = query.relations
+digest = hashlib.sha256()
+for start in range(len(names)):
+    for stop in range(start + 1, len(names) + 1):
+        interval = engine.cardinality(frozenset(names[start:stop]))
+        digest.update(repr((interval.low, interval.high)).encode())
+print(digest.hexdigest())
+"""
 
 
 class TestStaticMode:
@@ -242,6 +273,23 @@ class TestEngineInternals:
         assert first is second  # memoized
         # 1000 * 0.05 * 600 / 300 = 100
         assert first.low == pytest.approx(100.0)
+
+    def test_cardinality_bits_do_not_depend_on_hash_seed(self):
+        """Float products are not associative, so multiplying in set
+        iteration order made the interval bounds wobble with
+        ``PYTHONHASHSEED``: the digest below differed per seed."""
+        digests = {
+            subprocess.run(
+                [sys.executable, "-c", _CARDINALITY_DIGEST],
+                env={**os.environ, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=120,
+            ).stdout
+            for seed in ("1", "2")
+        }
+        assert len(digests) == 1 and all(digests)
 
     def test_partitions_asked_once_per_relation_set(self, monkeypatch):
         # Ordered and unordered groups of one relation set share the list.

@@ -14,7 +14,6 @@ import pytest
 
 from repro.cost.model import CostModel
 from repro.errors import BindingError
-from repro.executor.bench import make_fusion_catalog
 from repro.executor.buffer import BufferPool
 from repro.executor.database import Database
 from repro.executor.executor import build_fused_pipelines
@@ -24,6 +23,7 @@ from repro.executor.storage import SimulatedDisk
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import RecordingTracer, use_tracer
 from repro.runtime.prepared import PreparedQuery
+from tests.builders import make_fusion_catalog
 
 STAR_SQL = (
     "SELECT D1.a, D2.a, P.a FROM D1, D2, P "

@@ -471,6 +471,26 @@ class TestServiceFeedbackLoop:
         finally:
             service.close()
 
+    def test_stale_statistics_show_up_as_out_of_interval(self, catalog):
+        """Deflate a relation's catalog cardinality while the workers'
+        loaded data keeps its size: the aggregation breaker observes far
+        more rows than the recompiled plan's interval allows."""
+        from repro.service import QueryService
+
+        enable_telemetry()
+        actual = catalog.relation("R").stats.cardinality
+        with QueryService(catalog, CostModel(), workers=1, seed=11) as service:
+            service.execute("SELECT * FROM R WHERE R.a < :v", {"v": 5})  # load data
+            catalog.set_cardinality("R", max(1, actual // 5))
+            try:
+                service.execute("SELECT R.k, COUNT(*) FROM R GROUP BY R.k")
+            finally:
+                catalog.set_cardinality("R", actual)
+        assert any(
+            entry.out_of_interval and entry.last_observed > entry.estimate_high
+            for entry in get_ledger().records()
+        )
+
     def test_service_spans_parent_across_threads(self, catalog):
         from repro.service import QueryService
 
