@@ -345,7 +345,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=2,
         metavar="N",
         help="run the fused-codegen differential (fused execution "
-        "byte-identical to plain batch at two batch sizes, plus "
+        "byte-identical to batch at two batch sizes, both to row mode "
+        "at the minimum memory budget, plus "
         "post-activation g = d at corner bindings) every Nth case "
         "(0 disables; default 2)",
     )

@@ -72,14 +72,6 @@ class ServiceOverloadedError(ServiceError):
         self.retry_after_hint = retry_after_hint
         self.queue_depth = queue_depth
 
-    def as_dict(self) -> dict[str, object]:
-        """Machine-readable shed-load record (CLI and benchmark reports)."""
-        return {
-            "reason": str(self),
-            "retry_after_hint": self.retry_after_hint,
-            "queue_depth": self.queue_depth,
-        }
-
 
 class ServiceClosedError(ServiceError):
     """The query service is shut down (or shutting down) and accepts no

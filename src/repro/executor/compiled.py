@@ -1,12 +1,13 @@
-"""Predicate/projection compilation for the vectorized executor.
+"""Predicate/key compilation for the vectorized executor.
 
 Row-at-a-time execution interprets every predicate per row: an attribute
 lookup, an ``isinstance`` test on the operand, and an if-chain over the
-comparison operator — all inside the inner loop.  The batch executor
-compiles each predicate **once per operator open** into a closure that
-filters a whole list of rows with a single list comprehension, with the
-operand value and tuple position bound in the enclosing scope and the
-comparison inlined as a native operator.  Projections likewise compile to
+comparison operator — all inside the inner loop.  The vectorized
+executor resolves each predicate **once per operator open**: the code
+generator (:mod:`repro.executor.fused`) inlines it as a native comparison
+against :func:`resolve_operand`'s value, and the index scan's residual
+compiles into a closure that filters a whole list of rows with a single
+list comprehension.  Join and group keys compile to
 :func:`operator.itemgetter` calls.
 
 Binding semantics match the row path exactly: a predicate over an unbound
@@ -33,9 +34,6 @@ ValueBindings = Mapping[str, object]
 
 #: A compiled filter: list of rows in, qualifying rows out.
 BatchFilter = Callable[[list], list]
-
-#: A compiled projection: list of rows in, projected rows out.
-BatchProject = Callable[[list], list]
 
 #: A compiled key extractor for one row (join/group keys).
 KeyFunc = Callable[[Row], tuple]
@@ -104,10 +102,10 @@ def row_shape(positions: Sequence[int]) -> KeyFunc:
     tuples, but with exactly one it returns the bare value — a silent
     shape change that breaks hash-key equality against the interpreted
     ``tuple(row[p] for p in positions)`` form (and the Grace-partition
-    spill files keyed by it).  Every tuple-shaped extraction in the
-    engine — projections, join/group keys, and the fused codegen's
-    inlined expressions (:func:`row_shape_expr`) — goes through this
-    helper so the 1-tuple contract is pinned in one place.
+    spill files keyed by it).  Every compiled join/group key goes
+    through this helper, and the code generator's inlined key
+    expressions (``_RowExpr.key``) render the same shape, so the 1-tuple
+    contract is pinned in one place.
     """
     positions = tuple(positions)
     if not positions:  # cross products, scalar aggregates: one empty key
@@ -116,32 +114,6 @@ def row_shape(positions: Sequence[int]) -> KeyFunc:
         p = positions[0]
         return lambda row: (row[p],)
     return itemgetter(*positions)
-
-
-def row_shape_expr(positions: Sequence[int], var: str = "r") -> str:
-    """Source text of the :func:`row_shape` extraction, for codegen.
-
-    Renders ``(r[2],)`` / ``(r[1], r[4])`` — the same always-a-tuple
-    shape :func:`row_shape` produces, inlined into generated pipeline
-    source instead of paying a closure call per row.
-    """
-    positions = tuple(positions)
-    items = ", ".join(f"{var}[{p}]" for p in positions)
-    if len(positions) == 1:
-        return f"({items},)"
-    return f"({items})"
-
-
-def compile_project(
-    positions: Sequence[int],
-) -> BatchProject:
-    """Compile a positional projection into a whole-batch closure.
-
-    Row shape comes from :func:`row_shape`: always tuples, even 1-wide
-    (the engine's rows are always tuples).
-    """
-    getter = row_shape(positions)
-    return lambda rows: [getter(r) for r in rows]
 
 
 def compile_key(positions: Sequence[int]) -> KeyFunc:

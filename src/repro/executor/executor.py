@@ -18,16 +18,7 @@ from typing import Mapping, NamedTuple
 from repro.cost.context import DOP_PARAMETER, CostContext
 from repro.errors import ExecutionError
 from repro.executor.database import Database
-from repro.executor.batch import (
-    BatchBtreeScanIterator,
-    BatchFileScanIterator,
-    BatchFilterIterator,
-    BatchHashJoinIterator,
-    BatchIndexJoinIterator,
-    BatchLeftOuterHashJoinIterator,
-    BatchProjectIterator,
-    BatchSemiJoinIterator,
-)
+from repro.executor.batch import BatchBtreeScanIterator, BatchFileScanIterator
 from repro.executor.iterators import (
     BatchIterator,
     BtreeScanIterator,
@@ -54,7 +45,7 @@ from repro.executor.iterators import (
     TopNIterator,
     UnionAllIterator,
 )
-from repro.executor.fused import iter_fused_pipelines, try_fuse
+from repro.executor.fused import iter_fused_pipelines, step_pipeline, try_fuse
 from repro.obs.metrics import get_metrics
 from repro.obs.telemetry import CardinalityLedger, get_ledger, plan_signature
 from repro.obs.trace import get_tracer
@@ -191,17 +182,17 @@ def execute_plan(
     whole-pipeline codegen — maximal streaming chains between pipeline
     breakers are compiled into one generated function per pipeline (see
     :mod:`repro.executor.fused`), cached by plan signature — ``"batch"``
-    runs the same vectorized operators with per-operator dispatch, and
-    ``"row"`` runs the interpreted row-at-a-time Volcano iterators.  The
-    blocking operators are the same classes in every mode.
+    runs the same generated steps unfused, one operator per pipeline,
+    and ``"row"`` runs the interpreted row-at-a-time Volcano iterators.
+    The blocking operators are the same classes in every mode.
     Operators exchange :class:`~repro.executor.tuples.RowBatch` blocks
     of ``batch_size`` rows (default
     :data:`~repro.executor.tuples.DEFAULT_BATCH_SIZE`) in the vectorized
     modes.  All three modes produce byte-identical rows in identical
     order; the cost model and every plan decision are mode-independent.
-    ``analyze`` (per-operator metering) and adaptive guards disable
-    fusion for the affected run — fused falls back to plain batch
-    construction there, which is output-identical.
+    ``analyze`` (per-operator metering) and adaptive guards wrap every
+    operator individually, so a fused request runs unfused — as batch
+    mode, which is output-identical — for the affected run.
 
     ``guard`` is an adaptive-execution guard (see
     :class:`repro.adaptive.guard.AdaptiveGuard`, duck-typed here):
@@ -249,8 +240,8 @@ def execute_plan(
 
     vectorized = execution_mode != "row"
     # Metering and guards wrap every operator individually, which a fused
-    # chain cannot honor — those runs build the plain batch tree instead
-    # (byte-identical output).
+    # chain cannot honor — those runs build the batch tree instead (the
+    # same steps, one per pipeline: byte-identical output).
     fuse = execution_mode == "fused" and operator_stats is None and guard is None
     if execution_mode == "fused" and not fuse:
         get_metrics().counter("codegen.bypassed").inc()
@@ -434,18 +425,19 @@ class _Operator:
     """One row of the node-type table: the operator for a plan node.
 
     ``row`` and ``batch`` are the same class where the algorithm is
-    written once (the blocking operators); they differ where an
-    interpreted row-at-a-time reference stands beside a compiled batch
-    version (the streaming operators).  Both take the built inputs first,
-    then ``args`` in order — plan-node fields, except the names in
+    written once (the blocking operators); they differ for the scans and
+    the exchange, and ``batch`` is None for the streaming operators,
+    whose vectorized form is a generated step
+    (:data:`repro.executor.fused.STEPS`) beside the interpreted
+    row-at-a-time reference.  A class takes the built inputs first, then
+    ``args`` in order — plan-node fields, except the names in
     :data:`_CONTEXT_ARGS`, which come from the build context — and the
-    batch class takes the batch size last when ``sized``.
+    batch class takes the batch size last.
     """
 
     row: type[PlanIterator]
-    batch: type[BatchIterator]
+    batch: type[BatchIterator] | None
     args: tuple[str, ...] = ()
-    sized: bool = True
     #: the node field naming the base relation whose stored tuples enter
     #: the plan at this operator (what an exchange worker must slice).
     relation: str | None = None
@@ -469,19 +461,16 @@ _OPERATORS: dict[type[PlanNode], _Operator] = {
         BtreeScanIterator, BatchBtreeScanIterator,
         ("db", "relation", "key", "predicate", "bindings"), relation="relation",
     ),
-    FilterNode: _Operator(
-        FilterIterator, BatchFilterIterator,
-        ("predicate", "bindings"), sized=False,
-    ),
+    FilterNode: _Operator(FilterIterator, None, ("predicate", "bindings")),
     HashJoinNode: _Operator(
-        HashJoinIterator, BatchHashJoinIterator, ("predicates", "db", "memory")
+        HashJoinIterator, None, ("predicates", "db", "memory")
     ),
     MergeJoinNode: _single(MergeJoinIterator, "predicates"),
     NestedLoopsJoinNode: _single(
         NestedLoopsJoinIterator, "predicates", "db", "memory"
     ),
     IndexJoinNode: _Operator(
-        IndexJoinIterator, BatchIndexJoinIterator,
+        IndexJoinIterator, None,
         ("db", "inner_relation", "inner_key", "predicates"),
         relation="inner_relation",
     ),
@@ -490,18 +479,14 @@ _OPERATORS: dict[type[PlanNode], _Operator] = {
         PartialSortIterator, "keys", "prefix_len", "db", "memory"
     ),
     TopNNode: _single(TopNIterator, "key", "limit"),
-    ProjectNode: _Operator(
-        ProjectIterator, BatchProjectIterator, ("attributes",), sized=False
-    ),
+    ProjectNode: _Operator(ProjectIterator, None, ("attributes",)),
     HashAggregateNode: _single(HashAggregateIterator, "spec"),
     SortedAggregateNode: _single(SortedAggregateIterator, "spec"),
     SemiJoinNode: _Operator(
-        SemiJoinIterator, BatchSemiJoinIterator,
-        ("outer_attr", "inner_attr"), sized=False,
+        SemiJoinIterator, None, ("outer_attr", "inner_attr")
     ),
     LeftOuterJoinNode: _Operator(
-        LeftOuterHashJoinIterator, BatchLeftOuterHashJoinIterator,
-        ("left_attr", "right_attr"), sized=False,
+        LeftOuterHashJoinIterator, None, ("left_attr", "right_attr")
     ),
     UnionAllNode: _single(UnionAllIterator, variadic=True),
     DistinctNode: _single(DistinctIterator),
@@ -544,32 +529,34 @@ class BuildContext(NamedTuple):
 
     @property
     def sized(self) -> tuple:
-        """The trailing batch-size argument of sized classes."""
+        """The trailing batch-size argument of a vectorized tree's classes."""
         return () if self.batch_size is None else (self.batch_size,)
 
     def instantiate(self, op: _Operator, *args, **kwargs):
         """Construct this context's column of ``op`` over ``args``."""
         cls = op.row if self.batch_size is None else op.batch
-        return cls(*args, *(self.sized if op.sized else ()), **kwargs)
+        return cls(*args, *self.sized, **kwargs)
 
 
 def build(node: PlanNode, cx: BuildContext) -> PlanIterator:
     """The iterator tree for ``node``: the one plan → iterator walk.
 
     With ``cx.fused``, maximal streaming chains compile into generated
-    pipelines (:mod:`repro.executor.fused`); everything below a cut point
-    comes back through here, so breakers, exchanges and their wrappers
-    are the same in every mode.
+    pipelines (:mod:`repro.executor.fused`); without it a vectorized
+    tree gets one pipeline per streaming operator.  Everything below a
+    cut point comes back through here, so breakers, exchanges and their
+    wrappers are the same in every mode.
     """
     if cx.pinned:
         entry = cx.pinned.get(id(node))
         if entry is not None:
             schema, rows = entry
             return MaterializedIterator(schema, tuple(rows), *cx.sized)
-    # Worker stripes cut through a scan's rows, which a fused scan reads
-    # as raw page chunks — exchange subtrees stay unfused.
+    # An exchange worker stripes the output of an index join that probes
+    # the driver (_worker_slice), which a chain cannot do between two of
+    # its steps — exchange subtrees get one pipeline per operator.
     if cx.fused and cx.partition is None:
-        pipeline = try_fuse(node, cx, build, _build_side)
+        pipeline = try_fuse(node, cx, _input)
         if pipeline is not None:
             return pipeline
     if isinstance(node, ChoosePlanNode):
@@ -623,13 +610,13 @@ def _operator(node: PlanNode, cx: BuildContext) -> PlanIterator:
         return cx.instantiate(
             _STRIPED_SCAN, cx.db, node.relation, partition.worker, partition.dop
         )
-    if isinstance(node, HashJoinNode):
-        inputs = [_build_side(node.inputs[0], cx), build(node.inputs[1], cx)]
+    inputs = [_input(node, index, cx) for index in range(len(node.inputs))]
+    if op.batch is None and cx.batch_size is not None:
+        iterator = step_pipeline(node, inputs, cx)
     else:
-        inputs = [build(child, cx) for child in node.inputs]
-    iterator = cx.instantiate(
-        op, *([inputs] if op.variadic else inputs), *_arguments(op, node, cx)
-    )
+        iterator = cx.instantiate(
+            op, *([inputs] if op.variadic else inputs), *_arguments(op, node, cx)
+        )
     if op.relation is not None:
         iterator = _worker_slice(
             iterator, getattr(node, op.relation), cx, leaf=not inputs
@@ -706,10 +693,14 @@ def _observed(
     return iterator
 
 
-def _build_side(node: PlanNode, cx: BuildContext) -> PlanIterator:
-    """A hash join's build input.  The join drains it entirely before
-    probing, so it is a breaker whether or not the probe chain is fused."""
-    return _observed(build(node, cx), node, f"{node.label} [build]", cx)
+def _input(node: PlanNode, index: int, cx: BuildContext) -> PlanIterator:
+    """Input ``index`` of ``node``, built.  A hash join drains its build
+    input entirely before probing, so that one is a breaker whether or
+    not the probe chain is fused."""
+    child = node.inputs[index]
+    if isinstance(node, HashJoinNode) and index == 0:
+        return _observed(build(child, cx), child, f"{child.label} [build]", cx)
+    return build(child, cx)
 
 
 def _exchange(

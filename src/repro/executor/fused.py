@@ -1,15 +1,20 @@
-"""Whole-pipeline codegen fusion (``execution_mode="fused"``).
+"""The streaming operators as generated code (``"batch"`` and ``"fused"``).
 
-The vectorized executor still pays one generator resumption plus one
-compiled-closure call per operator per batch, one intermediate row list
-per operator, and one closure call per row inside joins.  Fusion
-eliminates that interior dispatch: the activated plan (choose-plans
-resolved) is cut at pipeline breakers — sorts, aggregations, exchanges,
+A per-operator vectorized executor still pays one generator resumption
+per operator per batch, one intermediate row list per operator, and one
+closure call per row inside joins.  Generated code removes that: each
+streaming operator — filter, project, hash-join probe, semi-join outer,
+left-outer-join left, index-join outer — is a *step* that renders
+itself as Python source, and a chain of steps over one source iterator
+is ONE generated function, ``compile()``d once per plan open.
+``execution_mode="batch"`` makes a chain of every single operator
+(:func:`step_pipeline`); ``"fused"`` cuts the activated plan (choose-
+plans resolved) at pipeline breakers — sorts, aggregations, exchanges,
 merge/nested-loops joins, distinct, union, Top-N, anything that reorders
-or materializes — and every maximal chain of *streaming* operators above
-a cut point (filter, project, hash-join probe, semi-join outer,
-left-outer-join left, index-join outer) is rendered to Python source as
-ONE generated function per pipeline, ``compile()``d once per plan open.
+or materializes — and makes one chain of every maximal run of streaming
+operators above a cut point (:func:`try_fuse`).  The step classes are
+the only vectorized implementation of these operators; the interpreted
+row classes of :mod:`repro.executor.iterators` are the reference.
 
 The generated body is a **single list comprehension** per fusable run,
 not one pass per operator: the row flowing through the chain is tracked
@@ -22,12 +27,11 @@ intermediate lists, no per-operator tuple materialization, no closure
 calls, appends at C speed.  A left-outer join (whose miss branch pads
 with NULLs) splits the loop: it renders as its own batch-at-a-time pass
 between two comprehensions.  When the pipeline bottoms out at a bare
-heap scan, the scan fuses too: the generated loop iterates raw
-buffer-pool page chunks (``for r in _chain(_pages)``) with the stock
-scan's exact flush/chunk/read behavior, skipping batch assembly.
-Run-time state (predicate operands, hash tables, b-tree handles) binds
-through an ``env`` dict, so the generated source is a pure function of
-plan structure.
+heap scan, the scan fuses too: the generated loop iterates the scan's
+raw buffer-pool page chunks (``for r in _chain(_pages)``), skipping
+batch assembly.  Run-time state (predicate operands, hash tables, b-tree
+handles) binds through an ``env`` dict, so the generated source is a
+pure function of plan structure.
 
 Generated code is cached process-wide, keyed by the activated chain's
 plan signatures (:func:`repro.obs.telemetry.plan_signature`): a serving
@@ -39,30 +43,30 @@ least recently used.  Hits, misses and evictions are counted as
 appear in the OpenMetrics export).
 
 Byte-identity: every step processes rows independently and in order, so
-the single-pass loop emits exactly the row sequence the per-operator
-cascade emits — same row order, same values — and the concatenated row
-stream is identical to batch mode (which is itself byte-identical to
-row mode).  Two cases leave the generated code path:
+a chain's single-pass loop emits exactly the row sequence the same
+steps emit one pipeline each — same row order, same values — which is
+in turn the row sequence of row mode.  Two things shorten a chain:
 
-* A hash join whose build side exceeds the memory budget Grace-spills
-  in batch mode, which groups output by partition.  The build side is
-  drained at open either way, so the spill is detected before any
-  probe row flows and the whole pipeline falls back to the plain batch
-  operator chain, reusing the already-drained build rows (and the
-  already-built semi-join sets / outer-join tables) — no re-scan, no
-  double ledger observation.  Counted as ``codegen.fallbacks`` and
-  traced as a ``codegen.fallback`` event naming the pipeline.
+* A hash join whose build side exceeds the memory budget Grace-spills,
+  which groups output by partition.  The build side is drained at open
+  either way, so the spill is detected before any probe row flows, and
+  the pipeline re-forms as one iterator per step: the spilling join
+  hands its drained rows to :class:`~repro.executor.batch.
+  GraceHashJoinIterator`, every other step becomes a one-step pipeline
+  that keeps what it already drained (hash build rows, semi-join sets,
+  outer-join tables) — no re-scan, no double ledger observation.
+  Counted as ``codegen.fallbacks`` and traced as a ``codegen.fallback``
+  event naming the pipeline.
 * EXPLAIN ANALYZE metering and adaptive-execution guards wrap every
-  operator individually; the executor falls back to plain batch
-  construction for those runs (see :func:`repro.executor.executor.
-  execute_plan`), keeping per-operator attribution exact.  Counted as
-  ``codegen.bypassed``.
+  operator individually; the executor builds those runs as batch mode
+  (see :func:`repro.executor.executor.execute_plan`), keeping
+  per-operator attribution exact.  Counted as ``codegen.bypassed``.
 
-Drain order matches batch mode: each blocking side (hash build,
-semi-join inner, outer-join right) is consumed top-down, fully, before
-the next side starts and before the pipeline source is pulled — the
-same order the nested batch generators produce, so ledger observations
-and simulated I/O totals line up.
+Drain order is the same at any chain length: each blocking side (hash
+build, semi-join inner, outer-join right) is consumed top-down, fully,
+before the next side starts and before the pipeline source is pulled —
+the order nested per-operator generators produce, so ledger
+observations and simulated I/O totals line up.
 """
 
 from __future__ import annotations
@@ -75,16 +79,10 @@ from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
 from repro.errors import BindingError, ExecutionError
 
-from repro.executor.batch import BatchFileScanIterator, BatchHashJoinIterator
-from repro.executor.compiled import (
-    compile_filter,
-    compile_key,
-    resolve_operand,
-)
-from repro.executor.database import Database
+from repro.executor.batch import BatchFileScanIterator, GraceHashJoinIterator
+from repro.executor.compiled import compile_key, resolve_operand
 from repro.executor.iterators import (
     BatchIterator,
-    MaterializedIterator,
     flatten,
     index_probe_positions,
     join_key_positions,
@@ -95,6 +93,7 @@ from repro.obs.metrics import get_metrics
 from repro.obs.telemetry import plan_signature
 from repro.obs.trace import get_tracer
 from repro.physical.plan import (
+    ChoosePlanNode,
     FilterNode,
     HashJoinNode,
     IndexJoinNode,
@@ -107,20 +106,6 @@ from repro.physical.plan import (
 
 if TYPE_CHECKING:
     from repro.executor.executor import BuildContext
-
-ValueBindings = Mapping[str, object]
-
-#: node classes fusable as streaming steps (everything else is a cut
-#: point: built as a regular batch iterator and used as the pipeline
-#: source).
-FUSIBLE_NODES = (
-    FilterNode,
-    ProjectNode,
-    HashJoinNode,
-    SemiJoinNode,
-    LeftOuterJoinNode,
-    IndexJoinNode,
-)
 
 _OP_SYMBOL = {
     CompareOp.EQ: "==",
@@ -256,20 +241,34 @@ class _CompCtx:
 # Steps
 # ----------------------------------------------------------------------
 class _Step:
-    """One fused streaming operator: codegen + open-time binding.
+    """One streaming operator: codegen + open-time binding.
 
-    ``render_loop`` emits the step's comprehension clauses (mutating
-    the context's symbolic row); ``prepare`` drains any blocking side
-    input and stores the run-time state ``bind`` later copies into
-    ``env``; ``fallback`` rebuilds the equivalent plain batch operator
-    over an input iterator, reusing the prepared state, for the spill
-    path.  ``LOOP_FUSABLE = False`` steps (the left-outer join) render
-    as their own batch-at-a-time pass via ``render_pass`` instead.
+    Every step is built as ``cls(node, in_schema, side, cx, index)`` —
+    ``side`` is the built blocking input (hash build, semi-join inner,
+    outer-join right) or None, ``cx`` the executor's build context and
+    ``index`` the step's place in its chain, which its ``env`` names
+    carry.  ``render_loop`` emits the step's comprehension clauses
+    (mutating the context's symbolic row); ``prepare`` drains ``side``,
+    once, and stores the run-time state ``bind`` later copies into
+    ``env``.  ``LOOP_FUSABLE = False`` steps (the left-outer join)
+    render as their own batch-at-a-time pass via ``render_pass``.
     """
 
-    __slots__ = ("node", "in_schema", "out_schema")
+    __slots__ = ("node", "out_schema", "side", "index")
 
     LOOP_FUSABLE = True
+
+    def __init__(
+        self,
+        node: PlanNode,
+        out_schema: RowSchema,
+        side: BatchIterator | None,
+        index: int,
+    ) -> None:
+        self.node = node
+        self.out_schema = out_schema
+        self.side = side
+        self.index = index
 
     def cache_token(self) -> str:
         raise NotImplementedError
@@ -284,7 +283,8 @@ class _Step:
         raise NotImplementedError
 
     def prepare(self) -> None:
-        """Drain blocking side inputs (called top-down, in chain order)."""
+        """Drain the blocking side input (called top-down, in chain
+        order; a second call finds the state in place and does nothing)."""
 
     def spills(self) -> bool:
         return False
@@ -293,93 +293,59 @@ class _Step:
         """Publish prepared run-time state under :meth:`env_names`."""
 
     def fallback(self, child: BatchIterator) -> BatchIterator:
-        return _PreparedStepIterator(self, child)
-
-    def apply(self, rows: list) -> list:
-        """Stock per-batch algorithm, for the spill-path fallback."""
-        raise NotImplementedError
+        """This step alone over ``child``, prepared state kept: how a
+        pipeline that cannot run as one loop re-forms around the join
+        that spills."""
+        return FusedPipelineIterator([self], child)
 
 
 class _FilterStep(_Step):
-    __slots__ = ("position", "op", "value", "bound", "unbound_name", "_index")
+    __slots__ = ("position", "op", "value", "unbound_name")
 
-    def __init__(
-        self,
-        node: FilterNode,
-        in_schema: RowSchema,
-        bindings: ValueBindings,
-        index: int,
-    ) -> None:
-        self.node = node
-        self.in_schema = in_schema
-        self.out_schema = in_schema
+    def __init__(self, node: FilterNode, in_schema, side, cx, index) -> None:
+        super().__init__(node, in_schema, side, index)
         self.position = in_schema.position(node.predicate.attribute)
         self.op = node.predicate.op
-        self.value, self.bound = resolve_operand(node.predicate, bindings)
+        self.value, bound = resolve_operand(node.predicate, cx.bindings)
         # Unbound host variable: defer the BindingError to the first row
         # that actually reaches this step, exactly as the interpreted
         # paths do (an input emptied below this step never raises).
-        self.unbound_name = (
-            None if self.bound else node.predicate.operand.name
-        )
-        self._index = index
+        self.unbound_name = None if bound else node.predicate.operand.name
 
     def cache_token(self) -> str:
-        bound = "b" if self.bound else "u"
+        bound = "u" if self.unbound_name else "b"
         return f"filter:{self.position}:{self.op.name}:{bound}"
 
     def env_names(self) -> tuple[str, ...]:
-        if self.bound:
-            return (f"_f{self._index}_v",)
-        return (f"_f{self._index}_raise",)
+        if self.unbound_name:
+            return (f"_f{self.index}_raise",)
+        return (f"_f{self.index}_v",)
 
     def render_loop(self, ctx: _CompCtx) -> None:
-        i = self._index
-        expr = ctx.row.index(self.position)
-        if self.bound:
-            symbol = _OP_SYMBOL[self.op]
-            ctx.emit(f"if {expr} {symbol} _f{i}_v")
-        else:
+        i = self.index
+        if self.unbound_name:
             ctx.emit(f"if _f{i}_raise()")
+        else:
+            expr = ctx.row.index(self.position)
+            ctx.emit(f"if {expr} {_OP_SYMBOL[self.op]} _f{i}_v")
 
     def bind(self, env: dict) -> None:
-        if self.bound:
-            env[f"_f{self._index}_v"] = self.value
-        else:
-            name = self.unbound_name
+        name = self.unbound_name
+        if name is None:
+            env[f"_f{self.index}_v"] = self.value
+            return
 
-            def raise_unbound() -> None:
-                raise BindingError(f"host variable :{name} is unbound")
+        def raise_unbound() -> None:
+            raise BindingError(f"host variable :{name} is unbound")
 
-            env[f"_f{self._index}_raise"] = raise_unbound
-
-    def apply(self, rows: list) -> list:
-        if not self.bound:
-            return compile_filter(self.node.predicate, self.in_schema, {})(
-                rows
-            )
-        p, v = self.position, self.value
-        op = self.op
-        if op is CompareOp.EQ:
-            return [r for r in rows if r[p] == v]
-        if op is CompareOp.NE:
-            return [r for r in rows if r[p] != v]
-        if op is CompareOp.LT:
-            return [r for r in rows if r[p] < v]
-        if op is CompareOp.LE:
-            return [r for r in rows if r[p] <= v]
-        if op is CompareOp.GT:
-            return [r for r in rows if r[p] > v]
-        return [r for r in rows if r[p] >= v]
+        env[f"_f{self.index}_raise"] = raise_unbound
 
 
 class _ProjectStep(_Step):
     __slots__ = ("positions",)
 
-    def __init__(self, node: ProjectNode, in_schema: RowSchema) -> None:
-        self.node = node
-        self.in_schema = in_schema
-        self.out_schema = RowSchema(tuple(node.attributes))
+    def __init__(self, node: ProjectNode, in_schema, side, cx, index) -> None:
+        super().__init__(node, RowSchema(tuple(node.attributes)), side, index)
         self.positions = tuple(
             in_schema.position(a) for a in node.attributes
         )
@@ -392,66 +358,43 @@ class _ProjectStep(_Step):
         # and surface in whatever expression finally materializes it.
         ctx.row = ctx.row.project(self.positions)
 
-    def apply(self, rows: list) -> list:
-        getter = compile_key(self.positions)
-        return [getter(r) for r in rows]
-
 
 class _HashProbeStep(_Step):
     """Probe side of a hash join; the build side drains at prepare().
 
-    The fused loop covers the in-memory case only.  ``spills()`` is
-    true when the drained build exceeds the memory budget, which sends
-    the whole pipeline down the plain-batch fallback where
-    :class:`BatchHashJoinIterator` Grace-partitions the already-drained
-    rows exactly as batch mode would.
+    The generated loop covers the in-memory case only.  ``spills()`` is
+    true when the drained build exceeds the memory budget: the pipeline
+    then re-forms around this step, which hands the already-drained rows
+    to :class:`GraceHashJoinIterator` to partition exactly as row mode
+    would.
     """
 
     __slots__ = (
-        "build_iterator",
-        "predicates",
         "db",
-        "memory_pages",
+        "budget_rows",
         "batch_size",
         "build_positions",
         "probe_positions",
         "build_rows",
-        "_index",
     )
 
-    def __init__(
-        self,
-        node: HashJoinNode,
-        in_schema: RowSchema,
-        build_iterator: BatchIterator,
-        db: Database,
-        memory_pages: int,
-        batch_size: int,
-        index: int,
-    ) -> None:
-        self.node = node
-        self.in_schema = in_schema
-        self.out_schema = build_iterator.schema.concat(in_schema)
-        self.build_iterator = build_iterator
-        self.predicates = node.predicates
-        self.db = db
-        self.memory_pages = memory_pages
-        self.batch_size = batch_size
-        self.build_positions = join_key_positions(
-            build_iterator.schema, node.predicates
-        )
+    def __init__(self, node: HashJoinNode, in_schema, side, cx, index) -> None:
+        super().__init__(node, side.schema.concat(in_schema), side, index)
+        self.db = cx.db
+        self.budget_rows = max(1, cx.memory) * cx.db.intermediate_rows_per_page
+        self.batch_size = cx.batch_size
+        self.build_positions = join_key_positions(side.schema, node.predicates)
         self.probe_positions = join_key_positions(in_schema, node.predicates)
         self.build_rows: list[Row] | None = None
-        self._index = index
 
     def cache_token(self) -> str:
         return "hashprobe:" + ",".join(map(str, self.probe_positions))
 
     def env_names(self) -> tuple[str, ...]:
-        return (f"_h{self._index}_get",)
+        return (f"_h{self.index}_get",)
 
     def render_loop(self, ctx: _CompCtx) -> None:
-        i = self._index
+        i = self.index
         if len(self.probe_positions) == 1:
             # Single-column joins hash the bare value: no per-row key
             # tuple.  Scalars group exactly as their 1-tuples would.
@@ -460,18 +403,18 @@ class _HashProbeStep(_Step):
             key = ctx.row.key(self.probe_positions)
         # A miss iterates the shared empty tuple: no None branch.
         ctx.emit(f"for q{i} in _h{i}_get({key}, _EMPTY)")
-        width = len(self.build_iterator.schema.attributes)
+        width = len(self.side.schema.attributes)
         ctx.row = ctx.row.prepend_var(f"q{i}", width)
 
     def prepare(self) -> None:
-        rows: list[Row] = []
-        for batch in self.build_iterator.batches():
-            rows.extend(batch.rows)
-        self.build_rows = rows
+        if self.build_rows is None:
+            rows: list[Row] = []
+            for batch in self.side.batches():
+                rows.extend(batch.rows)
+            self.build_rows = rows
 
     def spills(self) -> bool:
-        budget = max(1, self.memory_pages) * self.db.intermediate_rows_per_page
-        return len(self.build_rows or ()) > budget
+        return len(self.build_rows) > self.budget_rows
 
     def bind(self, env: dict) -> None:
         if len(self.build_positions) == 1:
@@ -480,112 +423,80 @@ class _HashProbeStep(_Step):
         else:
             key_of = compile_key(self.build_positions)
         table: dict[object, list[Row]] = {}
-        for row in self.build_rows or ():
+        for row in self.build_rows:
             key = key_of(row)
             bucket = table.get(key)
             if bucket is None:
                 table[key] = [row]
             else:
                 bucket.append(row)
-        env[f"_h{self._index}_get"] = table.get
+        env[f"_h{self.index}_get"] = table.get
 
     def fallback(self, child: BatchIterator) -> BatchIterator:
-        # The drained build rows replay through a materialized iterator,
-        # so the batch operator partitions/builds the identical row list
-        # without touching the (exhausted) build subtree again.
-        build = MaterializedIterator(
-            self.build_iterator.schema,
-            tuple(self.build_rows or ()),
-            self.batch_size,
-        )
-        return BatchHashJoinIterator(
-            build, child, self.predicates, self.db, self.memory_pages,
-            self.batch_size,
+        if not self.spills():
+            return super().fallback(child)
+        return GraceHashJoinIterator(
+            self.side.schema, self.build_rows, self.build_positions,
+            child, self.probe_positions,
+            self.db, self.budget_rows, self.batch_size,
         )
 
 
 class _SemiStep(_Step):
-    __slots__ = ("inner_iterator", "inner_attr", "position", "matches", "_index")
+    __slots__ = ("position", "matches")
 
-    def __init__(
-        self,
-        node: SemiJoinNode,
-        in_schema: RowSchema,
-        inner_iterator: BatchIterator,
-        index: int,
-    ) -> None:
-        self.node = node
-        self.in_schema = in_schema
-        self.out_schema = in_schema
-        self.inner_iterator = inner_iterator
-        self.inner_attr = node.inner_attr
+    def __init__(self, node: SemiJoinNode, in_schema, side, cx, index) -> None:
+        super().__init__(node, in_schema, side, index)
         self.position = in_schema.position(node.outer_attr)
         self.matches: set | None = None
-        self._index = index
 
     def cache_token(self) -> str:
         return f"semi:{self.position}"
 
     def env_names(self) -> tuple[str, ...]:
-        return (f"_s{self._index}",)
+        return (f"_s{self.index}",)
 
     def render_loop(self, ctx: _CompCtx) -> None:
         expr = ctx.row.index(self.position)
-        ctx.emit(f"if {expr} in _s{self._index}")
+        ctx.emit(f"if {expr} in _s{self.index}")
 
     def prepare(self) -> None:
-        inner_position = self.inner_iterator.schema.position(self.inner_attr)
-        self.matches = {
-            row[inner_position] for row in flatten(self.inner_iterator)
-        }
+        if self.matches is None:
+            inner_position = self.side.schema.position(self.node.inner_attr)
+            self.matches = {row[inner_position] for row in flatten(self.side)}
 
     def bind(self, env: dict) -> None:
-        env[f"_s{self._index}"] = self.matches
-
-    def apply(self, rows: list) -> list:
-        matches = self.matches
-        p = self.position
-        return [r for r in rows if r[p] in matches]
+        env[f"_s{self.index}"] = self.matches
 
 
 class _OuterStep(_Step):
-    """Left-outer hash join: a pass barrier inside the fused pipeline.
+    """Left-outer hash join: a pass barrier inside the pipeline.
 
     The NULL-padded miss branch would force every downstream step to
     render twice (once per branch), so the step runs batch-at-a-time
-    between two fused loops instead — the same algorithm as
-    :class:`~repro.executor.batch.BatchLeftOuterHashJoinIterator`.
+    between two fused loops instead.
     """
 
-    __slots__ = ("right_iterator", "right_attr", "position", "table", "padding", "_index")
+    __slots__ = ("position", "table", "padding")
 
     LOOP_FUSABLE = False
 
     def __init__(
-        self,
-        node: LeftOuterJoinNode,
-        in_schema: RowSchema,
-        right_iterator: BatchIterator,
-        index: int,
+        self, node: LeftOuterJoinNode, in_schema, side, cx, index
     ) -> None:
-        self.node = node
-        self.in_schema = in_schema
-        self.out_schema = in_schema.concat(right_iterator.schema)
-        self.right_iterator = right_iterator
-        self.right_attr = node.right_attr
+        super().__init__(node, in_schema.concat(side.schema), side, index)
         self.position = in_schema.position(node.left_attr)
         self.table: dict | None = None
-        self.padding = (None,) * len(right_iterator.schema.attributes)
-        self._index = index
+        self.padding = (None,) * len(side.schema.attributes)
 
     def cache_token(self) -> str:
         return f"outer:{self.position}:{len(self.padding)}"
 
     def env_names(self) -> tuple[str, ...]:
-        return (f"_o{self._index}_get", f"_o{self._index}_pad")
+        return (f"_o{self.index}_get", f"_o{self.index}_pad")
 
     def render_pass(self, lines: list[str]) -> None:
-        i = self._index
+        i = self.index
         lines.append("        out = []")
         lines.append("        _ap = out.append")
         lines.append("        for r in rows:")
@@ -598,81 +509,42 @@ class _OuterStep(_Step):
         lines.append("        rows = out")
 
     def prepare(self) -> None:
-        right_position = self.right_iterator.schema.position(self.right_attr)
-        table: dict[object, list[Row]] = {}
-        for row in flatten(self.right_iterator):
-            table.setdefault(row[right_position], []).append(row)
-        self.table = table
+        if self.table is None:
+            right_position = self.side.schema.position(self.node.right_attr)
+            table: dict[object, list[Row]] = {}
+            for row in flatten(self.side):
+                table.setdefault(row[right_position], []).append(row)
+            self.table = table
 
     def bind(self, env: dict) -> None:
-        env[f"_o{self._index}_get"] = self.table.get
-        env[f"_o{self._index}_pad"] = self.padding
-
-    def apply(self, rows: list) -> list:
-        get = self.table.get
-        p = self.position
-        padding = self.padding
-        out: list[Row] = []
-        append = out.append
-        for r in rows:
-            matches = get(r[p])
-            if matches:
-                for q in matches:
-                    append(r + q)
-            else:
-                append(r + padding)
-        return out
+        env[f"_o{self.index}_get"] = self.table.get
+        env[f"_o{self.index}_pad"] = self.padding
 
 
 class _IndexJoinStep(_Step):
-    __slots__ = (
-        "db",
-        "inner_relation",
-        "inner_key",
-        "predicates",
-        "inner_schema",
-        "probe_position",
-        "residuals",
-        "_lookup",
-        "_fetch",
-        "_index",
-    )
+    __slots__ = ("db", "inner_width", "probe_position", "residuals")
 
-    def __init__(
-        self,
-        node: IndexJoinNode,
-        in_schema: RowSchema,
-        db: Database,
-        index: int,
-    ) -> None:
-        self.node = node
-        self.in_schema = in_schema
-        self.db = db
-        self.inner_relation = node.inner_relation
-        self.inner_key = node.inner_key
-        self.predicates = node.predicates
+    def __init__(self, node: IndexJoinNode, in_schema, side, cx, index) -> None:
         inner_schema = RowSchema.from_schema(
-            db.catalog.relation(node.inner_relation).schema
+            cx.db.catalog.relation(node.inner_relation).schema
         )
-        self.inner_schema = inner_schema
-        self.out_schema = in_schema.concat(inner_schema)
+        super().__init__(node, in_schema.concat(inner_schema), side, index)
+        self.db = cx.db
+        self.inner_width = len(inner_schema.attributes)
         self.probe_position, self.residuals = index_probe_positions(
             in_schema, inner_schema, node.inner_relation, node.inner_key,
             node.predicates,
         )
-        self._lookup = None
-        self._fetch = None
-        self._index = index
 
     def cache_token(self) -> str:
         residuals = ";".join(f"{a}={b}" for a, b in self.residuals)
         return f"indexjoin:{self.probe_position}:{residuals}"
 
     def env_names(self) -> tuple[str, ...]:
-        return (f"_x{self._index}_lookup", f"_x{self._index}_fetch")
+        return (f"_x{self.index}_lookup", f"_x{self.index}_fetch")
 
     def render_loop(self, ctx: _CompCtx) -> None:
-        i = self._index
+        i = self.index
         probe = ctx.row.index(self.probe_position)
         # map() keeps the fetch lazy and in record-id order, exactly as
         # the interpreted per-rid loop performs it.
@@ -682,56 +554,26 @@ class _IndexJoinStep(_Step):
                 f"{ctx.row.index(a)} == q{i}[{b}]" for a, b in self.residuals
             )
             ctx.emit(f"if {condition}")
-        width = len(self.inner_schema.attributes)
-        ctx.row = ctx.row.append_var(f"q{i}", width)
-
-    def prepare(self) -> None:
-        self._lookup = self.db.btree_on(self.inner_key).lookup
-        self._fetch = self.db.heap(self.inner_relation).fetch
+        ctx.row = ctx.row.append_var(f"q{i}", self.inner_width)
 
     def bind(self, env: dict) -> None:
-        env[f"_x{self._index}_lookup"] = self._lookup
-        env[f"_x{self._index}_fetch"] = self._fetch
-
-    def apply(self, rows: list) -> list:
-        lookup = self._lookup
-        fetch = self._fetch
-        probe_position = self.probe_position
-        residuals = self.residuals
-        out: list[Row] = []
-        append = out.append
-        for r in rows:
-            for rid in lookup(r[probe_position]):
-                q = fetch(rid)
-                if all(r[a] == q[b] for a, b in residuals):
-                    append(r + q)
-        return out
+        node = self.node
+        env[f"_x{self.index}_lookup"] = self.db.btree_on(node.inner_key).lookup
+        env[f"_x{self.index}_fetch"] = self.db.heap(node.inner_relation).fetch
 
 
-class _PreparedStepIterator(BatchIterator):
-    """Spill-path adapter: applies one prepared step batch-at-a-time.
-
-    Used for steps whose blocking side (if any) was already drained
-    during prepare() — re-instantiating the stock batch operator would
-    re-drain an exhausted iterator.  ``step.apply`` reproduces the stock
-    operator's per-batch algorithm, so row order is unchanged; empty
-    output blocks are suppressed exactly as the stock operators do
-    (projections and outer joins never shrink a non-empty block).
-    """
-
-    __slots__ = ("step", "child")
-
-    def __init__(self, step: _Step, child: BatchIterator) -> None:
-        self.step = step
-        self.child = child
-        self.schema = step.out_schema
-
-    def batches(self) -> Iterator[RowBatch]:
-        apply = self.step.apply
-        for batch in self.child.batches():
-            rows = apply(batch.rows)
-            if rows:
-                yield RowBatch(rows)
+#: The streaming node types: node type → (step class, the input rows
+#: stream in from, the blocking side input if any).  Every other node
+#: type is a cut point: built as a regular iterator and used as a
+#: pipeline's source.
+STEPS: dict[type[PlanNode], tuple[type[_Step], int, int | None]] = {
+    FilterNode: (_FilterStep, 0, None),
+    ProjectNode: (_ProjectStep, 0, None),
+    IndexJoinNode: (_IndexJoinStep, 0, None),
+    HashJoinNode: (_HashProbeStep, 1, 0),
+    SemiJoinNode: (_SemiStep, 0, 1),
+    LeftOuterJoinNode: (_OuterStep, 0, 1),
+}
 
 
 # ----------------------------------------------------------------------
@@ -811,12 +653,11 @@ def _render_source(
 
 
 class FusedPipelineIterator(BatchIterator):
-    """One fused pipeline: a source iterator driven through generated code.
+    """One pipeline: a source iterator driven through generated code.
 
     Construction renders (or cache-hits) and compiles the generated
     function; all I/O — draining blocking sides, pulling the source —
-    happens lazily in :meth:`batches`, matching the laziness of the
-    stock batch iterators.
+    happens lazily in :meth:`batches`, as in every other iterator.
     """
 
     __slots__ = (
@@ -864,14 +705,15 @@ class FusedPipelineIterator(BatchIterator):
         )
 
     def batches(self) -> Iterator[RowBatch]:
-        # Blocking sides drain top-down — the same order the nested
-        # batch generators drain them — before any source batch flows.
+        # Blocking sides drain top-down — the order nested per-operator
+        # generators drain them — before any source batch flows.
         for step in self.steps:
             step.prepare()
         if any(step.spills() for step in self.steps):
-            # A build side exceeded the memory budget: Grace-spill
-            # through the stock operators (byte-identical output order),
-            # reusing every already-drained side.
+            # A build side exceeded the memory budget, and Grace
+            # partitioning regroups the join's output: the pipeline
+            # re-forms as one iterator per step around the spilling
+            # join, every already-drained side kept.
             get_metrics().counter("codegen.fallbacks").inc()
             tracer = get_tracer()
             if tracer.enabled:
@@ -888,28 +730,10 @@ class FusedPipelineIterator(BatchIterator):
         env: dict = {}
         for step in self.steps:
             step.bind(env)
-        if self.scan_fused:
-            yield from self._fn(self._scan_chunks(), env)
-        else:
-            yield from self._fn(self.source.batches(), env)
-
-    def _scan_chunks(self) -> Iterator[list[list]]:
-        """Buffer-pool page chunks of the fused heap scan.
-
-        Mirrors :meth:`BatchFileScanIterator.batches` — same flush,
-        same chunk size, same read calls, so simulated I/O and pool
-        accounting are identical — but hands the raw page payloads to
-        the generated code without assembling row blocks.
-        """
-        scan: BatchFileScanIterator = self.source  # type: ignore[assignment]
-        heap = scan.db.heap(scan.relation)
-        heap.flush()
-        name = heap.name
-        pages = scan.db.disk.page_count(name)
-        chunk = max(1, -(-scan.batch_size // heap.records_per_page))
-        read_range = scan.db.buffer.read_page_range
-        for first in range(0, pages, chunk):
-            yield read_range(name, first, min(first + chunk, pages))
+        source = self.source
+        yield from self._fn(
+            source.page_chunks() if self.scan_fused else source.batches(), env
+        )
 
 
 def _pipeline_cache_key(
@@ -917,15 +741,18 @@ def _pipeline_cache_key(
 ) -> str:
     """Cache key of the activated chain's generated source.
 
-    Combines each step's structural plan signature with its rendered
-    shape token (positions, operators, binding shape) and the source
-    schema width.  Signatures make the key stable across process
-    restarts for identical plan structure; shape tokens keep it sound
-    when two structurally distinct plans hash near each other or when a
-    host variable's boundness changes the rendered source.
+    Combines each step's structural plan signature with its chain index
+    (the ``env`` names in the rendered source carry it, and a step
+    re-formed alone after a spill keeps its index), its rendered shape
+    token (positions, operators, binding shape) and the source schema
+    width.  Signatures make the key stable across process restarts for
+    identical plan structure; shape tokens keep it sound when two
+    structurally distinct plans hash near each other or when a host
+    variable's boundness changes the rendered source.
     """
     parts = [
-        f"{plan_signature(step.node)}:{step.cache_token()}" for step in steps
+        f"{plan_signature(step.node)}:{step.index}:{step.cache_token()}"
+        for step in steps
     ]
     kind = "scan" if scan_fused else "batch"
     parts.append(f"src:{kind}:{len(source.schema.attributes)}")
@@ -934,74 +761,61 @@ def _pipeline_cache_key(
 
 
 # ----------------------------------------------------------------------
-# Chain collection
+# Pipeline construction
 # ----------------------------------------------------------------------
+def step_pipeline(
+    node: PlanNode, inputs: list[BatchIterator], cx: BuildContext
+) -> FusedPipelineIterator:
+    """One streaming operator over its built ``inputs``, as a pipeline of
+    one step: batch mode, and every subtree whose operators are wrapped
+    individually (metering, adaptive guards, exchange workers)."""
+    cls, stream, side = STEPS[type(node)]
+    source = inputs[stream]
+    built = None if side is None else inputs[side]
+    return FusedPipelineIterator(
+        [cls(node, source.schema, built, cx, 0)], source
+    )
+
+
 def try_fuse(
     node: PlanNode,
     cx: BuildContext,
-    build: Callable[[PlanNode, BuildContext], BatchIterator],
-    build_side: Callable[[PlanNode, BuildContext], BatchIterator],
+    build_input: Callable[[PlanNode, int, BuildContext], BatchIterator],
 ) -> FusedPipelineIterator | None:
-    """Collect the maximal fusible chain rooted at ``node``.
+    """Collect the maximal chain of streaming operators rooted at ``node``.
 
     Returns ``None`` when ``node`` starts no chain (the caller falls
     through to the stock operator dispatch).  ``cx`` is the executor's
-    build context; ``build(child, cx)`` builds side inputs and the pipeline source
-    through the ordinary constructor — recursively fusing below cut
-    points — and ``build_side(child, cx)`` builds a hash join's build
-    input with the constructor's breaker wrapping (the ledger-probe
-    "[build]" observation).  A node whose subtree has a materialized
-    substitute is a cut point too (the substitute replaces the whole
-    subtree, filter included).
+    build context; ``build_input(node, i, cx)`` builds input ``i`` of a
+    node through the ordinary constructor — recursively fusing below cut
+    points, and wrapping a hash join's build input as the breaker it is
+    (the ledger-probe "[build]" observation).  A node whose subtree has
+    a materialized substitute is a cut point too (the substitute
+    replaces the whole subtree, filter included).
     """
     pinned, materialized = cx.pinned, cx.materialized
-    links: list[tuple[PlanNode, PlanNode | None]] = []
+    links: list[PlanNode] = []
     current = node
-    while True:
-        if pinned and id(current) in pinned:
-            break
+    while not (pinned and id(current) in pinned):
         resolved = _resolve_chooses(current, cx.choices)
-        if resolved is None or not isinstance(resolved, FUSIBLE_NODES):
+        if type(resolved) not in STEPS:
             break
-        if materialized:
-            info = leaf_access_info(resolved)
-            if info is not None and info in materialized:
-                break
-        if isinstance(resolved, HashJoinNode):
-            links.append((resolved, resolved.inputs[0]))
-            current = resolved.inputs[1]
-        elif isinstance(resolved, (SemiJoinNode, LeftOuterJoinNode)):
-            links.append((resolved, resolved.inputs[1]))
-            current = resolved.inputs[0]
-        else:  # FilterNode, ProjectNode, IndexJoinNode: single input
-            links.append((resolved, None))
-            current = resolved.inputs[0]
+        if materialized and leaf_access_info(resolved) in materialized:
+            break
+        links.append(resolved)
+        stream = STEPS[type(resolved)][1]
+        current = resolved.inputs[stream]
     if not links:
         return None
-    source = build(current, cx)
+    source = build_input(links[-1], stream, cx)
     # Schemas flow bottom-up; steps are stored root-first.
-    steps: list[_Step] = [None] * len(links)  # type: ignore[list-item]
-    in_schema = source.schema
-    for position in range(len(links) - 1, -1, -1):
-        step_node, side = links[position]
-        index = len(links) - 1 - position
-        if isinstance(step_node, FilterNode):
-            step: _Step = _FilterStep(step_node, in_schema, cx.bindings, index)
-        elif isinstance(step_node, ProjectNode):
-            step = _ProjectStep(step_node, in_schema)
-        elif isinstance(step_node, HashJoinNode):
-            step = _HashProbeStep(
-                step_node, in_schema, build_side(side, cx), cx.db, cx.memory,
-                cx.batch_size, index,
-            )
-        elif isinstance(step_node, SemiJoinNode):
-            step = _SemiStep(step_node, in_schema, build(side, cx), index)
-        elif isinstance(step_node, LeftOuterJoinNode):
-            step = _OuterStep(step_node, in_schema, build(side, cx), index)
-        else:
-            step = _IndexJoinStep(step_node, in_schema, cx.db, index)
-        steps[position] = step
-        in_schema = step.out_schema
+    steps: list[_Step] = []
+    for index, link in enumerate(reversed(links)):
+        cls, _, side = STEPS[type(link)]
+        in_schema = steps[-1].out_schema if steps else source.schema
+        built = None if side is None else build_input(link, side, cx)
+        steps.append(cls(link, in_schema, built, cx, index))
+    steps.reverse()
     return FusedPipelineIterator(steps, source)
 
 
@@ -1009,13 +823,8 @@ def _resolve_chooses(
     node: PlanNode, choices: Mapping[int, PlanNode]
 ) -> PlanNode | None:
     """Follow choose-plan decisions; None when a decision is missing."""
-    from repro.physical.plan import ChoosePlanNode
-
     while isinstance(node, ChoosePlanNode):
-        chosen = choices.get(id(node))
-        if chosen is None:
-            return None
-        node = chosen
+        node = choices.get(id(node))
     return node
 
 
@@ -1033,11 +842,7 @@ def iter_fused_pipelines(
         if isinstance(current, FusedPipelineIterator):
             yield current
             stack.append(current.source)
-            for step in current.steps:
-                for name in ("build_iterator", "inner_iterator", "right_iterator"):
-                    side = getattr(step, name, None)
-                    if isinstance(side, BatchIterator):
-                        stack.append(side)
+            stack.extend(s.side for s in current.steps if s.side is not None)
             continue
         for cls in type(current).__mro__:
             for slot in getattr(cls, "__slots__", ()):

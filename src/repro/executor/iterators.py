@@ -14,9 +14,8 @@ and the wrappers the plan builder puts around operators — are written
 once here as a :class:`RowStreamIterator` and serve both entry points.
 The streaming operators (scans, filter, project, hash/index/semi/outer
 joins) keep an interpreted row-at-a-time version in this module — the
-reference the compiled batch versions in :mod:`repro.executor.batch` and
-the generated pipelines in :mod:`repro.executor.fused` are compared
-against.
+reference the batch scans in :mod:`repro.executor.batch` and the
+generated steps in :mod:`repro.executor.fused` are compared against.
 """
 
 from __future__ import annotations

@@ -18,18 +18,11 @@ own contiguous page stripe is charged sequential I/O even though the
 stripes interleave on the shared disk — the per-stream prefetch model of
 a striped disk array, and the assumption the parallel cost formulas make
 when they divide scan I/O by the degree of parallelism.
-
-``latency_scale`` (default 0: off) optionally turns charged I/O time into
-real ``time.sleep`` — performed *outside* the lock — making execution
-I/O-bound in wall-clock terms, so striped parallel scans genuinely
-overlap their waits; tests, paper experiments and ``benchmarks/e2e`` keep
-the zero-latency default.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -75,7 +68,6 @@ class SimulatedDisk:
     def __init__(self, model: CostModel) -> None:
         self.model = model
         self.counters = IoCounters()
-        self.latency_scale: float = 0.0
         self._files: dict[str, _File] = {}
         self._temp_counter = 0
         self._lock = threading.RLock()
@@ -124,11 +116,8 @@ class SimulatedDisk:
             file = self._file(name)
             file.pages.append(payload)
             self.counters.writes += 1
-            charged = self.model.sequential_page_io
-            self.counters.seconds += charged
-            page_no = len(file.pages) - 1
-        self._sleep(charged)
-        return page_no
+            self.counters.seconds += self.model.sequential_page_io
+            return len(file.pages) - 1
 
     def write_page(self, name: str, page_no: int, payload: list) -> None:
         """Overwrite an existing page in place."""
@@ -137,9 +126,7 @@ class SimulatedDisk:
             self._check_page(file, page_no)
             file.pages[page_no] = payload
             self.counters.writes += 1
-            charged = self.model.random_page_io
-            self.counters.seconds += charged
-        self._sleep(charged)
+            self.counters.seconds += self.model.random_page_io
 
     def read_page(self, name: str, page_no: int) -> list:
         """Read one page, charging sequential or random time.
@@ -156,15 +143,12 @@ class SimulatedDisk:
             last = file.last_read_by_stream.get(stream)
             if last is not None and page_no == last + 1:
                 self.counters.sequential_reads += 1
-                charged = self.model.sequential_page_io
+                self.counters.seconds += self.model.sequential_page_io
             else:
                 self.counters.random_reads += 1
-                charged = self.model.random_page_io
-            self.counters.seconds += charged
+                self.counters.seconds += self.model.random_page_io
             file.last_read_by_stream[stream] = page_no
-            payload = file.pages[page_no]
-        self._sleep(charged)
-        return payload
+            return file.pages[page_no]
 
     def read_page_range(self, name: str, first: int, last: int) -> list[list]:
         """Read pages ``[first, last)`` under one lock acquisition.
@@ -190,15 +174,12 @@ class SimulatedDisk:
                 sequential = count - 1
             self.counters.sequential_reads += sequential
             self.counters.random_reads += count - sequential
-            charged = (
+            self.counters.seconds += (
                 sequential * self.model.sequential_page_io
                 + (count - sequential) * self.model.random_page_io
             )
-            self.counters.seconds += charged
             file.last_read_by_stream[stream] = last - 1
-            payloads = file.pages[first:last]
-        self._sleep(charged)
-        return payloads
+            return file.pages[first:last]
 
     def scan_pages(self, name: str) -> Iterator[tuple[int, list]]:
         """Read every page of a file in order (sequential after the first)."""
@@ -208,10 +189,6 @@ class SimulatedDisk:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _sleep(self, charged: float) -> None:
-        if self.latency_scale > 0.0:
-            time.sleep(charged * self.latency_scale)
-
     def _file(self, name: str) -> _File:
         try:
             return self._files[name]

@@ -181,8 +181,9 @@ def run_fuzz(
     by exhaustive choose-plan enumeration), throttled to every
     ``check_sharded_every``-th case.  ``check_fused_every`` throttles
     the fused-codegen differential (fused execution byte-identical to
-    plain batch at two batch sizes, plus post-activation ∀i gᵢ = dᵢ at
-    corner bindings); ``1`` checks every case, ``0`` disables it.
+    batch at two batch sizes, both to row mode at the minimum memory
+    budget, plus post-activation ∀i gᵢ = dᵢ at corner bindings); ``1``
+    checks every case, ``0`` disables it.
     ``runner`` lets tests
     substitute an
     instrumented :func:`~repro.qa.invariants.run_case` (e.g. with an

@@ -303,8 +303,9 @@ def run_case(
     in-process shards and compared against the oracle, with per-shard
     gᵢ = dᵢ verified against an exhaustive choose-plan enumeration.
     ``check_fused`` enables the fused-codegen differential: fused
-    execution must be byte-identical to plain batch at the default and
-    a tiny batch size, and the start-up decision re-resolved *after*
+    execution must be byte-identical to batch at the default and a tiny
+    batch size, both to row mode at the minimum memory budget (where
+    hash joins spill), and the start-up decision re-resolved *after*
     fused execution must still satisfy gᵢ = dᵢ at every sampled corner
     binding (codegen and its cache must not perturb optimizer state).
     """
@@ -740,7 +741,10 @@ def _check_fused(
     The activated dynamic plan and the fully-bound run-time plan both
     execute in fused mode at the default and a deliberately tiny batch
     size; the raw row stream — order included, no canonicalization —
-    must match plain batch mode exactly.  Afterwards the start-up
+    must match batch mode exactly.  Both vectorized modes then run
+    at the minimum memory budget, where every hash join of more than a
+    page spills and its pipeline re-forms around the Grace join, and
+    must match row mode at the same budget.  Afterwards the start-up
     decision re-resolves at the derived binding and at the corner
     bindings of the parameter space, and each resolution must still
     satisfy gᵢ = dᵢ: whole-pipeline codegen and its process-wide code
@@ -750,30 +754,34 @@ def _check_fused(
         "dynamic": (dynamic.plan, decision.choices),
         "run-time": (runtime.plan, None),
     }
+    tight = {"memory_pages": 1}
     for label, (plan, choices) in targets.items():
-        reference = execute_plan(
-            plan,
-            db,
-            bindings=case.bindings,
-            choices=choices,
-            execution_mode="batch",
-        )
-        for variant, kwargs in (("fused", {}), ("fused3", {"batch_size": 3})):
-            fused = execute_plan(
+
+        def rows(mode: str, **kwargs) -> list[tuple]:
+            return execute_plan(
                 plan,
                 db,
                 bindings=case.bindings,
                 choices=choices,
-                execution_mode="fused",
+                execution_mode=mode,
                 **kwargs,
-            )
-            if json.dumps(fused.rows) != json.dumps(reference.rows):
+            ).rows
+
+        references = {"batch": rows("batch"), "row": rows("row", **tight)}
+        for variant, mode, kwargs, against in (
+            ("fused", "fused", {}, "batch"),
+            ("fused3", "fused", {"batch_size": 3}, "batch"),
+            ("spill-batch3", "batch", {"batch_size": 3, **tight}, "row"),
+            ("spill-fused3", "fused", {"batch_size": 3, **tight}, "row"),
+        ):
+            got, reference = rows(mode, **kwargs), references[against]
+            if json.dumps(got) != json.dumps(reference):
                 report(
                     f"fused-identity-{variant}-{label}",
                     f"{variant} execution of the {label} plan returned "
-                    f"{len(fused.rows)} rows != batch-mode "
-                    f"{len(reference.rows)}; first diff: "
-                    f"{_first_diff(fused.rows, reference.rows)}",
+                    f"{len(got)} rows != {against}-mode "
+                    f"{len(reference)}; first diff: "
+                    f"{_first_diff(got, reference)}",
                 )
 
     # Post-activation ∀i gᵢ = dᵢ: sampled bindings cover the derived

@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.errors import BindingError, ExecutionError
-from repro.executor.compiled import compile_filter, compile_key, compile_project
+from repro.executor.compiled import compile_filter, compile_key
 from repro.executor.database import Database
 from repro.executor.iterators import (
     MaterializedIterator,
@@ -113,9 +113,13 @@ class TestCompiledClosures:
             closure([(1,)])
 
     def test_project_single_position_yields_one_tuples(self):
-        rows = [(1, "x"), (2, "y")]
-        assert compile_project([1])(rows) == [("x",), ("y",)]
-        assert compile_project([1, 0])(rows) == [("x", 1), ("y", 2)]
+        # A projection is no closure any more: the code generator folds
+        # it into the head tuple of the pipeline's comprehension.
+        from repro.executor.fused import _RowExpr
+
+        for positions, expected in (((1,), ("x",)), ((1, 0), ("x", 1))):
+            head = _RowExpr.var("r", 2).project(positions).materialize()
+            assert eval(head, {"r": (1, "x")}) == expected
 
     def test_key_shape_matches_interpreted_form(self):
         row = (7, "x", 9)

@@ -11,6 +11,7 @@ import repro
 from repro.errors import ExecutionError
 from repro.executor.database import Database
 from repro.executor.executor import _CONTEXT_ARGS, _OPERATORS, execute_plan
+from repro.executor.fused import STEPS
 from repro.executor.iterators import PlanIterator
 from repro.optimizer.optimizer import OptimizationMode, optimize_query
 from repro.physical.plan import (
@@ -168,16 +169,34 @@ class TestOperatorTable:
             row = _OPERATORS.get(cls)
             assert row is not None, f"no operator table row for {cls.__name__}"
             assert issubclass(row.row, PlanIterator), cls.__name__
+            # Streaming operators keep the interpreted row reference
+            # beside a generated step, and have no batch class at all.
+            assert (row.batch is None) == (cls in STEPS), cls.__name__
+            if row.batch is None:
+                continue
             # The batch exchange extends the row exchange, so the batch
             # column is recognized by the protocol, not the base class.
             assert hasattr(row.batch, "batches"), cls.__name__
-            # Blocking operators are written once; streaming operators
-            # keep the interpreted row reference beside the batch version.
+            # Blocking operators are written once.
             assert (row.batch is row.row) == (cls in self.BLOCKING), cls.__name__
             for name in (*row.args, *filter(None, [row.relation])):
                 assert name in _CONTEXT_ARGS or hasattr(cls, name), (
                     f"{cls.__name__} has no field {name!r}"
                 )
+
+    def test_streaming_operators_are_written_twice_not_three_times(self):
+        assert len(STEPS) == 6
+        # What batch.py still holds is what a generated loop cannot be.
+        batch = (SRC / "executor" / "batch.py").read_text()
+        assert re.findall(r"^class (\w+)", batch, re.M) == [
+            "BatchFileScanIterator", "BatchBtreeScanIterator",
+            "GraceHashJoinIterator",
+        ]
+        # No hand-written per-batch fall-back of a step's generated code.
+        for path in SRC.rglob("*.py"):
+            assert not re.search(
+                r"def apply\(|_PreparedStepIterator", path.read_text()
+            ), path
 
     def test_wrappers_and_stripes_are_defined_once(self):
         source = "\n".join(

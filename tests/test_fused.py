@@ -3,8 +3,8 @@
 Pins the observable contract of :mod:`repro.executor.fused`: fused
 execution is byte-identical (order included) to batch and row execution
 at any batch size, the generated source has the single-comprehension
-shape, compilation is cached per plan signature, memory pressure falls
-back to the stock Grace-spill operators, and the buffer pool's
+shape, compilation is cached per plan signature, memory pressure
+re-forms a pipeline around the Grace-spill join, and the buffer pool's
 high-water-mark bulk read path accounts exactly like per-page reads.
 """
 
@@ -126,7 +126,10 @@ class TestGeneratedSource:
         registry = get_metrics()
         evictions = registry.counter("codegen.cache_evictions")
         start = evictions.value
-        expected = _rows(prepared, db, "batch")
+        # Row mode is the one mode that compiles nothing: batch mode
+        # would leave its own one-step pipelines in the cache.
+        expected = _rows(prepared, db, "row")
+        assert len(fused_module._CODE_CACHE) == 0
         assert _rows(prepared, db, "fused") == expected
         star_entries = len(fused_module._CODE_CACHE)
         monkeypatch.setattr(
@@ -173,8 +176,8 @@ class TestSpillFallback:
         _rows(prepared, db, "fused", memory_pages=1)
         assert fallbacks.value > before
         # A recording tracer makes execute_plan meter every operator
-        # (plain batch), so the event is observed on pipelines opened
-        # directly.
+        # (one step per pipeline), so the event is observed on pipelines
+        # opened directly.
         activation = prepared.activate(prepared.derive_parameters(db, {"v": 300}))
         tracer = RecordingTracer()
         with use_tracer(tracer):
@@ -188,13 +191,137 @@ class TestSpillFallback:
         assert events and events[0]["attrs"]["pipeline"] == root.label
         assert "memory budget" in events[0]["attrs"]["reason"]
 
+    @pytest.mark.parametrize(
+        "kind", ["filter", "project", "semi", "outer", "index", "hash"]
+    )
+    def test_every_step_kind_re_forms_around_a_spilling_join(self, kind):
+        """Each step kind above a join that spills: the pipeline re-forms
+        as that step alone (its chain index and prepared side kept) over
+        the Grace join over the bound filter below it."""
+        from repro.cost.context import CostContext
+        from repro.executor.executor import execute_plan
+        from repro.logical.predicates import (
+            CompareOp,
+            HostVariable,
+            JoinPredicate,
+            Literal,
+            SelectionPredicate,
+        )
+        from repro.obs.telemetry import get_ledger, reset_telemetry
+        from repro.params.parameter import ParameterSpace
+        from repro.physical import plan as nodes
+
+        catalog = make_fusion_catalog(probe_rows=800, build_rows=40)
+        catalog.create_index("d2_k", "D2", "k")
+        db = Database(catalog, CostModel())
+        db.load_synthetic(seed=7)
+        space = ParameterSpace()
+        space.add_selectivity("sel_v")
+        ctx = CostContext(
+            catalog=catalog, model=db.model, env=space.dynamic_environment()
+        )
+        attr = catalog.attribute
+        d2 = nodes.FileScanNode(ctx, "D2")
+        join = nodes.HashJoinNode(
+            ctx,
+            nodes.FileScanNode(ctx, "D1"),
+            nodes.FilterNode(
+                ctx,
+                nodes.FileScanNode(ctx, "P"),
+                SelectionPredicate(attr("P.a"), CompareOp.LT, Literal(300)),
+            ),
+            (JoinPredicate(attr("D1.j"), attr("P.j")),),
+        )
+        plan = {
+            "filter": lambda: nodes.FilterNode(
+                ctx, join, SelectionPredicate(
+                    attr("P.k"), CompareOp.LT, HostVariable("v", "sel_v")
+                ),
+            ),
+            "project": lambda: nodes.ProjectNode(
+                ctx, join, (attr("P.a"), attr("D1.a"))
+            ),
+            "semi": lambda: nodes.SemiJoinNode(
+                ctx, join, d2, attr("P.k"), attr("D2.k")
+            ),
+            "outer": lambda: nodes.LeftOuterJoinNode(
+                ctx, join, d2, attr("P.k"), attr("D2.k")
+            ),
+            "index": lambda: nodes.IndexJoinNode(
+                ctx, join, "D2", attr("D2.k"),
+                (JoinPredicate(attr("P.k"), attr("D2.k")),),
+            ),
+            "hash": lambda: nodes.HashJoinNode(  # a build side that fits
+                ctx,
+                nodes.FilterNode(
+                    ctx, d2,
+                    SelectionPredicate(attr("D2.a"), CompareOp.LT, Literal(1)),
+                ),
+                join,
+                (JoinPredicate(attr("D2.k"), attr("P.k")),),
+            ),
+        }[kind]()
+
+        def traffic():
+            # Pool hits too: a side drained twice re-reads cached pages.
+            counters = db.disk.counters
+            return (counters.sequential_reads, counters.random_reads,
+                    counters.writes, db.buffer.hits, db.buffer.misses)
+
+        def run(mode):
+            """(rows or the binding error, disk and pool counter deltas)."""
+            db.buffer.clear()
+            before = traffic()
+            try:
+                outcome = execute_plan(
+                    plan, db, bindings={}, execution_mode=mode,
+                    memory_pages=1, batch_size=64,
+                ).rows
+                assert outcome
+            except BindingError as error:
+                assert kind == "filter"  # the unbound host variable
+                outcome = str(error)
+            return outcome, tuple(a - b for a, b in zip(traffic(), before))
+
+        fallbacks = get_metrics().counter("codegen.fallbacks")
+        rows, _ = run("row")
+        batch_rows, batch_io = run("batch")
+        before = fallbacks.value
+        get_ledger().enable()
+        try:
+            fused_rows, fused_io = run("fused")
+            builds = [
+                entry.count for entry in get_ledger().records()
+                if entry.label.endswith("[build]")
+            ]
+        finally:
+            reset_telemetry()
+        assert fallbacks.value == before + 1
+        assert fused_rows == batch_rows == rows
+        assert fused_io == batch_io
+        # Every build side drained once, not once more per re-form.
+        assert builds == [1] * (2 if kind == "hash" else 1)
+
+        # A consumer that stops after one block leaves no partition file.
+        root = build_fused_pipelines(
+            plan, db, {}, memory_pages=1, batch_size=64
+        )[0]
+        assert len(root.steps) == 3
+        stream = root.batches()
+        try:
+            next(stream)
+        except BindingError:
+            assert kind == "filter"
+        del stream
+        assert not [n for n in db.disk._files if n.startswith("__temp_")]
+
     def test_bypassed_fused_requests_are_counted(self, star):
         catalog, db, prepared = star
         bypassed = get_metrics().counter("codegen.bypassed")
         before = bypassed.value
         _rows(prepared, db, "fused")
         # A recording tracer meters every operator, which a fused chain
-        # cannot honor: the fused request is built as plain batch.
+        # cannot honor: the fused request is built as batch mode.
         with use_tracer(RecordingTracer()):
             _rows(prepared, db, "batch")
             assert bypassed.value == before

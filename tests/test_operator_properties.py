@@ -21,7 +21,8 @@ from repro.catalog.catalog import Catalog
 from repro.catalog.schema import Attribute
 from repro.cost.model import CostModel
 from repro.executor.database import Database
-from repro.executor.batch import BatchHashJoinIterator
+from repro.executor.executor import BuildContext
+from repro.executor.fused import step_pipeline
 from repro.executor.iterators import (
     CheckpointIterator,
     DistinctIterator,
@@ -45,6 +46,7 @@ from repro.logical.aggregates import (
     AggregateSpec,
 )
 from repro.logical.predicates import JoinPredicate
+from repro.physical.plan import HashJoinNode
 
 L_KEY = Attribute("L", "k", 8)
 L_VAL = Attribute("L", "v", 100)
@@ -220,11 +222,17 @@ LEFT = _fixed_rows(1, 61)
 RIGHT = _fixed_rows(2, 47)
 
 def _hash_join(c, db, memory, size):
-    """The one two-class operator here (only its Grace partitioning is
-    shared): the batch class over batch children, the row class over row
-    children."""
+    """The one operator here written twice (only its Grace partitioning
+    is shared): the generated probe step over batch children, as the
+    builder makes it in batch mode, and the row class over row children."""
     if hasattr(c[0], "batches"):
-        return BatchHashJoinIterator(*c, PREDICATES, db, memory, size)
+        node = object.__new__(HashJoinNode)  # the step reads these two
+        node.inputs, node.predicates = (), PREDICATES
+        cx = BuildContext(
+            db=db, bindings={}, choices={}, memory=memory, materialized={},
+            batch_size=size,
+        )
+        return step_pipeline(node, list(c), cx)
     return HashJoinIterator(*c, PREDICATES, db, memory)
 
 

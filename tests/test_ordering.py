@@ -268,11 +268,14 @@ class TestRowShapeContract:
         assert row_shape((1, 3))((10, 11, 12, 13)) == (11, 13)
 
     def test_row_shape_expr_matches_row_shape(self):
-        from repro.executor.compiled import row_shape, row_shape_expr
+        # The code generator's inlined key expression renders the shape
+        # row_shape extracts.
+        from repro.executor.compiled import row_shape
+        from repro.executor.fused import _RowExpr
 
         row = (10, 11, 12, 13)
         for positions in ((0,), (2,), (1, 3), (3, 0, 2)):
-            rendered = eval(row_shape_expr(positions), {"r": row})
+            rendered = eval(_RowExpr.var("r", 4).key(positions), {"r": row})
             assert rendered == row_shape(positions)(row)
             assert isinstance(rendered, tuple)
 
