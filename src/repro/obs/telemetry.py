@@ -53,18 +53,22 @@ def plan_signature(node: Any) -> str:
     of the same statement against the same catalog produce the same
     signature, which is what lets the ledger and flight recorder
     correlate observations across process restarts and cache rebuilds.
-    Duck-typed on purpose: any object with ``label`` and ``inputs`` works
-    (physical nodes, exchange nodes, choose-plan nodes).
+    Duck-typed on purpose: any object with ``label`` and ``inputs`` that
+    takes a ``_signature_digest`` attribute works (physical nodes,
+    exchange nodes, choose-plan nodes).
 
-    Each distinct node is folded once per call (memoized by identity), so
-    a choose-plan DAG with shared subplans costs its node count, not the
-    size of its tree expansion; because a node contributes its digest,
-    not its identity, a DAG and its unshared tree copy sign the same.
+    Each node's digest is computed once and stored on the node (the
+    ``_signature_digest`` slot of a plan node), so signing a node whose
+    subtree was signed before costs O(1), and a choose-plan DAG with
+    shared subplans costs its node count, not the size of its tree
+    expansion.  The memo is sound only because plan nodes are immutable
+    after construction: a node's label and inputs never change once it
+    exists.  Because a node contributes its digest, not its identity, a
+    DAG and its unshared tree copy sign the same.
     """
-    digests: dict[int, bytes] = {}
 
     def fold(current: Any) -> bytes:
-        digest = digests.get(id(current))
+        digest = getattr(current, "_signature_digest", None)
         if digest is None:
             inputs = getattr(current, "inputs", ())
             hasher = blake2b(
@@ -72,7 +76,7 @@ def plan_signature(node: Any) -> str:
             )
             for child in inputs:
                 hasher.update(fold(child))
-            digest = digests[id(current)] = hasher.digest()
+            digest = current._signature_digest = hasher.digest()
         return digest
 
     return fold(node)[:6].hex()

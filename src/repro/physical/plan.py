@@ -69,10 +69,20 @@ class PlanNode:
         non-empty, ``()`` exactly when ``order`` is None.  The richer
         property exists so enforcers can be downgraded to partial sorts;
         the memo continues to key groups on the leading attribute alone.
+
+    ``_signature_digest`` is unset until
+    :func:`repro.obs.telemetry.plan_signature` first signs the node and
+    stores its structural digest there.
     """
 
     __slots__ = (
-        "inputs", "cardinality", "cost", "execution_cost", "order", "ordering"
+        "inputs",
+        "cardinality",
+        "cost",
+        "execution_cost",
+        "order",
+        "ordering",
+        "_signature_digest",
     )
 
     inputs: tuple["PlanNode", ...]

@@ -1335,14 +1335,13 @@ def _check_sharded(
         for shard_id, handle in enumerate(service._handles):
             executor = handle._executor
             for module in executor._modules.values():
-                for key, decision in module._decision_cache.items():
-                    env = module.ctx.env.space.bind(dict(key))
+                for binding, g in module.memoized_costs():
+                    env = module.ctx.env.space.bind(binding)
                     d = _exhaustive_plan_optimum(
                         module.plan, module.ctx.with_env(env)
                     )
                     if d is None:
                         continue
-                    g = decision.execution_cost
                     if not math.isclose(
                         g, d, rel_tol=REL_TOLERANCE, abs_tol=ABS_TOLERANCE
                     ):
@@ -1351,7 +1350,7 @@ def _check_sharded(
                             f"shard {shard_id}: start-up choice cost "
                             f"g={g!r} != exhaustive optimum d={d!r} over "
                             f"the activated plan under shard-local "
-                            f"statistics (binding {dict(key)})",
+                            f"statistics (binding {binding})",
                         )
     finally:
         service.close()

@@ -19,6 +19,7 @@ models the paper's access-module lifecycle:
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -57,7 +58,6 @@ from repro.physical.plan import (
     SortNode,
     TopNNode,
     UnionAllNode,
-    count_plan_nodes,
     iter_plan_nodes,
 )
 from repro.runtime.chooser import ActivationDecision, resolve_plan
@@ -70,6 +70,27 @@ _LOG = get_logger(__name__)
 #: ``wire_version`` field as version 1 (pre-versioning emitters) and reject
 #: anything newer than what they understand.
 WIRE_FORMAT_VERSION = 1
+
+#: Binding vectors each module's decision memo keeps, least recently used
+#: evicted first.  A statement whose host variables rarely repeat adds an
+#: entry per invocation; the bound keeps that from growing for the life of
+#: the process (the same reasoning as ``fused._CODE_CACHE_CAPACITY``).
+_DECISION_CACHE_CAPACITY = 1024
+
+
+class _PlanIndex:
+    """What activation needs from one plan DAG, walked once: its distinct
+    nodes in post-order and the choose-plan nodes among them, in the same
+    order the decision procedure records its choices."""
+
+    __slots__ = ("plan", "nodes", "choose_nodes")
+
+    def __init__(self, plan: PlanNode) -> None:
+        self.plan = plan
+        self.nodes = tuple(iter_plan_nodes(plan))
+        self.choose_nodes = tuple(
+            node for node in self.nodes if isinstance(node, ChoosePlanNode)
+        )
 
 
 @dataclass(frozen=True)
@@ -101,14 +122,26 @@ class AccessModule:
     invocations: int = 0
     compiled_cardinalities: dict[str, int] = field(default_factory=dict)
     _usage: dict[int, set[int]] = field(default_factory=dict)
-    # Memoized choose-plan resolutions, keyed by binding vector.  Under a
-    # given binding the decision procedure is deterministic, so repeated
-    # activations with the same parameter values can reuse the resolved
-    # decision instead of re-walking the shared plan DAG.  Invalidation:
-    # cleared whenever the catalog version moves or the plan is replaced
-    # by :meth:`shrink` (cached choices reference plan nodes by identity).
-    _decision_cache: dict[tuple, ActivationDecision] = field(default_factory=dict)
+    # Memoized choose-plan resolutions, keyed by binding vector, least
+    # recently used first.  Under a given binding the decision procedure
+    # is deterministic, so repeated activations with the same parameter
+    # values can reuse the resolved decision instead of re-walking the
+    # shared plan DAG.  An entry is compact — (execution cost, cost
+    # evaluations, decision CPU seconds, chosen alternative indices) — and
+    # its choices are indices into the plan index's choose-plan nodes, so
+    # it is cleared whenever the catalog version moves or the plan is
+    # re-indexed (after :meth:`shrink` replaced it).
+    _decision_cache: OrderedDict[
+        tuple, tuple[float, int, float, tuple[int, ...]]
+    ] = field(default_factory=OrderedDict)
     _decision_cache_version: int | None = None
+    _index: _PlanIndex | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    # (catalog, version) the module last validated successfully against.
+    _validated: tuple[Catalog, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def compile(
@@ -132,10 +165,20 @@ class AccessModule:
     # ------------------------------------------------------------------
     # Size / read-time model
     # ------------------------------------------------------------------
+    def _plan_index(self) -> _PlanIndex:
+        """The current plan's index, built on first use and rebuilt when
+        ``plan`` was replaced.  Re-indexing drops the decision memo: its
+        entries are positions in the old plan's choose-plan nodes."""
+        index = self._index
+        if index is None or index.plan is not self.plan:
+            index = self._index = _PlanIndex(self.plan)
+            self._decision_cache.clear()
+        return index
+
     @property
     def node_count(self) -> int:
         """Operator nodes in the stored DAG."""
-        return count_plan_nodes(self.plan)
+        return len(self._plan_index().nodes)
 
     @property
     def size_bytes(self) -> int:
@@ -155,10 +198,17 @@ class AccessModule:
 
         The cheap check is the catalog version; when it moved, the module is
         still valid if every index it references survives (creating an
-        unrelated index must not invalidate plans).
+        unrelated index must not invalidate plans).  A successful check is
+        remembered per catalog version, so after DDL the plan is searched
+        once, not on every activation.
         """
-        if catalog.version == self.catalog_version:
+        version = catalog.version
+        if version == self.catalog_version:
             return True
+        if self._validated is not None:
+            validated_catalog, validated_version = self._validated
+            if validated_catalog is catalog and validated_version == version:
+                return True
         for node in iter_plan_nodes(self.plan):
             index_name = getattr(node, "index_name", None)
             if index_name is None:
@@ -172,6 +222,7 @@ class AccessModule:
                 return False
             if not any(ix.name == index_name for ix in info.indexes):
                 return False
+        self._validated = (catalog, version)
         return True
 
     def is_stale(self, catalog: Catalog, relative_threshold: float = 0.0) -> bool:
@@ -203,42 +254,73 @@ class AccessModule:
                 "access module invalidated by catalog changes; re-optimize"
             )
         metrics = get_metrics()
+        index = self._plan_index()
         if self._decision_cache_version != self.ctx.catalog.version:
             self._decision_cache.clear()
             self._decision_cache_version = self.ctx.catalog.version
-        cache_key = tuple(sorted(binding.items()))
-        decision = self._decision_cache.get(cache_key)
-        if decision is None:
-            env = self.ctx.env.space.bind(binding)
-            decision = resolve_plan(self.plan, self.ctx.with_env(env))
-            self._decision_cache[cache_key] = decision
-        else:
-            metrics.counter("access_module.decision_cache_hits").inc()
+        decision = self._decide(binding, index)
         self.invocations += 1
+        read_seconds = self.read_seconds
         metrics.counter("access_module.activations").inc()
-        metrics.timer("access_module.read_io").observe(self.read_seconds)
+        metrics.timer("access_module.read_io").observe(read_seconds)
         tracer = get_tracer()
         if tracer.enabled:
             tracer.event(
                 "access_module.activated",
                 node_count=self.node_count,
-                read_seconds=self.read_seconds,
+                read_seconds=read_seconds,
                 invocation=self.invocations,
                 **decision.as_dict(),
             )
-        for choose_id, chosen in decision.choices.items():
-            node = self._node_by_id(choose_id)
-            index = node.alternatives.index(chosen)
-            self._usage.setdefault(choose_id, set()).add(index)
+        for node, chosen in zip(index.choose_nodes, decision.chosen_indices):
+            self._usage.setdefault(id(node), set()).add(chosen)
         if self.shrink_after is not None and self.invocations % self.shrink_after == 0:
             self.shrink()
-        return Activation(read_seconds=self.read_seconds, decision=decision)
+        return Activation(read_seconds=read_seconds, decision=decision)
 
-    def _node_by_id(self, node_id: int) -> ChoosePlanNode:
-        for node in iter_plan_nodes(self.plan):
-            if id(node) == node_id and isinstance(node, ChoosePlanNode):
-                return node
-        raise PlanError("stale choose-plan reference in usage statistics")
+    def _decide(
+        self, binding: Mapping[str, float], index: _PlanIndex
+    ) -> ActivationDecision:
+        """The choose-plan decision for ``binding``: from the memo when the
+        vector was seen before, else resolved over the indexed plan."""
+        metrics = get_metrics()
+        cache = self._decision_cache
+        cache_key = tuple(sorted(binding.items()))
+        entry = cache.get(cache_key)
+        if entry is None:
+            env = self.ctx.env.space.bind(binding)
+            decision = resolve_plan(self.plan, self.ctx.with_env(env), index.nodes)
+            cache[cache_key] = (
+                decision.execution_cost,
+                decision.cost_evaluations,
+                decision.cpu_seconds,
+                decision.chosen_indices,
+            )
+            if len(cache) > _DECISION_CACHE_CAPACITY:
+                cache.popitem(last=False)
+                metrics.counter("access_module.decision_cache_evictions").inc()
+            return decision
+        cache.move_to_end(cache_key)
+        metrics.counter("access_module.decision_cache_hits").inc()
+        execution_cost, evaluations, cpu_seconds, chosen_indices = entry
+        return ActivationDecision(
+            execution_cost=execution_cost,
+            choices={
+                id(node): node.alternatives[chosen]
+                for node, chosen in zip(index.choose_nodes, chosen_indices)
+            },
+            cost_evaluations=evaluations,
+            cpu_seconds=cpu_seconds,
+            chosen_indices=chosen_indices,
+        )
+
+    def memoized_costs(self) -> list[tuple[dict[str, float], float]]:
+        """(binding, predicted execution cost) of every memoized decision,
+        least recently used first."""
+        return [
+            (dict(cache_key), entry[0])
+            for cache_key, entry in self._decision_cache.items()
+        ]
 
     # ------------------------------------------------------------------
     # Shrinking heuristic (Section 4)
@@ -282,18 +364,18 @@ class AccessModule:
 
         nodes_before = self.node_count
         new_plan = walk(self.plan)
-        changed = new_plan is not self.plan or count_plan_nodes(
-            new_plan
-        ) != nodes_before
+        # ``walk`` returns the very plan it was given when it rebuilt
+        # nothing, so identity decides whether the plan changed.
+        changed = new_plan is not self.plan
         self.plan = new_plan
         self._usage.clear()
         if changed:
-            # Cached decisions reference the old plan's nodes by identity.
-            self._decision_cache.clear()
+            # Re-indexing the new plan also drops the decision memo.
+            nodes_after = self.node_count
             _LOG.info(
                 "access module shrunk: %d -> %d nodes after %d invocations",
                 nodes_before,
-                self.node_count,
+                nodes_after,
                 self.invocations,
             )
             tracer = get_tracer()
@@ -301,7 +383,7 @@ class AccessModule:
                 tracer.event(
                     "access_module.shrunk",
                     nodes_before=nodes_before,
-                    nodes_after=self.node_count,
+                    nodes_after=nodes_after,
                     invocations=self.invocations,
                 )
         return changed

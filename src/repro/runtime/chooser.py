@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.catalog.schema import Attribute
 from repro.cost.context import CostContext
@@ -30,16 +31,19 @@ class ActivationDecision:
 
     ``execution_cost`` is the predicted cost (seconds) of the chosen
     effective plan.  ``choices`` maps each choose-plan node (by identity) to
-    the alternative it activated.  ``cost_evaluations`` counts cost-function
-    evaluations — one per distinct DAG node, demonstrating the value of
-    subplan sharing.  ``cpu_seconds`` is measured wall-clock time of the
-    decision procedure itself.
+    the alternative it activated, in post-order; ``chosen_indices`` holds
+    the same decisions as positions in each node's ``alternatives``.
+    ``cost_evaluations`` counts cost-function evaluations — one per
+    distinct DAG node, demonstrating the value of subplan sharing.
+    ``cpu_seconds`` is measured wall-clock time of the decision procedure
+    itself.
     """
 
     execution_cost: float
     choices: dict[int, PlanNode]
     cost_evaluations: int
     cpu_seconds: float
+    chosen_indices: tuple[int, ...]
 
     @property
     def decision_count(self) -> int:
@@ -63,13 +67,19 @@ class ActivationDecision:
         }
 
 
-def resolve_plan(plan: PlanNode, ctx: CostContext) -> ActivationDecision:
+def resolve_plan(
+    plan: PlanNode,
+    ctx: CostContext,
+    nodes: Sequence[PlanNode] | None = None,
+) -> ActivationDecision:
     """Resolve every choose-plan decision in ``plan`` under ``ctx``.
 
     ``ctx.env`` must be fully bound.  Works equally on static plans (no
     decisions; the result is simply the plan's re-estimated cost, which the
     scenario accounting uses as the static plan's per-invocation execution
-    time).
+    time).  ``nodes`` is ``plan``'s post-order node list
+    (:func:`iter_plan_nodes`) when the caller already holds one — an
+    access module keeps it per plan; without it the DAG is walked here.
     """
     if not ctx.env.fully_bound:
         raise BindingError(
@@ -81,13 +91,15 @@ def resolve_plan(plan: PlanNode, ctx: CostContext) -> ActivationDecision:
     # (output cardinality, total cost, order) per distinct node, bottom-up.
     table: dict[int, tuple[Interval, Interval, Attribute | None]] = {}
     choices: dict[int, PlanNode] = {}
+    chosen_indices: list[int] = []
     evaluations = 0
 
-    for node in iter_plan_nodes(plan):
+    for node in iter_plan_nodes(plan) if nodes is None else nodes:
         evaluations += 1
         if isinstance(node, ChoosePlanNode):
             best: PlanNode | None = None
             best_entry: tuple[Interval, Interval, Attribute | None] | None = None
+            best_index = 0
             tie = False
             # Deterministic tie-break: the strict `<` keeps the *first*
             # alternative (in the optimizer's emission order) whenever two
@@ -95,14 +107,15 @@ def resolve_plan(plan: PlanNode, ctx: CostContext) -> ActivationDecision:
             # documented behaviour so g_i = d_i comparisons cannot flake
             # on equal-cost plans; ties are additionally surfaced as
             # `choose.tie` trace events.
-            for alternative in node.alternatives:
+            for index, alternative in enumerate(node.alternatives):
                 entry = table[id(alternative)]
                 if best_entry is None or entry[1].low < best_entry[1].low:
-                    best, best_entry = alternative, entry
+                    best, best_entry, best_index = alternative, entry, index
                 elif entry[1].low == best_entry[1].low:
                     tie = True
             assert best is not None and best_entry is not None
             choices[id(node)] = best
+            chosen_indices.append(best_index)
             if tracer.enabled:
                 alternatives = [
                     {
@@ -114,7 +127,7 @@ def resolve_plan(plan: PlanNode, ctx: CostContext) -> ActivationDecision:
                 tracer.event(
                     "choose.decision",
                     chosen=best.label,
-                    chosen_index=node.alternatives.index(best),
+                    chosen_index=best_index,
                     alternatives=alternatives,
                     tie=tie,
                 )
@@ -152,6 +165,7 @@ def resolve_plan(plan: PlanNode, ctx: CostContext) -> ActivationDecision:
         choices=choices,
         cost_evaluations=evaluations,
         cpu_seconds=elapsed,
+        chosen_indices=tuple(chosen_indices),
     )
     metrics = get_metrics()
     metrics.counter("chooser.resolutions").inc()

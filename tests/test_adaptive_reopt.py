@@ -23,6 +23,7 @@ from repro.runtime.chooser import resolve_plan
 from repro.runtime.prepared import PreparedQuery
 from repro.service import QueryService
 from tests.builders import load_bench_data, make_bench_catalog, make_bench_query
+from tests.test_telemetry import assert_signatures_match_fresh_fold
 
 SIZES = dict(r_rows=400, s_rows=1_500, t_rows=4_000)
 SEED = 7
@@ -171,6 +172,21 @@ class TestTriggerAndSplice:
         assert adaptive.replans  # the skew must actually trigger
         for attribute in adaptive.schema.attributes:
             assert not attribute.relation.startswith("__adaptive")
+
+    def test_spliced_plan_signatures_match_fresh_fold(
+        self, bench_catalog, bench_graph, bench_dynamic
+    ):
+        db, bindings, values, decision = _setup(
+            bench_catalog, bench_graph, bench_dynamic
+        )
+        adaptive = _adaptive(
+            bench_graph, bench_dynamic, db, bindings, values, decision
+        )
+        assert adaptive.replans
+        # The guards signed nodes of both plans while they ran.
+        assert_signatures_match_fresh_fold(bench_dynamic.plan)
+        for event in adaptive.replans:
+            assert_signatures_match_fresh_fold(event.outcome.result.plan)
 
     def test_run_time_mode_re_enters_fully_bound(
         self, bench_catalog, bench_graph

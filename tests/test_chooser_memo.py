@@ -3,9 +3,11 @@
 The access module caches choose-plan resolutions per binding vector: the
 decision procedure is deterministic under a fully bound environment, so
 repeated activations with identical parameter values reuse the stored
-decision.  The cache invalidates when the catalog version moves or when
-:meth:`~repro.runtime.access_module.AccessModule.shrink` replaces the
-plan (cached choices reference plan nodes by identity).
+decision.  The cache is a bounded LRU of compact entries (cost, count,
+decision CPU, chosen alternative indices).  It invalidates when the catalog version
+moves or when :meth:`~repro.runtime.access_module.AccessModule.shrink`
+replaces the plan, which also rebuilds the module's per-plan node index —
+the only full DAG walk activation makes.
 
 The diamond-DAG tests pin the complementary within-one-resolution
 memoization: a subplan shared by two alternatives is recomputed exactly
@@ -19,6 +21,7 @@ import pytest
 from repro.cost.context import CostContext
 from repro.logical.predicates import CompareOp, HostVariable, SelectionPredicate
 from repro.obs.metrics import get_metrics
+from repro.optimizer.optimizer import OptimizationMode, optimize_query
 from repro.params.parameter import ParameterSpace
 from repro.physical.plan import (
     ChoosePlanNode,
@@ -26,6 +29,7 @@ from repro.physical.plan import (
     FilterNode,
     PlanNode,
     TopNNode,
+    count_plan_nodes,
 )
 import repro.runtime.access_module as access_module_mod
 from repro.runtime.access_module import (
@@ -35,6 +39,7 @@ from repro.runtime.access_module import (
     serialize_plan,
 )
 from repro.runtime.chooser import resolve_plan
+from repro.runtime.prepared import PreparedQuery
 
 
 @pytest.fixture
@@ -71,9 +76,9 @@ def count_resolves(monkeypatch):
     calls: list[object] = []
     real = access_module_mod.resolve_plan
 
-    def counting(plan, ctx):
+    def counting(plan, ctx, nodes):
         calls.append(plan)
-        return real(plan, ctx)
+        return real(plan, ctx, nodes)
 
     monkeypatch.setattr(access_module_mod, "resolve_plan", counting)
     return calls
@@ -125,7 +130,8 @@ class TestDecisionMemoization:
         first = module.activate({"sel_v": 0.5})
         second = module.activate({"sel_v": 0.5})
         assert len(count_resolves) == 1
-        assert second.decision is first.decision
+        assert second.decision.choices == first.decision.choices
+        assert second.decision.execution_cost == first.decision.execution_cost
         assert hits.value == before + 1
         # Bookkeeping still runs on cache hits.
         assert module.invocations == 2
@@ -160,6 +166,110 @@ class TestDecisionMemoization:
         catalog.drop_index("S_b")
         module.activate({"sel_v": 0.5})
         assert len(count_resolves) == 2
+
+    def test_least_recently_used_binding_is_evicted(
+        self, catalog, ctx, count_resolves, monkeypatch
+    ):
+        monkeypatch.setattr(access_module_mod, "_DECISION_CACHE_CAPACITY", 3)
+        module = AccessModule.compile(build_diamond(ctx, catalog), ctx)
+        evictions = get_metrics().counter("access_module.decision_cache_evictions")
+        for value in (0.1, 0.2, 0.3):
+            module.activate({"sel_v": value})
+        module.activate({"sel_v": 0.1})  # used again: 0.2 is now the oldest
+        assert evictions.value == 0
+        module.activate({"sel_v": 0.4})  # capacity + 1 distinct bindings
+        assert evictions.value == 1
+        assert len(count_resolves) == 4
+        module.activate({"sel_v": 0.1})  # survived the eviction: a hit
+        assert len(count_resolves) == 4
+        module.activate({"sel_v": 0.2})  # evicted: resolved again
+        assert len(count_resolves) == 5
+        assert evictions.value == 2
+        assert [binding["sel_v"] for binding, _ in module.memoized_costs()] == [
+            0.4, 0.1, 0.2,
+        ]
+
+    def test_hit_rebuilds_the_resolved_decision(self, catalog, ctx):
+        module = AccessModule.compile(build_diamond(ctx, catalog), ctx)
+        miss = module.activate({"sel_v": 0.5}).decision
+        hit = module.activate({"sel_v": 0.5}).decision
+        assert hit.choices == miss.choices
+        assert hit.chosen_indices == miss.chosen_indices
+        assert hit.cost_evaluations == miss.cost_evaluations
+        assert hit.cpu_seconds == miss.cpu_seconds  # replayed, not re-timed
+        assert module.memoized_costs() == [
+            ({"sel_v": 0.5}, miss.execution_cost)
+        ]
+
+
+@pytest.fixture
+def count_walks(monkeypatch):
+    """Record every full DAG walk the access module and chooser start."""
+    import repro.physical.plan as plan_mod
+    import repro.runtime.chooser as chooser_mod
+
+    walks: list[PlanNode] = []
+    real = plan_mod.iter_plan_nodes
+
+    def counting(root):
+        walks.append(root)
+        return real(root)
+
+    for module in (plan_mod, chooser_mod, access_module_mod):
+        monkeypatch.setattr(module, "iter_plan_nodes", counting)
+    return walks
+
+
+class TestPlanIndex:
+    def test_activations_walk_the_plan_once(
+        self, join_query, catalog, count_walks
+    ):
+        result = optimize_query(join_query, catalog, mode=OptimizationMode.DYNAMIC)
+        nodes = count_plan_nodes(result.plan)
+        module = AccessModule.compile(result.plan, result.ctx)
+        count_walks.clear()
+        module.activate({"sel_v": 0.5})
+        assert count_walks == [module.plan]  # the index, built on first use
+        for value in (0.5, 0.9, 0.001, 0.5):  # hits and misses
+            activation = module.activate({"sel_v": value})
+            assert activation.read_seconds == module.read_seconds
+        assert module.node_count == nodes
+        assert module.size_bytes == nodes * 128
+        assert count_walks == [module.plan]
+
+    def test_shrink_reindexes_exactly_once(self, join_query, catalog, count_walks):
+        result = optimize_query(join_query, catalog, mode=OptimizationMode.DYNAMIC)
+        nodes = count_plan_nodes(result.plan)
+        module = AccessModule.compile(result.plan, result.ctx)
+        for _ in range(3):
+            module.activate({"sel_v": 0.001})
+        count_walks.clear()
+        assert module.shrink()
+        for value in (0.001, 0.9):
+            module.activate({"sel_v": value})
+        assert module.node_count < nodes
+        assert count_walks == [module.plan]
+
+    def test_unrelated_ddl_is_validated_once(self, join_query, catalog, count_walks):
+        catalog.drop_index("S_b")
+        prepared = PreparedQuery.prepare(join_query, catalog)
+        prepared.activate({"sel_v": 0.5})
+        catalog.create_index("S_b", "S", "b")  # S.b is not in the query
+        count_walks.clear()
+        validated: list[bool] = []
+        real_validate = AccessModule.validate
+
+        def counting_validate(self, catalog):
+            validated.append(True)
+            return real_validate(self, catalog)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(AccessModule, "validate", counting_validate)
+            for _ in range(100):
+                prepared.activate({"sel_v": 0.5})
+        assert len(validated) == 200  # both layers still ask
+        assert len(count_walks) <= 1
+        assert prepared.reoptimizations == 0
 
 
 class TestTopNPersistence:

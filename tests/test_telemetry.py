@@ -9,6 +9,7 @@ sampled cross-thread traces, and the OpenMetrics/JSONL exporters.
 from __future__ import annotations
 
 import threading
+from hashlib import blake2b
 
 import pytest
 
@@ -16,7 +17,8 @@ from repro.cost.model import CostModel
 from repro.executor.database import Database
 from repro.executor.executor import execute_plan, iter_probe_sites
 from repro.experiments.catalogs import make_experiment_catalog
-from repro.experiments.queries import build_chain_query
+from repro.experiments.queries import build_chain_query, paper_queries
+from repro.experiments.workload import generate_bindings
 from repro.obs.metrics import (
     Histogram,
     get_metrics,
@@ -36,12 +38,35 @@ from repro.obs.telemetry import (
     plan_signature,
 )
 from repro.obs.trace import RecordingTracer, SamplingTracer, use_tracer
-from repro.optimizer.optimizer import OptimizationMode
-from repro.physical.plan import count_plan_nodes
+from repro.optimizer.optimizer import OptimizationMode, optimize_query
+from repro.physical.plan import count_plan_nodes, iter_plan_nodes
+from repro.runtime.access_module import AccessModule
 from repro.runtime.prepared import PreparedQuery
 from repro.util.interval import Interval
 
 AGG_SQL = "SELECT R.k, COUNT(*) FROM R WHERE R.a < :v GROUP BY R.k"
+
+
+def assert_signatures_match_fresh_fold(plan) -> None:
+    """Sign ``plan``, then check every node's memoized signature against a
+    fold that never reads the memo."""
+    fresh: dict[int, bytes] = {}
+
+    def fold(node) -> bytes:
+        digest = fresh.get(id(node))
+        if digest is None:
+            hasher = blake2b(
+                f"{node.label}/{len(node.inputs)}".encode(), digest_size=16
+            )
+            for child in node.inputs:
+                hasher.update(fold(child))
+            digest = fresh[id(node)] = hasher.digest()
+        return digest
+
+    plan_signature(plan)
+    for node in iter_plan_nodes(plan):
+        assert node._signature_digest is not None  # signed via the root
+        assert plan_signature(node) == fold(node)[:6].hex()
 
 
 @pytest.fixture
@@ -128,6 +153,43 @@ class TestPlanSignature:
         tree = self._mirror(plan, shared=False, reads=reads)
         assert plan_signature(tree) == plan_signature(plan)
         assert len(reads) > 10 * count_plan_nodes(plan)  # really a tree
+
+    def test_signing_again_reads_no_label(self):
+        plan = self._chain_plan(4)
+        reads: list[str] = []
+        dag = self._mirror(plan, shared=True, reads=reads)
+        first = plan_signature(dag)
+        reads.clear()
+        assert plan_signature(dag) == first
+        assert plan_signature(dag.inputs[0]) == plan_signature(plan.inputs[0])
+        assert reads == []
+
+    @pytest.mark.parametrize(
+        "mode",
+        (
+            OptimizationMode.STATIC,
+            OptimizationMode.DYNAMIC,
+            OptimizationMode.RUN_TIME,
+        ),
+        ids=lambda mode: mode.name,
+    )
+    @pytest.mark.parametrize("number", (1, 2, 3, 4, 5))
+    def test_memo_matches_fresh_fold_on_paper_queries(self, number, mode):
+        catalog = make_experiment_catalog()
+        graph = paper_queries(catalog)[number - 1].graph
+        binding = None
+        if mode is OptimizationMode.RUN_TIME:
+            binding = {p.name: p.expected for p in graph.parameters}
+        result = optimize_query(graph, catalog, mode=mode, binding=binding)
+        # Sign a leaf-side node first, so the root's fold meets a memo.
+        plan_signature(next(iter(iter_plan_nodes(result.plan))))
+        assert_signatures_match_fresh_fold(result.plan)
+        if mode is OptimizationMode.DYNAMIC:
+            module = AccessModule.compile(result.plan, result.ctx)
+            for values in generate_bindings(graph.parameters, n=5):
+                module.activate(values)
+            module.shrink()  # rebuilds choose-plans over signed subplans
+            assert_signatures_match_fresh_fold(module.plan)
 
 
 class TestErrorRatio:
