@@ -4,7 +4,8 @@ A :class:`CostContext` bundles the catalog (known statistics), the cost
 model (device constants), and a parameter environment (uncertain values as
 intervals, or run-time points).  The optimizer costs plans under a
 compile-time context; the choose-plan decision procedure re-costs the same
-plan nodes under a start-up-time context whose environment is fully bound.
+plan nodes under a start-up-time :class:`PointContext`, whose environment
+is fully bound and whose values are bare floats.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ from dataclasses import dataclass
 
 from repro.catalog.catalog import Catalog
 from repro.cost.model import CostModel
+from repro.errors import BindingError
+from repro.logical.estimation import estimate_selectivity
+from repro.logical.predicates import SelectionPredicate
 from repro.params.parameter import Environment
 from repro.util.interval import Interval
 
@@ -44,6 +48,50 @@ class CostContext:
             return self.env.interval(DOP_PARAMETER)
         return Interval.point(1.0)
 
+    def selectivity(self, predicate: SelectionPredicate) -> Interval:
+        """Estimated selectivity of ``predicate`` under this environment."""
+        return estimate_selectivity(predicate, self.env, self.catalog)
+
+    def point(self, value: float) -> Interval:
+        """A known value (a statistic, a constant) in this context's number
+        type: a degenerate interval here, the bare float in a
+        :class:`PointContext`."""
+        return Interval.point(value)
+
     def with_env(self, env: Environment) -> "CostContext":
         """The same catalog and model under a different environment."""
         return CostContext(catalog=self.catalog, model=self.model, env=env)
+
+
+@dataclass(frozen=True)
+class PointContext(CostContext):
+    """A fully bound context read as bare floats: start-up's number type.
+
+    Once every parameter is bound, every cost collapses to a point, so the
+    choose-plan decision procedure evaluates the scalar cost formulas on
+    floats instead of lifting them to degenerate intervals.  Memory and the
+    degree of parallelism are read once, here.
+    """
+
+    def __post_init__(self) -> None:
+        if not self.env.fully_bound:
+            raise BindingError(
+                "choose-plan decisions require a fully bound environment; "
+                f"unbound: {self.env.uncertain_names}"
+            )
+        object.__setattr__(self, "_memory", super().memory_pages.low)
+        object.__setattr__(self, "_dop", super().degree_of_parallelism.low)
+
+    @property
+    def memory_pages(self) -> float:  # type: ignore[override]
+        return self._memory
+
+    @property
+    def degree_of_parallelism(self) -> float:  # type: ignore[override]
+        return self._dop
+
+    def selectivity(self, predicate: SelectionPredicate) -> float:  # type: ignore[override]
+        return estimate_selectivity(predicate, self.env, self.catalog).low
+
+    def point(self, value: float) -> float:  # type: ignore[override]
+        return value

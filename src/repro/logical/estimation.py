@@ -26,7 +26,15 @@ from repro.util.interval import Interval
 def estimate_selectivity(
     predicate: SelectionPredicate, env: Environment, catalog: Catalog
 ) -> Interval:
-    """Estimated selectivity of ``predicate`` under ``env`` and statistics."""
+    """Estimated selectivity of ``predicate`` under ``env`` and statistics.
+
+    The result is an :class:`Interval`, the compile-time and annotation
+    type.  Start-up evaluates the scalar cost formulas on floats: a
+    :class:`~repro.cost.context.PointContext` reads this estimate's (point)
+    low bound, so every selectivity and cost of an SPJ plan folds as a bare
+    float; only semi-join, outer-join and ``distinct`` cardinalities stay
+    intervals when bound.
+    """
     if isinstance(predicate.operand, HostVariable):
         return env.interval(predicate.operand.selectivity_parameter)
 

@@ -150,6 +150,11 @@ class JoinPredicate:
     relations: frozenset[str] = field(
         init=False, repr=False, compare=False, hash=False
     )
+    #: 1 / max(domain sizes), the paper's join-selectivity model, as a
+    #: bare float (derived once, like ``relations``).
+    point_selectivity: float = field(
+        init=False, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self) -> None:
         if self.left.relation == self.right.relation:
@@ -160,12 +165,15 @@ class JoinPredicate:
         object.__setattr__(
             self, "relations", frozenset((self.left.relation, self.right.relation))
         )
+        object.__setattr__(
+            self,
+            "point_selectivity",
+            1.0 / max(self.left.domain_size, self.right.domain_size),
+        )
 
     def selectivity(self) -> Interval:
-        """1 / max(domain sizes), the paper's join-selectivity model."""
-        return Interval.point(
-            1.0 / max(self.left.domain_size, self.right.domain_size)
-        )
+        """:attr:`point_selectivity` as a (degenerate) interval."""
+        return Interval.point(self.point_selectivity)
 
     def attribute_for(self, relation: str) -> Attribute:
         """The side of the predicate belonging to ``relation``."""

@@ -118,17 +118,19 @@ class ExchangeNode(PlanNode):
         # Operator-only cost (startup + transfer); the full parallel total
         # is installed by __init__ / computed by the chooser, which both
         # need the child's *total* cost, not available here.
-        overhead = formulas.parallel_execution_cost(
-            ctx.model, Interval.point(0.0), cardinality, dop
-        )
+        overhead = formulas.parallel_execution_cost(ctx.model, 0.0, cardinality, dop)
         order = self.merge_key if self.mode is ExchangeMode.MERGE else None
         return cardinality, overhead, order
 
     def bound_total(
-        self, ctx: CostContext, child_cardinality: Interval, child_total: Interval
-    ) -> tuple[Interval, Interval, Attribute | None]:
+        self,
+        ctx: CostContext,
+        child_cardinality: Interval | float,
+        child_total: Interval | float,
+    ) -> tuple[Interval | float, Interval | float, Attribute | None]:
         """(cardinality, total cost, order) under ``ctx`` given the child's
-        bottom-up totals — the start-up decision procedure's evaluation."""
+        bottom-up totals — the start-up decision procedure's evaluation,
+        on floats at a bound degree of parallelism."""
         total = formulas.parallel_execution_cost(
             ctx.model, child_total, child_cardinality, ctx.degree_of_parallelism
         )

@@ -27,7 +27,6 @@ from repro.catalog.schema import Attribute
 from repro.cost import formulas
 from repro.cost.context import CostContext
 from repro.errors import PlanError
-from repro.logical.estimation import estimate_selectivity
 from repro.logical.predicates import JoinPredicate, SelectionPredicate
 from repro.physical.ordering import (
     Ordering,
@@ -36,7 +35,7 @@ from repro.physical.ordering import (
     ordering_satisfies,
     shared_prefix_len,
 )
-from repro.util.interval import Interval
+from repro.util.interval import Interval, bounds
 
 
 class PlanNode:
@@ -116,9 +115,9 @@ class PlanNode:
     def _compute(
         self,
         ctx: CostContext,
-        input_cards: list[Interval],
+        input_cards: list[Interval | float],
         input_orders: list[Attribute | None],
-    ) -> tuple[Interval, Interval, Attribute | None]:
+    ) -> tuple[Interval | float, Interval | float, Attribute | None]:
         """Return (output cardinality, operator cost, output sort order)."""
         raise NotImplementedError
 
@@ -140,13 +139,14 @@ class PlanNode:
     def recompute(
         self,
         ctx: CostContext,
-        input_cards: list[Interval],
+        input_cards: list[Interval | float],
         input_orders: list[Attribute | None],
-    ) -> tuple[Interval, Interval, Attribute | None]:
+    ) -> tuple[Interval | float, Interval | float, Attribute | None]:
         """Re-evaluate the node's cost function under a new context.
 
-        Used at start-up time with a fully bound environment; does not
-        mutate the stored compile-time annotations.
+        Used at start-up time with a fully bound environment (on floats
+        under a :class:`~repro.cost.context.PointContext`); does not mutate
+        the stored compile-time annotations.
         """
         return self._compute(ctx, input_cards, input_orders)
 
@@ -168,9 +168,8 @@ class FileScanNode(PlanNode):
 
     def _compute(self, ctx, input_cards, input_orders):
         stats = ctx.catalog.relation(self.relation).stats
-        cardinality = Interval.point(float(stats.cardinality))
-        cost = formulas.file_scan_cost(ctx.model, stats)
-        return cardinality, cost, None
+        cost = ctx.point(formulas.file_scan_seconds(ctx.model, stats))
+        return ctx.point(float(stats.cardinality)), cost, None
 
     @property
     def label(self) -> str:
@@ -217,10 +216,10 @@ class BtreeScanNode(PlanNode):
                 f"index on {self.key.qualified_name} dropped since optimization"
             )
         if self.predicate is None:
-            selectivity = Interval.point(1.0)
+            selectivity = ctx.point(1.0)
         else:
-            selectivity = estimate_selectivity(self.predicate, ctx.env, ctx.catalog)
-        cardinality = Interval.point(float(info.stats.cardinality)) * selectivity
+            selectivity = ctx.selectivity(self.predicate)
+        cardinality = ctx.point(float(info.stats.cardinality)) * selectivity
         cost = formulas.btree_scan_cost(
             ctx.model, info.stats, selectivity, clustered=index.clustered
         )
@@ -249,7 +248,7 @@ class FilterNode(PlanNode):
 
     def _compute(self, ctx, input_cards, input_orders):
         (input_card,) = input_cards
-        selectivity = estimate_selectivity(self.predicate, ctx.env, ctx.catalog)
+        selectivity = ctx.selectivity(self.predicate)
         cardinality = input_card * selectivity
         cost = formulas.filter_cost(ctx.model, input_card, selectivity)
         return cardinality, cost, input_orders[0]
@@ -267,12 +266,14 @@ class FilterNode(PlanNode):
 # Joins
 # ----------------------------------------------------------------------
 def _join_cardinality(
-    left_card: Interval, right_card: Interval, predicates: tuple[JoinPredicate, ...]
-) -> Interval:
+    left_card: Interval | float,
+    right_card: Interval | float,
+    predicates: tuple[JoinPredicate, ...],
+) -> Interval | float:
     """Cross product scaled by every connecting predicate's selectivity."""
     cardinality = left_card * right_card
     for predicate in predicates:
-        cardinality = cardinality * predicate.selectivity()
+        cardinality = cardinality * predicate.point_selectivity
     return cardinality
 
 
@@ -420,7 +421,7 @@ class IndexJoinNode(PlanNode):
                 f"index on {self.inner_key.qualified_name} dropped since "
                 "optimization"
             )
-        inner_card = Interval.point(float(inner_info.stats.cardinality))
+        inner_card = float(inner_info.stats.cardinality)
         cardinality = _join_cardinality(outer_card, inner_card, self.predicates)
         cost = formulas.index_join_cost(
             ctx.model,
@@ -444,16 +445,28 @@ class IndexJoinNode(PlanNode):
         )
 
 
+def _domain_product(attributes: tuple[Attribute, ...]) -> float:
+    """Distinct value combinations of ``attributes`` (capped at 1e15)."""
+    domains = 1.0
+    for attribute in attributes:
+        domains = min(domains * attribute.domain_size, 1e15)
+    return domains
+
+
+def _capped(card: Interval | float, cap: float) -> Interval | float:
+    """``card`` capped at the known bound ``cap`` (pointwise ``min_with``)."""
+    if isinstance(card, Interval):
+        return card.min_with(Interval.point(cap))
+    return min(card, cap)
+
+
 def _group_cardinality(
-    ctx: CostContext, input_card: Interval, spec
-) -> Interval:
+    ctx: CostContext, input_card: Interval | float, spec
+) -> Interval | float:
     """Estimated number of groups: bounded by input size and key domains."""
     if not spec.group_by:
-        return Interval.point(1.0)
-    domains = 1.0
-    for attribute in spec.group_by:
-        domains = min(domains * attribute.domain_size, 1e15)
-    return input_card.min_with(Interval.point(domains))
+        return ctx.point(1.0)
+    return _capped(input_card, _domain_product(spec.group_by))
 
 
 class HashAggregateNode(PlanNode):
@@ -523,9 +536,7 @@ class ProjectNode(PlanNode):
 
     def _compute(self, ctx, input_cards, input_orders):
         (input_card,) = input_cards
-        cost = formulas.filter_cost(
-            ctx.model, input_card, Interval.point(1.0)
-        )
+        cost = formulas.filter_cost(ctx.model, input_card, 1.0)
         # Order survives only when the ordering attribute is kept.
         order = input_orders[0] if input_orders[0] in self.attributes else None
         return input_card, cost, order
@@ -643,10 +654,7 @@ class PartialSortNode(PlanNode):
 
     def _compute(self, ctx, input_cards, input_orders):
         (input_card,) = input_cards
-        domains = 1.0
-        for attribute in self.keys[: self.prefix_len]:
-            domains = min(domains * attribute.domain_size, 1e15)
-        runs = input_card.min_with(Interval.point(domains))
+        runs = _capped(input_card, _domain_product(self.keys[: self.prefix_len]))
         cost = formulas.partial_sort_cost(
             ctx.model,
             input_card,
@@ -691,8 +699,8 @@ class TopNNode(PlanNode):
         (input_card,) = input_cards
         # One pass over the input with a bounded heap: per-row CPU work,
         # no I/O of its own.
-        cost = formulas.filter_cost(ctx.model, input_card, Interval.point(1.0))
-        return input_card.min_with(Interval.point(float(self.limit))), cost, self.key
+        cost = formulas.filter_cost(ctx.model, input_card, 1.0)
+        return _capped(input_card, float(self.limit)), cost, self.key
 
     @property
     def label(self) -> str:
@@ -702,7 +710,7 @@ class TopNNode(PlanNode):
 # ----------------------------------------------------------------------
 # Statement-composition operators (SPJU / outer join / semi-join)
 # ----------------------------------------------------------------------
-def semi_join_cardinality(outer_card: Interval) -> Interval:
+def semi_join_cardinality(outer_card: Interval | float) -> Interval:
     """Hard bounds for a semi-join: at most one output per outer row.
 
     The unary-key property holds by construction (each outer row appears
@@ -710,12 +718,12 @@ def semi_join_cardinality(outer_card: Interval) -> Interval:
     the outer cardinality exactly — Chen & Schneider's tightest SPJ bound
     for this shape.  The lower bound is zero: the inner may match nothing.
     """
-    return Interval(0.0, outer_card.high)
+    return Interval(0.0, bounds(outer_card)[1])
 
 
 def left_outer_cardinality(
-    left_card: Interval, right_card: Interval, right_unique: bool
-) -> Interval:
+    left_card: Interval | float, right_card: Interval | float, right_unique: bool
+) -> Interval | float:
     """Hard bounds for a left outer join on ``left = right``.
 
     Every left row survives (padded when unmatched), so the lower bound
@@ -725,26 +733,25 @@ def left_outer_cardinality(
     right row.
     """
     if right_unique:
-        return Interval(left_card.low, left_card.high)
-    return Interval(left_card.low, left_card.high * max(1.0, right_card.high))
+        return left_card
+    low, high = bounds(left_card)
+    return Interval(low, high * max(1.0, bounds(right_card)[1]))
 
 
-def union_all_cardinality(input_cards: tuple[Interval, ...]) -> Interval:
+def union_all_cardinality(
+    input_cards: tuple[Interval | float, ...],
+) -> Interval | float:
     """UNION ALL concatenates: output bounds are the sums of the inputs."""
-    low = sum(card.low for card in input_cards)
-    high = sum(card.high for card in input_cards)
-    return Interval(low, high)
+    return sum(input_cards)
 
 
 def distinct_cardinality(
-    input_card: Interval, attributes: tuple[Attribute, ...]
+    input_card: Interval | float, attributes: tuple[Attribute, ...]
 ) -> Interval:
     """Duplicate elimination: bounded by input size and the key domain."""
-    domains = 1.0
-    for attribute in attributes:
-        domains = min(domains * attribute.domain_size, 1e15)
-    low = min(input_card.low, 1.0) if input_card.low > 0 else input_card.low
-    return Interval(low, min(input_card.high, domains))
+    low, high = bounds(input_card)
+    low = min(low, 1.0) if low > 0 else low
+    return Interval(low, min(high, _domain_product(attributes)))
 
 
 class SemiJoinNode(PlanNode):
@@ -858,7 +865,7 @@ class UnionAllNode(PlanNode):
     def _compute(self, ctx, input_cards, input_orders):
         cardinality = union_all_cardinality(tuple(input_cards))
         # Pure pass-through: per-row CPU work, no I/O of its own.
-        cost = formulas.filter_cost(ctx.model, cardinality, Interval.point(1.0))
+        cost = formulas.filter_cost(ctx.model, cardinality, 1.0)
         return cardinality, cost, None
 
     @property
@@ -988,19 +995,21 @@ def iter_plan_nodes(root: PlanNode) -> Iterator[PlanNode]:
     """Yield every distinct node of the plan DAG exactly once (post-order).
 
     Shared subplans are visited once; identity, not structure, defines
-    distinctness — matching the paper's access-module node counts.
+    distinctness — matching the paper's access-module node counts.  Eager:
+    nested generators would re-yield each node through every ancestor.
     """
     seen: set[int] = set()
+    order: list[PlanNode] = []
 
-    def walk(node: PlanNode) -> Iterator[PlanNode]:
-        if id(node) in seen:
-            return
+    def walk(node: PlanNode) -> None:
         seen.add(id(node))
         for child in node.inputs:
-            yield from walk(child)
-        yield node
+            if id(child) not in seen:
+                walk(child)
+        order.append(node)
 
-    yield from walk(root)
+    walk(root)
+    return iter(order)
 
 
 def count_plan_nodes(root: PlanNode) -> int:

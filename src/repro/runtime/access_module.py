@@ -19,7 +19,7 @@ models the paper's access-module lifecycle:
 from __future__ import annotations
 
 import json
-from collections import OrderedDict
+import struct
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -81,9 +81,11 @@ _DECISION_CACHE_CAPACITY = 1024
 class _PlanIndex:
     """What activation needs from one plan DAG, walked once: its distinct
     nodes in post-order and the choose-plan nodes among them, in the same
-    order the decision procedure records its choices."""
+    order the decision procedure records its choices.  ``vectors`` holds
+    one shared tuple per distinct chosen-index vector the decision memo
+    stores, so entries choosing the same plan share it."""
 
-    __slots__ = ("plan", "nodes", "choose_nodes")
+    __slots__ = ("plan", "nodes", "choose_nodes", "vectors")
 
     def __init__(self, plan: PlanNode) -> None:
         self.plan = plan
@@ -91,6 +93,7 @@ class _PlanIndex:
         self.choose_nodes = tuple(
             node for node in self.nodes if isinstance(node, ChoosePlanNode)
         )
+        self.vectors: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
 @dataclass(frozen=True)
@@ -122,18 +125,17 @@ class AccessModule:
     invocations: int = 0
     compiled_cardinalities: dict[str, int] = field(default_factory=dict)
     _usage: dict[int, set[int]] = field(default_factory=dict)
-    # Memoized choose-plan resolutions, keyed by binding vector, least
-    # recently used first.  Under a given binding the decision procedure
-    # is deterministic, so repeated activations with the same parameter
-    # values can reuse the resolved decision instead of re-walking the
-    # shared plan DAG.  An entry is compact — (execution cost, cost
-    # evaluations, decision CPU seconds, chosen alternative indices) — and
-    # its choices are indices into the plan index's choose-plan nodes, so
-    # it is cleared whenever the catalog version moves or the plan is
-    # re-indexed (after :meth:`shrink` replaced it).
-    _decision_cache: OrderedDict[
-        tuple, tuple[float, int, float, tuple[int, ...]]
-    ] = field(default_factory=OrderedDict)
+    # Memoized choose-plan resolutions, least recently used first, keyed
+    # by the binding's values (packed doubles, declared order).  Under a
+    # given binding the decision procedure is deterministic, so repeated
+    # activations can reuse the resolved decision.  An entry is compact —
+    # (execution cost, decision CPU seconds, the plan index's shared
+    # chosen-index vector) — and its choices are indices into the plan
+    # index's choose-plan nodes, so it is cleared whenever the catalog
+    # version moves or the plan is re-indexed (after :meth:`shrink`).
+    _decision_cache: dict[bytes, tuple[float, float, tuple[int, ...]]] = field(
+        default_factory=dict
+    )
     _decision_cache_version: int | None = None
     _index: _PlanIndex | None = field(
         default=None, init=False, repr=False, compare=False
@@ -257,6 +259,7 @@ class AccessModule:
         index = self._plan_index()
         if self._decision_cache_version != self.ctx.catalog.version:
             self._decision_cache.clear()
+            index.vectors.clear()
             self._decision_cache_version = self.ctx.catalog.version
         decision = self._decide(binding, index)
         self.invocations += 1
@@ -285,31 +288,36 @@ class AccessModule:
         vector was seen before, else resolved over the indexed plan."""
         metrics = get_metrics()
         cache = self._decision_cache
-        cache_key = tuple(sorted(binding.items()))
-        entry = cache.get(cache_key)
+        space = self.ctx.env.space
+        names = space.names
+        # The key packs the binding's values as bind() reads them (floats)
+        # in the space's declared order.  A binding whose names differ from
+        # the space's builds no key: it misses, and bind() below raises.
+        key = None
+        if binding.keys() == set(names):
+            key = struct.pack(f"{len(names)}d", *[float(binding[n]) for n in names])
+        entry = cache.pop(key, None)
         if entry is None:
-            env = self.ctx.env.space.bind(binding)
+            env = space.bind(binding)
             decision = resolve_plan(self.plan, self.ctx.with_env(env), index.nodes)
-            cache[cache_key] = (
-                decision.execution_cost,
-                decision.cost_evaluations,
-                decision.cpu_seconds,
-                decision.chosen_indices,
+            chosen = index.vectors.setdefault(
+                decision.chosen_indices, decision.chosen_indices
             )
+            cache[key] = (decision.execution_cost, decision.cpu_seconds, chosen)
             if len(cache) > _DECISION_CACHE_CAPACITY:
-                cache.popitem(last=False)
+                del cache[next(iter(cache))]
                 metrics.counter("access_module.decision_cache_evictions").inc()
             return decision
-        cache.move_to_end(cache_key)
+        cache[key] = entry  # re-inserted: most recently used
         metrics.counter("access_module.decision_cache_hits").inc()
-        execution_cost, evaluations, cpu_seconds, chosen_indices = entry
+        execution_cost, cpu_seconds, chosen_indices = entry
         return ActivationDecision(
             execution_cost=execution_cost,
             choices={
                 id(node): node.alternatives[chosen]
                 for node, chosen in zip(index.choose_nodes, chosen_indices)
             },
-            cost_evaluations=evaluations,
+            cost_evaluations=len(index.nodes),
             cpu_seconds=cpu_seconds,
             chosen_indices=chosen_indices,
         )
@@ -317,9 +325,10 @@ class AccessModule:
     def memoized_costs(self) -> list[tuple[dict[str, float], float]]:
         """(binding, predicted execution cost) of every memoized decision,
         least recently used first."""
+        names = self.ctx.env.space.names
         return [
-            (dict(cache_key), entry[0])
-            for cache_key, entry in self._decision_cache.items()
+            (dict(zip(names, struct.unpack(f"{len(names)}d", key))), entry[0])
+            for key, entry in self._decision_cache.items()
         ]
 
     # ------------------------------------------------------------------

@@ -7,17 +7,22 @@ DAG — each shared subplan exactly once — and let every choose-plan operator
 activate its cheapest alternative.  Under a fully bound environment all
 cost intervals collapse to points, so the minima are well defined; the
 incomparability that forced the choose-plan into the plan has vanished.
+
+So start-up folds bare floats (:class:`~repro.cost.context.PointContext`):
+the nodes call the scalar cost formulas directly, and :class:`Interval`
+stays the compile-time and annotation type.  Only semi-join, non-unique
+left outer join and ``distinct`` cardinalities stay intervals when bound;
+the costs above them are interval arithmetic, compared on the low bound.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.catalog.schema import Attribute
-from repro.cost.context import CostContext
-from repro.errors import BindingError
+from repro.cost.context import CostContext, PointContext
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
 from repro.parallel.plan import ExchangeNode
@@ -81,25 +86,22 @@ def resolve_plan(
     (:func:`iter_plan_nodes`) when the caller already holds one — an
     access module keeps it per plan; without it the DAG is walked here.
     """
-    if not ctx.env.fully_bound:
-        raise BindingError(
-            "choose-plan decisions require a fully bound environment; "
-            f"unbound: {ctx.env.uncertain_names}"
-        )
     tracer = get_tracer()
     started = time.perf_counter()
+    if not isinstance(ctx, PointContext):
+        ctx = PointContext(ctx.catalog, ctx.model, ctx.env)
+    if nodes is None:
+        nodes = tuple(iter_plan_nodes(plan))
     # (output cardinality, total cost, order) per distinct node, bottom-up.
-    table: dict[int, tuple[Interval, Interval, Attribute | None]] = {}
+    table: dict[PlanNode, tuple] = {}
     choices: dict[int, PlanNode] = {}
     chosen_indices: list[int] = []
-    evaluations = 0
 
-    for node in iter_plan_nodes(plan) if nodes is None else nodes:
-        evaluations += 1
+    for node in nodes:
         if isinstance(node, ChoosePlanNode):
             best: PlanNode | None = None
-            best_entry: tuple[Interval, Interval, Attribute | None] | None = None
-            best_index = 0
+            best_entry: tuple | None = None
+            best_cost = best_index = 0
             tie = False
             # Deterministic tie-break: the strict `<` keeps the *first*
             # alternative (in the optimizer's emission order) whenever two
@@ -108,10 +110,13 @@ def resolve_plan(
             # on equal-cost plans; ties are additionally surfaced as
             # `choose.tie` trace events.
             for index, alternative in enumerate(node.alternatives):
-                entry = table[id(alternative)]
-                if best_entry is None or entry[1].low < best_entry[1].low:
-                    best, best_entry, best_index = alternative, entry, index
-                elif entry[1].low == best_entry[1].low:
+                entry = table[alternative]
+                cost = _start_up_cost(entry[1])
+                if best_entry is None or cost < best_cost:
+                    best, best_entry, best_index, best_cost = (
+                        alternative, entry, index, cost
+                    )
+                elif cost == best_cost:
                     tie = True
             assert best is not None and best_entry is not None
             choices[id(node)] = best
@@ -120,7 +125,7 @@ def resolve_plan(
                 alternatives = [
                     {
                         "plan": alternative.label,
-                        "cost": table[id(alternative)][1].low,
+                        "cost": _start_up_cost(table[alternative][1]),
                     }
                     for alternative in node.alternatives
                 ]
@@ -135,46 +140,56 @@ def resolve_plan(
                     tracer.event(
                         "choose.tie",
                         chosen=best.label,
-                        cost=best_entry[1].low,
+                        cost=best_cost,
                     )
             # The decision's own effort belongs to start-up time (it is
             # measured in cpu_seconds), not to the chosen plan's execution
             # cost — keeping it out preserves the paper's g_i = d_i
             # invariant against run-time optimization.
-            table[id(node)] = best_entry
+            table[node] = best_entry
         elif isinstance(node, ExchangeNode):
             # An exchange's total cost is a function of its child's *total*
             # cost (the whole subtree's work is what gets divided across
             # workers), which the generic recompute path cannot see.
-            (child_entry,) = [table[id(child)] for child in node.inputs]
-            table[id(node)] = node.bound_total(ctx, child_entry[0], child_entry[1])
+            (child,) = node.inputs
+            card, total, _ = table[child]
+            table[node] = node.bound_total(ctx, card, total)
         else:
-            input_entries = [table[id(child)] for child in node.inputs]
-            input_cards = [entry[0] for entry in input_entries]
-            input_orders = [entry[2] for entry in input_entries]
-            card, self_cost, order = node.recompute(ctx, input_cards, input_orders)
-            total = self_cost
-            for entry in input_entries:
+            entries = [table[child] for child in node.inputs]
+            card, total, order = node.recompute(
+                ctx, [entry[0] for entry in entries], [entry[2] for entry in entries]
+            )
+            for entry in entries:
                 total = total + entry[1]
-            table[id(node)] = (card, total, order)
+            table[node] = (card, total, order)
 
-    total_cost = table[id(plan)][1]
+    total_cost = _start_up_cost(table[plan][1])
     elapsed = time.perf_counter() - started
     decision = ActivationDecision(
-        execution_cost=total_cost.low,
+        execution_cost=total_cost,
         choices=choices,
-        cost_evaluations=evaluations,
+        cost_evaluations=len(nodes),
         cpu_seconds=elapsed,
         chosen_indices=tuple(chosen_indices),
     )
     metrics = get_metrics()
     metrics.counter("chooser.resolutions").inc()
     metrics.counter("chooser.decisions").inc(decision.decision_count)
-    metrics.counter("chooser.cost_evaluations").inc(evaluations)
+    metrics.counter("chooser.cost_evaluations").inc(len(nodes))
     metrics.timer("chooser.time").observe(elapsed)
     if tracer.enabled:
         tracer.event("chooser.resolved", **decision.as_dict())
     return decision
+
+
+def _start_up_cost(cost: Interval | float) -> float:
+    """A start-up cost as the number decisions compare: the float itself,
+    or an interval's low bound.  NaN raises, as an :class:`Interval` bound
+    would, instead of silently losing every comparison."""
+    value = cost if type(cost) is float else cost.low
+    if math.isnan(value):
+        raise ValueError("interval bounds must not be NaN")
+    return value
 
 
 def effective_plan_nodes(plan: PlanNode, choices: dict[int, PlanNode]) -> list[PlanNode]:

@@ -205,6 +205,13 @@ class Interval:
         return f"[{self.low:g}, {self.high:g}]"
 
 
+def bounds(value: "Interval | Number") -> tuple[float, float]:
+    """``(low, high)`` of an interval, or of a bare number read as a point."""
+    if isinstance(value, Interval):
+        return value.low, value.high
+    return value, value
+
+
 def _coerce(value: "Interval | Number") -> Interval:
     if isinstance(value, Interval):
         return value

@@ -16,9 +16,14 @@ once per resolve, never once per referencing path.
 
 from __future__ import annotations
 
+import math
+import struct
+
 import pytest
 
+from repro.cost import formulas
 from repro.cost.context import CostContext
+from repro.errors import BindingError
 from repro.logical.predicates import CompareOp, HostVariable, SelectionPredicate
 from repro.obs.metrics import get_metrics
 from repro.optimizer.optimizer import OptimizationMode, optimize_query
@@ -30,6 +35,7 @@ from repro.physical.plan import (
     PlanNode,
     TopNNode,
     count_plan_nodes,
+    iter_plan_nodes,
 )
 import repro.runtime.access_module as access_module_mod
 from repro.runtime.access_module import (
@@ -200,6 +206,65 @@ class TestDecisionMemoization:
         assert module.memoized_costs() == [
             ({"sel_v": 0.5}, miss.execution_cost)
         ]
+
+
+    def test_key_is_the_binding_in_declared_order(
+        self, catalog, join_query_with_memory
+    ):
+        result = optimize_query(join_query_with_memory, catalog)
+        module = AccessModule.compile(result.plan, result.ctx)
+        module.activate({"memory": 32, "sel_v": 0.5})
+        assert list(module._decision_cache) == [struct.pack("2d", 0.5, 32.0)]
+        assert module.memoized_costs()[0][0] == {"sel_v": 0.5, "memory": 32}
+        module.activate({"sel_v": 0.5, "memory": 32.0})  # same values: a hit
+        assert len(module._decision_cache) == 1
+
+    def test_binding_with_other_names_still_raises(
+        self, catalog, join_query_with_memory, count_resolves
+    ):
+        result = optimize_query(join_query_with_memory, catalog)
+        module = AccessModule.compile(result.plan, result.ctx)
+        module.activate({"sel_v": 0.5, "memory": 32})
+        # Same length, one name swapped for an unknown one: no memo hit.
+        with pytest.raises(BindingError):
+            module.activate({"sel_v": 0.5, "other": 32})
+        with pytest.raises(BindingError):
+            module.activate({"sel_v": 0.5})
+        with pytest.raises(BindingError):
+            module.activate({"sel_v": 0.5, "memory": 32, "other": 1})
+        assert len(count_resolves) == 1
+        assert module.invocations == 1
+
+    def test_entries_share_one_vector_per_plan(self, join_query, catalog):
+        result = optimize_query(join_query, catalog)
+        module = AccessModule.compile(result.plan, result.ctx)
+        for value in (0.001, 0.002, 0.003, 0.9, 0.95):
+            module.activate({"sel_v": value})
+        vectors = [entry[2] for entry in module._decision_cache.values()]
+        assert len({id(vector) for vector in vectors}) == len(set(vectors)) == 2
+        assert len(module._plan_index().vectors) == 2
+        catalog.drop_index("S_b")  # catalog version moves: memo cleared
+        module.activate({"sel_v": 0.5})
+        assert len(module._decision_cache) == len(module._plan_index().vectors) == 1
+
+
+class TestNaNCost:
+    @pytest.mark.parametrize(
+        "mode", [OptimizationMode.DYNAMIC, OptimizationMode.STATIC]
+    )
+    def test_nan_cost_fails_activation_loudly(
+        self, single_relation_query, catalog, monkeypatch, mode
+    ):
+        """A NaN cost must raise — as a compared alternative (dynamic) and
+        as the plan's total (static) — not silently lose every comparison."""
+        result = optimize_query(single_relation_query, catalog, mode=mode)
+        module = AccessModule.compile(result.plan, result.ctx)
+        labels = [node.label for node in iter_plan_nodes(result.plan)]
+        assert any(label.startswith("Filter-B-tree-Scan") for label in labels)
+        module.activate({"sel_v": 0.5})
+        monkeypatch.setattr(formulas, "_unclustered_fetch_io", lambda *a: math.nan)
+        with pytest.raises(ValueError, match="interval bounds must not be NaN"):
+            module.activate({"sel_v": 0.4})
 
 
 @pytest.fixture

@@ -192,3 +192,112 @@ class TestChoosePlan:
     def test_single_alternative_rejected(self):
         with pytest.raises(ValueError):
             formulas.choose_plan_cost(MODEL, 1)
+
+
+card = st.floats(min_value=0, max_value=1e6, allow_nan=False)
+memory = st.floats(min_value=1, max_value=256, allow_nan=False)
+P = Interval.point
+
+
+class TestPointForm:
+    """Every formula called on bare floats returns the scalar result, and
+    it equals the interval form's low and high bound at point inputs —
+    the start-up fold and the compile-time lift are one piece of math."""
+
+    @staticmethod
+    def same(point, interval):
+        assert type(point) is float
+        assert interval.low == point == interval.high
+
+    def test_file_scan(self):
+        self.same(
+            formulas.file_scan_seconds(MODEL, STATS),
+            formulas.file_scan_cost(MODEL, STATS),
+        )
+
+    @given(unit, st.booleans())
+    def test_btree_scan(self, sel, clustered):
+        self.same(
+            formulas.btree_scan_cost(MODEL, STATS, sel, clustered),
+            formulas.btree_scan_cost(MODEL, STATS, P(sel), clustered),
+        )
+
+    @given(card, unit)
+    def test_filter(self, c, sel):
+        self.same(
+            formulas.filter_cost(MODEL, c, sel),
+            formulas.filter_cost(MODEL, P(c), P(sel)),
+        )
+
+    @given(card, card, card, memory)
+    def test_hash_join(self, build, probe, out, mem):
+        self.same(
+            formulas.hash_join_cost(MODEL, build, probe, out, 512, mem),
+            formulas.hash_join_cost(MODEL, P(build), P(probe), P(out), 512, P(mem)),
+        )
+
+    @given(card, card, card, memory)
+    def test_nested_loops_join(self, outer, inner, out, mem):
+        self.same(
+            formulas.nested_loops_join_cost(MODEL, outer, inner, out, 512, mem),
+            formulas.nested_loops_join_cost(
+                MODEL, P(outer), P(inner), P(out), 512, P(mem)
+            ),
+        )
+
+    @given(card, card, card)
+    def test_merge_join(self, left, right, out):
+        self.same(
+            formulas.merge_join_cost(MODEL, left, right, out),
+            formulas.merge_join_cost(MODEL, P(left), P(right), P(out)),
+        )
+
+    @given(card, card, st.booleans())
+    def test_index_join(self, outer, out, clustered):
+        self.same(
+            formulas.index_join_cost(MODEL, outer, STATS, out, clustered),
+            formulas.index_join_cost(MODEL, P(outer), STATS, P(out), clustered),
+        )
+
+    @given(card, card, memory)
+    def test_hash_aggregate(self, inputs, groups, mem):
+        self.same(
+            formulas.hash_aggregate_cost(MODEL, inputs, groups, 512, mem),
+            formulas.hash_aggregate_cost(MODEL, P(inputs), P(groups), 512, P(mem)),
+        )
+
+    @given(card, card)
+    def test_sorted_aggregate(self, inputs, groups):
+        self.same(
+            formulas.sorted_aggregate_cost(MODEL, inputs, groups),
+            formulas.sorted_aggregate_cost(MODEL, P(inputs), P(groups)),
+        )
+
+    @given(card, memory)
+    def test_sort(self, c, mem):
+        self.same(
+            formulas.sort_cost(MODEL, c, 512, mem),
+            formulas.sort_cost(MODEL, P(c), 512, P(mem)),
+        )
+
+    @given(card, card, memory)
+    def test_partial_sort(self, c, runs, mem):
+        self.same(
+            formulas.partial_sort_cost(MODEL, c, runs, 512, mem),
+            formulas.partial_sort_cost(MODEL, P(c), P(runs), 512, P(mem)),
+        )
+
+    @given(card, card, st.floats(min_value=1, max_value=16, allow_nan=False))
+    def test_parallel_execution(self, subtree, tuples, dop):
+        self.same(
+            formulas.parallel_execution_cost(MODEL, subtree, tuples, dop),
+            formulas.parallel_execution_cost(MODEL, P(subtree), P(tuples), P(dop)),
+        )
+
+    @given(card, card, memory)
+    def test_mixed_arguments_lift_floats_as_points(self, build, probe, mem):
+        """An interval among float arguments lifts; each float is a point."""
+        out = Interval.of(0.0, probe)
+        assert formulas.hash_join_cost(
+            MODEL, build, probe, out, 512, mem
+        ) == formulas.hash_join_cost(MODEL, P(build), P(probe), out, 512, P(mem))
