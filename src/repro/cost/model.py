@@ -41,11 +41,11 @@ class CostModel:
     buffer_aware_fetches: bool = False
 
     # --- parallel execution (Volcano exchange) ----------------------------
-    # Starting one worker (thread spawn, queue setup) and moving one tuple
-    # across an exchange boundary (batching, handoff).  The startup term
-    # makes parallel plans strictly worse than serial ones at DOP=1, so the
-    # start-up decision procedure activates the serial alternative when no
-    # parallelism is actually available.
+    # Starting one worker and moving one tuple across an exchange
+    # boundary, as a Volcano system with real worker processes pays them.
+    # The startup term makes parallel plans strictly worse than serial
+    # ones at DOP=1, so the start-up decision procedure activates the
+    # serial alternative when no parallelism is actually available.
     exchange_startup_seconds: float = 0.02  # per worker
     exchange_tuple_seconds: float = 5e-6  # per tuple crossing the exchange
 

@@ -53,27 +53,33 @@ class BatchFileScanIterator(BatchIterator):
     reads the row scan performs.
     """
 
-    __slots__ = ("db", "relation", "batch_size")
+    __slots__ = ("db", "relation", "batch_size", "worker", "dop")
 
-    def __init__(self, db: Database, relation: str, batch_size: int) -> None:
+    def __init__(
+        self, db: Database, relation: str, batch_size: int,
+        worker: int = 0, dop: int = 1,
+    ) -> None:
         self.db = db
         self.relation = relation
         self.schema = RowSchema.from_schema(db.catalog.relation(relation).schema)
         self.batch_size = batch_size
+        self.worker = worker
+        self.dop = dop
 
     def page_chunks(self) -> Iterator[list[list]]:
         """The scan as buffer-pool page payloads, one pool call per chunk
         of enough whole pages to fill a batch.  A pipeline fused with the
         scan iterates these directly, skipping block assembly; flushes,
-        reads and pool accounting are those of :meth:`batches`."""
+        reads and pool accounting are those of :meth:`batches`.  An
+        exchange worker (``worker`` of ``dop``) reads only its stripe,
+        as the row scan does."""
         heap = self.db.heap(self.relation)
-        heap.flush()
+        first, last = heap.stripe(self.worker, self.dop)
         name = heap.name
-        pages = self.db.disk.page_count(name)
         chunk = max(1, -(-self.batch_size // heap.records_per_page))
         read_range = self.db.buffer.read_page_range
-        for first in range(0, pages, chunk):
-            yield read_range(name, first, min(first + chunk, pages))
+        for start in range(first, last, chunk):
+            yield read_range(name, start, min(start + chunk, last))
 
     def batches(self) -> Iterator[RowBatch]:
         size = self.batch_size

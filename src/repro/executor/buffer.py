@@ -6,11 +6,11 @@ what the reproduction needs — read caching with LRU replacement — because
 every write path in this engine is append-only (loads, sort runs, hash
 partitions) and bypasses the pool.
 
-The pool is thread-safe for exchange workers: one lock guards the frame
-map and the hit/miss counters.  A miss holds the lock across the disk read
-(single-flight per pool), trading a little concurrency on buffered paths
-for exact accounting — unbuffered scans, the parallel fast path, never
-touch the pool.
+One lock guards the frame map and the hit/miss counters, so threads may
+share a pool.  A miss holds the lock across the disk read (single-flight
+per pool), trading a little concurrency on buffered paths for exact
+accounting — the row-mode heap scan reads the disk directly and never
+touches the pool.
 """
 
 from __future__ import annotations

@@ -51,13 +51,10 @@ from repro.obs.telemetry import CardinalityLedger, get_ledger, plan_signature
 from repro.obs.trace import get_tracer
 from repro.executor.tuples import DEFAULT_BATCH_SIZE, Row, RowSchema
 from repro.parallel.exchange import (
-    BatchExchangeIterator,
-    BatchStripedFileScanIterator,
     ExchangeIterator,
     HashStripeIterator,
     ModuloStripeIterator,
     PartitionSpec,
-    StripedFileScanIterator,
 )
 from repro.parallel.plan import ExchangeMode, ExchangeNode
 from repro.physical.plan import (
@@ -425,8 +422,8 @@ class _Operator:
     """One row of the node-type table: the operator for a plan node.
 
     ``row`` and ``batch`` are the same class where the algorithm is
-    written once (the blocking operators); they differ for the scans and
-    the exchange, and ``batch`` is None for the streaming operators,
+    written once (the blocking operators and the exchange); they differ
+    for the scans, and ``batch`` is None for the streaming operators,
     whose vectorized form is a generated step
     (:data:`repro.executor.fused.STEPS`) beside the interpreted
     row-at-a-time reference.  A class takes the built inputs first, then
@@ -491,15 +488,9 @@ _OPERATORS: dict[type[PlanNode], _Operator] = {
     UnionAllNode: _single(UnionAllIterator, variadic=True),
     DistinctNode: _single(DistinctIterator),
     # Built by _exchange: its input is cloned per worker, and the worker
-    # builder and telemetry follow ``args``.
-    ExchangeNode: _Operator(
-        ExchangeIterator, BatchExchangeIterator, ("label", "dop", "merge_key")
-    ),
+    # builder follows ``args``.
+    ExchangeNode: _single(ExchangeIterator, "label", "dop", "merge_key"),
 }
-
-#: The driver's heap scan inside an exchange worker: a contiguous page
-#: range, read record by record or page-aligned through the buffer pool.
-_STRIPED_SCAN = _Operator(StripedFileScanIterator, BatchStripedFileScanIterator)
 
 
 class BuildContext(NamedTuple):
@@ -605,10 +596,12 @@ def _operator(node: PlanNode, cx: BuildContext) -> PlanIterator:
         and partition.mode is not ExchangeMode.REPARTITION
         and partition.driver == node.relation
     ):
-        # The driver's heap scan takes a contiguous page range instead of
-        # a row-index stripe of the whole file: each page is read once.
+        # The driver's heap scan reads the worker's contiguous page range
+        # instead of a row-index stripe of the whole file: each page is
+        # read once.
         return cx.instantiate(
-            _STRIPED_SCAN, cx.db, node.relation, partition.worker, partition.dop
+            op, *_arguments(op, node, cx),
+            worker=partition.worker, dop=partition.dop,
         )
     inputs = [_input(node, index, cx) for index in range(len(node.inputs))]
     if op.batch is None and cx.batch_size is not None:
@@ -709,12 +702,14 @@ def _exchange(
     """Instantiate an exchange: per-worker clones of the child subtree.
 
     Each worker gets an equal share of the memory budget (the memory split
-    the parallel cost formulas assume) and runs unmetered — per-operator
-    stats objects are not thread-safe, so EXPLAIN ANALYZE counters stop at
-    the exchange boundary and attribute the whole subtree to it.  Ledger
-    probes and adaptive guards likewise stop at the boundary (per-worker
-    counts are partial slices); the exchange reports the reassembled
-    total itself.
+    the parallel cost formulas assume) and runs unmetered: EXPLAIN ANALYZE
+    counters stop at the exchange boundary and attribute the whole
+    subtree to it (metering inside the workers would change what
+    ``analyze`` reports for the subtree).
+    Ledger probes and adaptive guards likewise stop at the boundary
+    (per-worker counts are partial slices); the exchange reports the
+    reassembled total itself.  The workers' page reads are charged to
+    their own disk streams (see :mod:`repro.parallel.exchange`).
     """
     if cx.partition is not None:
         raise ExecutionError("nested exchange operators are not supported")
@@ -745,6 +740,7 @@ def _exchange(
         op,
         *_arguments(op, node, cx),
         build_worker,
+        disk=cx.db.disk,
         telemetry=None if cx.probe is None else (
             cx.probe, plan_signature(node), node.cardinality,
             cx.db.catalog.version,

@@ -327,17 +327,29 @@ class MaterializedIterator(RowStreamIterator):
 # Scans
 # ----------------------------------------------------------------------
 class FileScanIterator(PlanIterator):
-    """Sequential heap-file scan."""
+    """Sequential heap-file scan, or worker ``worker``'s stripe of it.
 
-    __slots__ = ("db", "relation")
+    Worker ``w`` of ``dop`` reads the contiguous page range
+    :meth:`~repro.executor.storage.HeapFile.stripe` gives it: the stripes
+    are disjoint, cover the file, and stay sequential within each worker —
+    together the workers read each page exactly once.  The default is the
+    whole file.
+    """
 
-    def __init__(self, db: Database, relation: str) -> None:
+    __slots__ = ("db", "relation", "worker", "dop")
+
+    def __init__(
+        self, db: Database, relation: str, worker: int = 0, dop: int = 1
+    ) -> None:
         self.db = db
         self.relation = relation
+        self.worker = worker
+        self.dop = dop
         self.schema = RowSchema.from_schema(db.catalog.relation(relation).schema)
 
     def rows(self) -> Iterator[Row]:
-        for _, record in self.db.heap(self.relation).scan():
+        heap = self.db.heap(self.relation)
+        for _, record in heap.scan_pages(*heap.stripe(self.worker, self.dop)):
             yield record
 
 

@@ -10,14 +10,16 @@ Temporary files (hash-join partitions, sort runs) are first-class: they are
 created and dropped through the same interface and their I/O is charged
 identically, so measured execution validates the operators' spill formulas.
 
-All accounting is guarded by one lock so exchange workers can share the
-disk: counter updates, the file map, temp-file naming, and the
+All accounting is guarded by one lock, so threads may share a disk:
+counter updates, the file map, temp-file naming, and the
 sequential/random classification state are atomic.  Sequentiality is
-tracked per *stream* (reading thread): each exchange worker scanning its
-own contiguous page stripe is charged sequential I/O even though the
-stripes interleave on the shared disk — the per-stream prefetch model of
-a striped disk array, and the assumption the parallel cost formulas make
-when they divide scan I/O by the degree of parallelism.
+tracked per *stream*: :attr:`SimulatedDisk.stream` is 0 for the caller
+and ``w + 1`` while an exchange pulls its worker ``w``, so each worker
+scanning its own contiguous page stripe is charged sequential I/O even
+though the exchange interleaves the stripes on the shared disk — the
+per-stream prefetch model of a striped disk array, and the assumption the
+parallel cost formulas make when they divide scan I/O by the degree of
+parallelism.  Threads sharing one disk share its current stream.
 """
 
 from __future__ import annotations
@@ -51,10 +53,10 @@ class IoCounters:
 class _File:
     """One simulated file: a growable list of page payloads.
 
-    ``last_read_by_stream`` maps a reading thread's ident to the page it
-    last read, the state behind per-stream sequential detection.  Thread
-    idents are recycled by the interpreter, so the map stays small even
-    under a long-lived service spawning exchange workers per query.
+    ``last_read_by_stream`` maps a stream id (0 for the caller, worker
+    index + 1 inside an exchange) to the page that stream last read, the
+    state behind per-stream sequential detection.  Ids are bounded by the
+    largest degree of parallelism, so the map stays small.
     """
 
     name: str
@@ -68,6 +70,9 @@ class SimulatedDisk:
     def __init__(self, model: CostModel) -> None:
         self.model = model
         self.counters = IoCounters()
+        #: the stream reads are classified on: 0 for the caller, worker
+        #: index + 1 while an exchange pulls that worker.
+        self.stream = 0
         self._files: dict[str, _File] = {}
         self._temp_counter = 0
         self._lock = threading.RLock()
@@ -131,13 +136,13 @@ class SimulatedDisk:
     def read_page(self, name: str, page_no: int) -> list:
         """Read one page, charging sequential or random time.
 
-        The access is sequential when it follows the page this *stream*
-        (reading thread) previously read from the file; the payload is
+        The access is sequential when it follows the page the current
+        :attr:`stream` previously read from the file; the payload is
         returned by reference (callers must not mutate it unless they own
         the file).
         """
-        stream = threading.get_ident()
         with self._lock:
+            stream = self.stream
             file = self._file(name)
             self._check_page(file, page_no)
             last = file.last_read_by_stream.get(stream)
@@ -161,8 +166,8 @@ class SimulatedDisk:
         """
         if last <= first:
             return []
-        stream = threading.get_ident()
         with self._lock:
+            stream = self.stream
             file = self._file(name)
             self._check_page(file, first)
             self._check_page(file, last - 1)
@@ -211,8 +216,7 @@ class HeapFile:
     ``(page number, slot)`` pairs used by unclustered indexes.
 
     Loading (``append``/``flush``) is single-threaded by design; scans and
-    fetches of a loaded file are safe to share across exchange workers
-    because they only read through the locked disk.
+    fetches of a loaded file only read through the locked disk.
     """
 
     def __init__(self, disk: SimulatedDisk, name: str, records_per_page: int) -> None:
@@ -247,21 +251,27 @@ class HeapFile:
             self.disk.append_page(self.name, self._tail)
             self._tail = []
 
+    def stripe(self, worker: int = 0, dop: int = 1) -> tuple[int, int]:
+        """Page range ``[w*P/dop, (w+1)*P/dop)`` of worker ``w`` of ``dop``.
+
+        Flushes first, so ``P`` counts every record's page.  The stripes
+        are disjoint and cover the file; the default is the whole file.
+        """
+        self.flush()
+        pages = self.disk.page_count(self.name)
+        return worker * pages // dop, (worker + 1) * pages // dop
+
     def scan(self) -> Iterator[tuple[tuple[int, int], tuple]]:
         """Yield ``(rid, record)`` for every record, sequentially."""
-        self.flush()
-        for page_no, payload in self.disk.scan_pages(self.name):
-            for slot, record in enumerate(payload):
-                yield (page_no, slot), record
+        return self.scan_pages(*self.stripe())
 
     def scan_pages(
         self, first_page: int, last_page: int
     ) -> Iterator[tuple[tuple[int, int], tuple]]:
         """Yield ``(rid, record)`` for pages in ``[first_page, last_page)``.
 
-        The page-stripe primitive of partitioned scans: each exchange
-        worker reads a disjoint contiguous page range, so together the
-        workers read each page exactly once, sequentially within a stripe.
+        The one heap scan loop: a full scan is the range over the whole
+        file, an exchange worker's scan its :meth:`stripe`.
         """
         self.flush()
         for page_no in range(first_page, last_page):

@@ -37,7 +37,8 @@ span / event              emitted by
                           baseline (flight recorder)
 ``service.invoke``        one span per service invocation (worker thread,
                           re-parented under the submitter's span)
-``parallel.worker``       one span per exchange producer thread
+``parallel.exchange``     one event per drained exchange (rows per
+                          worker)
 ========================  ============================================
 """
 

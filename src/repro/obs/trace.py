@@ -27,8 +27,8 @@ them to strings, numbers, booleans, and flat lists/dicts thereof.
 
 Tracing is thread-aware: each thread keeps its own span stack, and a
 parent span can be carried across a thread boundary with
-``tracer.attach(span)`` — the service worker pool and exchange producer
-threads use this so one trace covers a full scatter/gather query.  For
+``tracer.attach(span)`` — the service worker pool uses this so one
+trace covers submission, queueing and execution.  For
 serving, :class:`SamplingTracer` records every N-th root span (the
 sampling decision is made once at the root and inherited by everything
 beneath it, including attached worker threads), keeping overhead bounded

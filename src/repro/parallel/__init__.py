@@ -6,9 +6,9 @@ The subsystem has three layers, mirroring the serial engine's split:
   and its interval cost semantics (the DOP is a run-time parameter);
 * :mod:`repro.parallel.rules` — optimizer rules producing the parallel
   alternative of a serial winner, competing in the same winner set;
-* :mod:`repro.parallel.exchange` — execution: worker threads, bounded
-  queues with backpressure, cancellation/error propagation, and the
-  order-preserving merge.
+* :mod:`repro.parallel.exchange` — execution: per-worker partitions,
+  workers pulled in the caller's thread on their own disk streams, and
+  the order-preserving merge.
 
 Only the optimizer-side layers load eagerly: the optimizer imports this
 package before the executor package exists (``repro/__init__`` loads the
@@ -24,7 +24,6 @@ _EXECUTION_EXPORTS = (
     "HashStripeIterator",
     "ModuloStripeIterator",
     "PartitionSpec",
-    "StripedFileScanIterator",
 )
 
 __all__ = [

@@ -1,50 +1,45 @@
-"""Exchange execution: worker threads, bounded queues, merge.
+"""Exchange execution: workers pulled in the caller's thread, merge.
 
 The consumer side of an exchange is an ordinary Volcano iterator; the
-producer side is ``dop`` worker threads, each running a private clone of
-the child iterator tree restricted to its partition (see
-:class:`PartitionSpec`).  Workers push fixed-size row batches into bounded
-queues — the queue bound is the backpressure mechanism: a worker that gets
-ahead of the consumer blocks on ``put`` until the consumer catches up.
+producer side is ``dop`` workers, each a private clone of the child
+iterator tree restricted to its partition (see :class:`PartitionSpec`).
+The workers are generators the exchange pulls itself — no threads, no
+queues: the engine does CPU work only (the simulated disk never sleeps),
+so under the GIL threads would buy nothing but a run-to-run row order.
 
-Failure handling is cooperative: a shared cancellation event stops every
-worker as soon as the consumer goes away (generator closed early) or any
-worker raises; worker exceptions travel through the queue and re-raise in
-the consumer with their original type.  All queue waits are short timed
-operations in cancel-checking loops, so no thread can block forever.
+Unordered modes (PARTITION / REPARTITION) drain the workers in index
+order.  MERGE mode heap-merges the per-worker sorted streams, restoring
+the global order.  Either way the output is a deterministic function of
+the plan and the data, and row and batch mode produce the same row
+sequence.
 
-Unordered modes (PARTITION / REPARTITION) share one queue: rows arrive
-interleaved in completion order, which is fine because these modes promise
-a multiset, not an order.  MERGE mode gives each worker its own queue and
-heap-merges the per-worker sorted streams, restoring the global order.
+Each pull from worker ``w`` — opening its stream included — runs with
+the simulated disk's stream set to ``w + 1`` (the caller's is 0), so a
+worker's page reads are classified sequential or random against its own
+previous read: the striped-disk model behind the parallel cost formula's
+division of scan I/O by the DOP.
 """
 
 from __future__ import annotations
 
 import heapq
-import queue
-import threading
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
+from types import SimpleNamespace
 from typing import Callable, Iterator, Mapping
 
 from repro.catalog.schema import Attribute
-from repro.executor.database import Database
 from repro.executor.iterators import (
     BatchIterator,
     PlanIterator,
     RowStreamIterator,
     rebatch,
 )
-from repro.executor.tuples import DEFAULT_BATCH_SIZE, Row, RowBatch, RowSchema
+from repro.executor.storage import SimulatedDisk
+from repro.executor.tuples import DEFAULT_BATCH_SIZE, Row, RowBatch
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
 from repro.parallel.plan import ExchangeMode
-
-BATCH_ROWS = 64  # rows per queue item: amortizes queue overhead
-QUEUE_BATCHES = 16  # bounded-queue depth per worker: the backpressure window
-_PUT_TIMEOUT = 0.05  # cancel-check period while a producer waits on a full queue
-_GET_TIMEOUT = 0.05  # cancel-check period while the consumer waits on data
 
 
 @dataclass(frozen=True)
@@ -63,33 +58,6 @@ class PartitionSpec:
     dop: int
     driver: str | None
     hash_keys: Mapping[str, Attribute]
-
-
-class StripedFileScanIterator(PlanIterator):
-    """Contiguous page-range stripe of a heap-file scan.
-
-    Worker ``w`` of ``dop`` reads pages ``[w*P/dop, (w+1)*P/dop)``: the
-    stripes are disjoint, cover the file, and stay sequential within each
-    worker — together the workers read each page exactly once.
-    """
-
-    __slots__ = ("db", "relation", "worker", "dop")
-
-    def __init__(self, db: Database, relation: str, worker: int, dop: int) -> None:
-        self.db = db
-        self.relation = relation
-        self.worker = worker
-        self.dop = dop
-        self.schema = RowSchema.from_schema(db.catalog.relation(relation).schema)
-
-    def rows(self) -> Iterator[Row]:
-        heap = self.db.heap(self.relation)
-        heap.flush()
-        pages = self.db.disk.page_count(heap.name)
-        first = self.worker * pages // self.dop
-        last = (self.worker + 1) * pages // self.dop
-        for _, record in heap.scan_pages(first, last):
-            yield record
 
 
 class ModuloStripeIterator(RowStreamIterator):
@@ -134,16 +102,28 @@ class HashStripeIterator(RowStreamIterator):
         return (row for row in rows if hash(row[position]) % dop == worker)
 
 
-class ExchangeIterator(PlanIterator):
-    """Consumer end of an exchange: spawn workers, reassemble streams."""
+def _one(row: Row) -> int:
+    return 1
+
+
+class ExchangeIterator(BatchIterator):
+    """Consumer end of an exchange: pull the workers, reassemble streams.
+
+    One class for both entry points: ``rows()`` pulls the workers' row
+    streams, ``batches()`` their batch streams.  ``disk`` is the
+    database's simulated disk, whose stream the exchange switches around
+    every pull; without one (workers that read no storage) the switch
+    lands on a private slot.
+    """
 
     __slots__ = (
         "label",
         "dop",
         "_workers",
         "merge_position",
+        "batch_size",
+        "_disk",
         "_worker_rows",
-        "_max_queue_depth",
         "_telemetry",
     )
 
@@ -153,6 +133,9 @@ class ExchangeIterator(PlanIterator):
         dop: int,
         merge_key: Attribute | None,
         build_worker: Callable[[int], PlanIterator],
+        batch_size: int = DEFAULT_BATCH_SIZE,
+        *,
+        disk: SimulatedDisk | None = None,
         telemetry: tuple | None = None,
     ) -> None:
         self.label = label
@@ -162,168 +145,78 @@ class ExchangeIterator(PlanIterator):
         self.merge_position = (
             self.schema.position(merge_key) if merge_key is not None else None
         )
+        self.batch_size = batch_size
+        self._disk = disk if disk is not None else SimpleNamespace(stream=0)
         self._worker_rows = [0] * self.dop
-        self._max_queue_depth = 0
         # (ledger, plan signature, cardinality interval, catalog version):
         # when set, the exchange reports its total produced rows — the
         # partition breaker's observed cardinality — to the telemetry
-        # ledger after a threaded run.
+        # ledger once the workers are drained.
         self._telemetry = telemetry
 
     def rows(self) -> Iterator[Row]:
-        if self.dop == 1:
-            # Inline fast path: no threads, no queues, no overhead — the
-            # executor's DOP=1 parallel plan behaves like the serial one.
-            yield from self._workers[0].rows()
-            return
-        if self.merge_position is None:
-            yield from self._run(shared_queue=True)
-        else:
-            yield from self._run(shared_queue=False)
-        self._record_metrics()
-
-    # ------------------------------------------------------------------
-    # Threaded execution
-    # ------------------------------------------------------------------
-    def _run(self, shared_queue: bool) -> Iterator[Row]:
-        if shared_queue:
-            queues = [queue.Queue(maxsize=QUEUE_BATCHES * self.dop)]
-            outputs = [queues[0]] * self.dop
-        else:
-            queues = [queue.Queue(maxsize=QUEUE_BATCHES) for _ in range(self.dop)]
-            outputs = queues
-        cancel = threading.Event()
-        tracer = get_tracer()
-        parent = tracer.current_span() if tracer.enabled else None
-
-        def worker_body(index: int, iterator, out) -> None:
-            if parent is None:
-                self._produce(index, iterator, out, cancel)
-                return
-            # Cross-thread propagation: adopt the coordinator's span so
-            # this worker's spans/events nest inside the query's trace.
-            with tracer.attach(parent):
-                with tracer.span(
-                    "parallel.worker", label=self.label, worker=index
-                ):
-                    self._produce(index, iterator, out, cancel)
-
-        threads = [
-            threading.Thread(
-                target=worker_body,
-                args=(index, iterator, outputs[index]),
-                name=f"exchange-worker-{index}",
-                daemon=True,
-            )
-            for index, iterator in enumerate(self._workers)
+        streams = [
+            self._pull(index, worker.rows, _one)
+            for index, worker in enumerate(self._workers)
         ]
-        for thread in threads:
-            thread.start()
-        try:
-            if shared_queue:
-                yield from self._consume_interleaved(queues[0], cancel)
-            else:
-                yield from self._consume_merge(queues, cancel)
-        finally:
-            cancel.set()
-            # Unblock producers that may be waiting on a full queue, then
-            # reap the threads.
-            for q in queues:
-                try:
-                    while True:
-                        q.get_nowait()
-                except queue.Empty:
-                    pass
-            for thread in threads:
-                thread.join(timeout=5.0)
+        if self.merge_position is None:
+            return self._reassembled(chain.from_iterable(streams))
+        return self._reassembled(self._merged(streams))
 
-    def _produce(
-        self,
-        index: int,
-        iterator: PlanIterator,
-        out: queue.Queue,
-        cancel: threading.Event,
-    ) -> None:
+    def batches(self) -> Iterator[RowBatch]:
+        streams = [
+            self._pull(index, worker.batches, len)
+            for index, worker in enumerate(self._workers)
+        ]
+        if self.merge_position is None:
+            return self._reassembled(chain.from_iterable(streams))
+        # Order restoration is per row: merge the flattened worker
+        # streams, then re-block the merged output.
+        merged = self._merged([chain.from_iterable(s) for s in streams])
+        return self._reassembled(rebatch(merged, self.batch_size))
+
+    def _pull(
+        self, index: int, open_stream: Callable[[], Iterator],
+        size: Callable[[object], int],
+    ) -> Iterator:
+        """Worker ``index``'s stream, opened by ``open_stream`` (its
+        ``rows`` or ``batches``); ``size`` counts an item's rows.
+
+        Every pull — the opening call included — runs on the worker's
+        disk stream and restores the caller's afterwards, also when the
+        worker raises or the consumer closes the exchange early, so the
+        consumer's own reads stay on its own stream.
+        """
+        disk = self._disk
+        source = None
         produced = 0
         try:
-            batch: list[Row] = []
-            for row in iterator.rows():
-                batch.append(row)
-                if len(batch) >= BATCH_ROWS:
-                    produced += len(batch)
-                    if not self._put(out, ("rows", index, batch), cancel):
-                        return
-                    batch = []
-            if batch:
-                produced += len(batch)
-                if not self._put(out, ("rows", index, batch), cancel):
+            while True:
+                caller = disk.stream
+                disk.stream = index + 1
+                try:
+                    if source is None:
+                        source = open_stream()
+                    item = next(source)
+                except StopIteration:
                     return
-            self._put(out, ("done", index, None), cancel)
-        except BaseException as exc:  # noqa: BLE001 — must cross the thread boundary
-            self._put(out, ("error", index, exc), cancel)
+                finally:
+                    disk.stream = caller
+                produced += size(item)
+                yield item
         finally:
             self._worker_rows[index] = produced
 
-    @staticmethod
-    def _put(out: queue.Queue, item: tuple, cancel: threading.Event) -> bool:
-        while not cancel.is_set():
-            try:
-                out.put(item, timeout=_PUT_TIMEOUT)
-                return True
-            except queue.Full:
-                continue
-        return False
-
-    def _get(self, source: queue.Queue, cancel: threading.Event) -> tuple:
-        while True:
-            depth = source.qsize()
-            if depth > self._max_queue_depth:
-                self._max_queue_depth = depth
-            try:
-                return source.get(timeout=_GET_TIMEOUT)
-            except queue.Empty:
-                if cancel.is_set():
-                    raise RuntimeError(
-                        "exchange cancelled while awaiting worker output"
-                    ) from None
-
-    def _consume_interleaved(
-        self, source: queue.Queue, cancel: threading.Event
-    ) -> Iterator[Row]:
-        remaining = self.dop
-        while remaining:
-            kind, _index, payload = self._get(source, cancel)
-            if kind == "rows":
-                yield from payload
-            elif kind == "done":
-                remaining -= 1
-            else:
-                cancel.set()
-                raise payload
-
-    def _consume_merge(
-        self, queues: list[queue.Queue], cancel: threading.Event
-    ) -> Iterator[Row]:
+    def _merged(self, streams: list[Iterator[Row]]) -> Iterator[Row]:
         position = self.merge_position
-        assert position is not None
-
-        def stream(source: queue.Queue) -> Iterator[Row]:
-            while True:
-                kind, _index, payload = self._get(source, cancel)
-                if kind == "rows":
-                    yield from payload
-                elif kind == "done":
-                    return
-                else:
-                    cancel.set()
-                    raise payload
-
         # heapq.merge is deterministic on ties: equal keys resolve by
         # stream position, and each worker's stream is itself
         # deterministic, so a merged parallel run is repeatable.
-        return heapq.merge(
-            *(stream(q) for q in queues), key=lambda row: row[position]
-        )
+        return heapq.merge(*streams, key=lambda row: row[position])
+
+    def _reassembled(self, stream: Iterator) -> Iterator:
+        yield from stream
+        self._record_metrics()
 
     # ------------------------------------------------------------------
     # Observability
@@ -333,7 +226,6 @@ class ExchangeIterator(PlanIterator):
         total = sum(self._worker_rows)
         registry.counter("parallel.exchanges").inc()
         registry.counter("parallel.worker_rows").inc(total)
-        registry.gauge("parallel.queue_depth").max(float(self._max_queue_depth))
         if total:
             skew = max(self._worker_rows) / (total / self.dop)
             registry.gauge("parallel.partition_skew").max(skew)
@@ -344,7 +236,6 @@ class ExchangeIterator(PlanIterator):
                 label=self.label,
                 dop=self.dop,
                 rows_per_worker=list(self._worker_rows),
-                max_queue_depth=self._max_queue_depth,
             )
         if self._telemetry is not None:
             ledger, signature, interval, version = self._telemetry
@@ -359,129 +250,3 @@ class ExchangeIterator(PlanIterator):
                     "dop": self.dop,
                 },
             )
-
-
-# ----------------------------------------------------------------------
-# Vectorized exchange
-# ----------------------------------------------------------------------
-class BatchStripedFileScanIterator(BatchIterator):
-    """Page-range stripe delivered as page-aligned batches.
-
-    The batch analogue of :class:`StripedFileScanIterator`, reading its
-    contiguous stripe through the buffer pool like the serial batch scan.
-    """
-
-    __slots__ = ("db", "relation", "worker", "dop", "batch_size")
-
-    def __init__(
-        self, db: Database, relation: str, worker: int, dop: int, batch_size: int
-    ) -> None:
-        self.db = db
-        self.relation = relation
-        self.worker = worker
-        self.dop = dop
-        self.batch_size = batch_size
-        self.schema = RowSchema.from_schema(db.catalog.relation(relation).schema)
-
-    def batches(self) -> Iterator[RowBatch]:
-        heap = self.db.heap(self.relation)
-        heap.flush()
-        pages = self.db.disk.page_count(heap.name)
-        first = self.worker * pages // self.dop
-        last = (self.worker + 1) * pages // self.dop
-        size = self.batch_size
-        chunk = max(1, -(-size // heap.records_per_page))
-        read_range = self.db.buffer.read_page_range
-        pending: list = []
-        for start in range(first, last, chunk):
-            for payload in read_range(heap.name, start, min(start + chunk, last)):
-                pending.extend(payload)
-            if len(pending) >= size:
-                yield RowBatch(pending)
-                pending = []
-        if pending:
-            yield RowBatch(pending)
-
-
-class BatchExchangeIterator(ExchangeIterator):
-    """Exchange over batch workers: blocks ship through the queues as-is.
-
-    Where the row exchange re-packs its child's row stream into
-    ``BATCH_ROWS``-sized lists before every ``put`` (one append per row),
-    the batch exchange enqueues each worker's ``RowBatch`` row list
-    *directly* — no re-batching copy, one queue operation per block.  The
-    queue bound still provides backpressure; it now counts blocks of the
-    executor's ``batch_size`` rather than ``BATCH_ROWS`` rows.
-
-    MERGE mode flattens the per-worker sorted streams for ``heapq.merge``
-    (order restoration is inherently per-row) and re-blocks the merged
-    output.
-    """
-
-    __slots__ = ("batch_size",)
-
-    def __init__(
-        self,
-        label: str,
-        dop: int,
-        merge_key: Attribute | None,
-        build_worker: Callable[[int], BatchIterator],
-        batch_size: int,
-        telemetry: tuple | None = None,
-    ) -> None:
-        super().__init__(label, dop, merge_key, build_worker, telemetry)
-        self.batch_size = batch_size
-
-    def batches(self) -> Iterator[RowBatch]:
-        if self.dop == 1:
-            # Inline fast path, mirroring the row exchange at DOP=1.
-            yield from self._workers[0].batches()
-            return
-        if self.merge_position is None:
-            yield from self._run(shared_queue=True)
-        else:
-            yield from self._run(shared_queue=False)
-        self._record_metrics()
-
-    def rows(self) -> Iterator[Row]:
-        for batch in self.batches():
-            yield from batch.rows
-
-    def _produce(
-        self,
-        index: int,
-        iterator: BatchIterator,
-        out: queue.Queue,
-        cancel: threading.Event,
-    ) -> None:
-        produced = 0
-        try:
-            for batch in iterator.batches():
-                rows = batch.rows
-                produced += len(rows)
-                if not self._put(out, ("rows", index, rows), cancel):
-                    return
-            self._put(out, ("done", index, None), cancel)
-        except BaseException as exc:  # noqa: BLE001 — must cross the thread boundary
-            self._put(out, ("error", index, exc), cancel)
-        finally:
-            self._worker_rows[index] = produced
-
-    def _consume_interleaved(
-        self, source: queue.Queue, cancel: threading.Event
-    ) -> Iterator[RowBatch]:
-        remaining = self.dop
-        while remaining:
-            kind, _index, payload = self._get(source, cancel)
-            if kind == "rows":
-                yield RowBatch(payload)
-            elif kind == "done":
-                remaining -= 1
-            else:
-                cancel.set()
-                raise payload
-
-    def _consume_merge(
-        self, queues: list[queue.Queue], cancel: threading.Event
-    ) -> Iterator[RowBatch]:
-        return rebatch(super()._consume_merge(queues, cancel), self.batch_size)

@@ -604,9 +604,10 @@ def _check_parallel(
                 result, required_order, f"parallel-order-dop{dop}", report
             )
         if check_batch:
-            # Row-mode parallel execution must agree with batch-mode.
-            # Interleaved exchange output order is scheduling-dependent at
-            # DOP > 1, so the comparison is multiset-canonical here.
+            # Row-mode parallel execution must agree with batch-mode on
+            # the raw row stream: an exchange drains its workers in a
+            # fixed order, so row order is part of the contract at every
+            # DOP.
             row_result = execute_plan(
                 dynamic.plan,
                 db,
@@ -615,17 +616,13 @@ def _check_parallel(
                 dop=dop,
                 execution_mode="row",
             )
-            row_payload = json.dumps(
-                _canonical_payload(row_result, attributes)
-            )
-            if row_payload != payload:
-                rows = _canonical_payload(row_result, attributes)
+            if json.dumps(row_result.rows) != json.dumps(result.rows):
                 report(
                     f"parallel-batch-identity-dop{dop}",
                     f"row-mode parallel execution at DOP={dop} returned "
-                    f"{len(rows)} rows != batch-mode "
-                    f"{len(oracle)}; first diff: "
-                    f"{_first_diff(rows, _canonical_payload(result, attributes))}",
+                    f"{len(row_result.rows)} rows != batch-mode "
+                    f"{len(result.rows)}; first diff: "
+                    f"{_first_diff(row_result.rows, result.rows)}",
                 )
         runtime = optimize_statement(
             statement,

@@ -206,7 +206,7 @@ class PreparedQuery:
         memory, not the cost model's default) and the executor's memory
         bound.  ``dop`` does the same for parallelism: the decision
         procedure sees the bound degree (activating a parallel alternative
-        only when it pays off) and the executor spawns that many exchange
+        only when it pays off) and the executor builds that many exchange
         workers.
 
         ``execution_mode`` and ``batch_size`` tune the executor only: the

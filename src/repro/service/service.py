@@ -30,7 +30,6 @@ outside it.
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import Future
 from dataclasses import dataclass
 from time import perf_counter
@@ -109,7 +108,6 @@ class QueryService:
         cache_ttl_seconds: float | None = None,
         stale_threshold: float = 0.0,
         max_dop: int | None = None,
-        parallel_worker_budget: int | None = None,
         database_factory: Callable[[], Database] | None = None,
         seed: int = 0,
         execution_mode: str = "fused",
@@ -143,16 +141,6 @@ class QueryService:
         self._model = model if model is not None else CostModel()
         self._queue_limit = queue_limit
         self._max_dop = max_dop
-        # Total exchange workers allowed across concurrent requests.  A
-        # request asking for more parallelism than currently available is
-        # granted a clamped degree rather than queued or rejected —
-        # degraded service beats no service, and DOP=1 is always free
-        # (serial execution reserves nothing).
-        if parallel_worker_budget is None:
-            parallel_worker_budget = workers * (max_dop if max_dop else 1)
-        self._parallel_budget = max(1, parallel_worker_budget)
-        self._parallel_lock = threading.Lock()
-        self._parallel_in_use = 0
         self.cache = PlanCache(
             catalog,
             self._model,
@@ -208,9 +196,11 @@ class QueryService:
     ) -> "Future[ServiceResult]":
         """Admit one invocation; fast-rejects when the queue is full.
 
-        ``dop`` requests parallel execution; the granted degree is clamped
-        to the service's ``max_dop`` and to the exchange workers still
-        available under ``parallel_worker_budget`` at execution time.
+        ``dop`` requests parallel execution; a degree above the service's
+        ``max_dop`` is clamped to it (counted in ``service.dop_clamped``),
+        never rejected.  Exchange workers run in the serving thread, so
+        the granted degree depends on the request alone, not on what
+        else is running.
         ``execution_mode`` / ``batch_size`` override the service-level
         executor defaults for this invocation only.  ``adaptive`` opts
         this invocation in to (True) or out of (False) mid-query
@@ -327,64 +317,66 @@ class QueryService:
         metrics = get_metrics()
         entry, hit = self.cache.get_or_compile(request.sql, request.mode)
         prepared = entry.prepared
-        granted = self._acquire_dop(request.dop)
-        try:
-            parameter_values = request.parameter_values
-            if parameter_values is None:
-                parameter_values = prepared.derive_parameters(
-                    db,
-                    request.value_bindings,
-                    memory_pages=request.memory_pages,
-                    dop=granted,
-                )
-            elif granted is not None and DOP_PARAMETER in prepared.graph.parameters:
-                parameter_values = {
-                    **parameter_values,
-                    DOP_PARAMETER: float(granted),
-                }
-            with entry.lock:
-                # PreparedQuery.activate transparently re-optimizes when DDL
-                # lands between key computation and activation; surface that
-                # in the cache's recompile counter so invalidations stay
-                # countable.
-                reoptimizations_before = prepared.reoptimizations
-                activation = prepared.activate(parameter_values)
-                if prepared.reoptimizations != reoptimizations_before:
-                    metrics.counter("plan_cache.recompiles").inc()
-                plan = prepared.module.plan
-                ctx = prepared.module.ctx
-                compiled_version = prepared.module.catalog_version
-            adaptive_run: AdaptiveExecution | None = None
-            if request.adaptive:
-                adaptive_run = execute_adaptive_plan(
-                    plan,
-                    prepared.graph,
-                    db,
-                    ctx,
-                    policy=self._adaptive_policy,
-                    bindings=request.value_bindings,
-                    parameter_values=parameter_values,
-                    choices=activation.decision.choices,
-                    memory_pages=request.memory_pages,
-                    dop=granted,
-                    execution_mode=request.execution_mode,
-                    batch_size=request.batch_size,
-                    mode=prepared.mode,
-                )
-                execution = adaptive_run.result
-            else:
-                execution = execute_plan(
-                    plan,
-                    db,
-                    bindings=request.value_bindings,
-                    choices=activation.decision.choices,
-                    memory_pages=request.memory_pages,
-                    dop=granted,
-                    execution_mode=request.execution_mode,
-                    batch_size=request.batch_size,
-                )
-        finally:
-            self._release_dop(granted)
+        granted = request.dop
+        if granted is not None:
+            granted = max(1, int(granted))
+            if self._max_dop is not None and granted > self._max_dop:
+                granted = self._max_dop
+                metrics.counter("service.dop_clamped").inc()
+        parameter_values = request.parameter_values
+        if parameter_values is None:
+            parameter_values = prepared.derive_parameters(
+                db,
+                request.value_bindings,
+                memory_pages=request.memory_pages,
+                dop=granted,
+            )
+        elif granted is not None and DOP_PARAMETER in prepared.graph.parameters:
+            parameter_values = {
+                **parameter_values,
+                DOP_PARAMETER: float(granted),
+            }
+        with entry.lock:
+            # PreparedQuery.activate transparently re-optimizes when DDL
+            # lands between key computation and activation; surface that
+            # in the cache's recompile counter so invalidations stay
+            # countable.
+            reoptimizations_before = prepared.reoptimizations
+            activation = prepared.activate(parameter_values)
+            if prepared.reoptimizations != reoptimizations_before:
+                metrics.counter("plan_cache.recompiles").inc()
+            plan = prepared.module.plan
+            ctx = prepared.module.ctx
+            compiled_version = prepared.module.catalog_version
+        adaptive_run: AdaptiveExecution | None = None
+        if request.adaptive:
+            adaptive_run = execute_adaptive_plan(
+                plan,
+                prepared.graph,
+                db,
+                ctx,
+                policy=self._adaptive_policy,
+                bindings=request.value_bindings,
+                parameter_values=parameter_values,
+                choices=activation.decision.choices,
+                memory_pages=request.memory_pages,
+                dop=granted,
+                execution_mode=request.execution_mode,
+                batch_size=request.batch_size,
+                mode=prepared.mode,
+            )
+            execution = adaptive_run.result
+        else:
+            execution = execute_plan(
+                plan,
+                db,
+                bindings=request.value_bindings,
+                choices=activation.decision.choices,
+                memory_pages=request.memory_pages,
+                dop=granted,
+                execution_mode=request.execution_mode,
+                batch_size=request.batch_size,
+            )
         elapsed = perf_counter() - started
         metrics.histogram("service.latency").observe(elapsed)
         metrics.counter("service.completed").inc()
@@ -424,40 +416,3 @@ class QueryService:
             compiled_catalog_version=compiled_version,
             adaptive=adaptive_run,
         )
-
-    # ------------------------------------------------------------------
-    # Parallel-worker admission control
-    # ------------------------------------------------------------------
-    def _acquire_dop(self, requested: int | None) -> int | None:
-        """Grant a degree of parallelism within the shared worker budget.
-
-        Serial requests (``None`` or 1) reserve nothing.  Parallel requests
-        are clamped twice — to ``max_dop`` and to the workers currently
-        unreserved — never queued: a busy service degrades toward serial
-        execution instead of stalling.
-        """
-        if requested is None:
-            return None
-        asked = max(1, int(requested))
-        granted = asked
-        if self._max_dop is not None:
-            granted = min(granted, self._max_dop)
-        if granted > 1:
-            with self._parallel_lock:
-                available = self._parallel_budget - self._parallel_in_use
-                granted = max(1, min(granted, available))
-                if granted > 1:
-                    self._parallel_in_use += granted
-                in_use = self._parallel_in_use
-            get_metrics().gauge("service.parallel_workers").set(float(in_use))
-        if granted < asked:
-            get_metrics().counter("service.dop_clamped").inc()
-        return granted
-
-    def _release_dop(self, granted: int | None) -> None:
-        if granted is None or granted <= 1:
-            return
-        with self._parallel_lock:
-            self._parallel_in_use -= granted
-            in_use = self._parallel_in_use
-        get_metrics().gauge("service.parallel_workers").set(float(in_use))

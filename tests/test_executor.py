@@ -14,6 +14,7 @@ from repro.executor.executor import _CONTEXT_ARGS, _OPERATORS, execute_plan
 from repro.executor.fused import STEPS
 from repro.executor.iterators import PlanIterator
 from repro.optimizer.optimizer import OptimizationMode, optimize_query
+from repro.parallel.plan import ExchangeNode
 from repro.physical.plan import (
     ChoosePlanNode,
     DistinctNode,
@@ -174,11 +175,11 @@ class TestOperatorTable:
             assert (row.batch is None) == (cls in STEPS), cls.__name__
             if row.batch is None:
                 continue
-            # The batch exchange extends the row exchange, so the batch
-            # column is recognized by the protocol, not the base class.
             assert hasattr(row.batch, "batches"), cls.__name__
-            # Blocking operators are written once.
-            assert (row.batch is row.row) == (cls in self.BLOCKING), cls.__name__
+            # Blocking operators and the exchange are written once.
+            assert (row.batch is row.row) == (
+                cls in self.BLOCKING | {ExchangeNode}
+            ), cls.__name__
             for name in (*row.args, *filter(None, [row.relation])):
                 assert name in _CONTEXT_ARGS or hasattr(cls, name), (
                     f"{cls.__name__} has no field {name!r}"

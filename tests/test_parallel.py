@@ -1,25 +1,32 @@
 """Exchange-operator parallel execution and the DOP choose-plan binding.
 
-Covers the layers bottom-up: stripe/exchange iterators (threads, queues,
-error and cancellation paths), the ExchangeNode's interval costing, the
-parallelization rules, the optimizer keeping serial + parallel
-alternatives alive under choose-plan, the start-up decision at bound DOP,
-access-module serialization, the service's worker-budget admission
-control, and thread-safe storage accounting.
+Covers the layers bottom-up: stripe/exchange iterators (workers pulled
+in the caller's thread, error and early-close paths), the ExchangeNode's
+interval costing, the parallelization rules, the optimizer keeping serial
++ parallel alternatives alive under choose-plan, the start-up decision at
+bound DOP, access-module serialization, the service's DOP clamp, and
+per-stream storage accounting.
 """
 
 from __future__ import annotations
 
+import inspect
+import json
+import re
 import threading
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.cost.context import DOP_PARAMETER, CostContext
 from repro.cost.model import CostModel
 from repro.errors import ExecutionError, PlanError
 from repro.executor.database import Database
 from repro.executor.executor import execute_plan
-from repro.executor.iterators import PlanIterator
+from repro.executor.batch import BatchFileScanIterator
+from repro.executor.iterators import FileScanIterator, PlanIterator
 from repro.executor.tuples import RowSchema
 from repro.optimizer.optimizer import OptimizationMode, optimize_query
 from repro.parallel import (
@@ -66,6 +73,22 @@ def canonical(result) -> list[tuple]:
     return sorted(tuple(row) for row in result.rows)
 
 
+def _interleaved_stripes(db, disk=None) -> list[tuple]:
+    """Drain a MERGE exchange over four page stripes of ``R``.
+
+    The stripes are not sorted on the merge key, so the heap merge pulls
+    the workers in an interleaved order; with ``disk`` every pull is
+    charged to its worker's stream, without it all land on one stream.
+    """
+    key = _schema(db.catalog).attributes[0]
+    return list(
+        ExchangeIterator(
+            "merge", 4, key, lambda w: FileScanIterator(db, "R", w, 4),
+            disk=disk,
+        ).rows()
+    )
+
+
 # ----------------------------------------------------------------------
 # Iterators
 # ----------------------------------------------------------------------
@@ -108,15 +131,15 @@ class TestStripeIterators:
             assert stripe == sorted(stripe)
 
     def test_striped_file_scan_covers_every_page_once(self, catalog, db):
-        from repro.parallel import StripedFileScanIterator
-
-        serial = sorted(r for _, r in db.heap("R").scan())
-        striped = sorted(
-            row
-            for w in range(3)
-            for row in StripedFileScanIterator(db, "R", w, 3).rows()
-        )
-        assert striped == serial
+        serial = [r for _, r in db.heap("R").scan()]
+        # The stripes are consecutive page ranges: concatenated in worker
+        # order they are the serial scan, in both entry points.
+        for scan in (
+            lambda w: FileScanIterator(db, "R", w, 3),
+            lambda w: BatchFileScanIterator(db, "R", 16, w, 3),
+        ):
+            striped = [row for w in range(3) for row in scan(w).rows()]
+            assert striped == serial
 
     def test_hash_stripe_is_a_partition_by_key(self, catalog, db):
         from repro.parallel import HashStripeIterator
@@ -142,13 +165,14 @@ class TestExchangeIterator:
         schema = _schema(catalog)
         rows = [(i, i) for i in range(10)]
         before = threading.active_count()
-        out = list(
-            ExchangeIterator(
-                "x", 1, None, lambda w: _ListIterator(schema, rows)
-            ).rows()
-        )
-        assert out == rows
-        assert threading.active_count() == before
+        for dop in (1, 4):
+            out = list(
+                ExchangeIterator(
+                    "x", dop, None, lambda w: _ListIterator(schema, rows)
+                ).rows()
+            )
+            assert out == rows * dop  # workers drained in index order
+            assert threading.active_count() == before
 
     def test_unordered_reassembles_the_multiset(self, catalog):
         schema = _schema(catalog)
@@ -180,21 +204,18 @@ class TestExchangeIterator:
         with pytest.raises(ValueError, match="worker blew up"):
             list(ExchangeIterator("x", 4, None, build).rows())
 
-    def test_early_close_cancels_workers(self, catalog):
-        schema = _schema(catalog)
-        rows = [(i, i) for i in range(100_000)]
+    def test_early_close_cancels_workers(self, catalog, db):
+        before = threading.active_count()
         iterator = ExchangeIterator(
-            "x", 4, None, lambda w: _ListIterator(schema, rows)
+            "x", 4, None, lambda w: FileScanIterator(db, "R", w, 4),
+            disk=db.disk,
         )
         stream = iterator.rows()
         assert next(stream) is not None
-        before = threading.active_count()
-        stream.close()  # generator close must reap the worker threads
-        for _ in range(100):
-            if threading.active_count() <= before - 1:
-                break
-            threading.Event().wait(0.02)
-        assert threading.active_count() < before + 4
+        assert db.disk.stream == 0  # restored after every pull
+        stream.close()
+        assert db.disk.stream == 0
+        assert threading.active_count() == before
 
 
 # ----------------------------------------------------------------------
@@ -519,26 +540,24 @@ class TestServiceParallel:
             service.close()
         snapshot = get_metrics().snapshot()
         assert snapshot.get("service.dop_clamped", 0) >= 1  # the dop=99 call
-        assert snapshot.get("service.parallel_workers") == 0.0  # all released
 
     def test_budget_degrades_toward_serial_not_rejection(self, catalog):
+        from repro.obs.metrics import get_metrics
         from repro.service import QueryService
 
         service = QueryService(
-            catalog,
-            CostModel(),
-            workers=1,
-            max_dop=4,
-            parallel_worker_budget=2,
-            seed=23,
+            catalog, CostModel(), workers=1, max_dop=2, seed=23
         )
+        clamped = get_metrics().snapshot().get("service.dop_clamped", 0)
         try:
-            # Budget of 2 cannot satisfy DOP=4; the request must still
+            # max_dop=2 cannot satisfy DOP=4; the request must still
             # complete (clamped), never error.
             result = service.execute(JOIN_SQL, {}, dop=4)
             assert result.execution.metrics.rows > 0
         finally:
             service.close()
+        snapshot = get_metrics().snapshot()
+        assert snapshot.get("service.dop_clamped", 0) == clamped + 1
 
 
 # ----------------------------------------------------------------------
@@ -546,8 +565,6 @@ class TestServiceParallel:
 # ----------------------------------------------------------------------
 class TestConcurrentStorage:
     def test_concurrent_stripe_scans_count_every_page(self, catalog, db):
-        from repro.parallel import StripedFileScanIterator
-
         heap = db.heap("R")
         heap.flush()
         pages = db.disk.page_count(heap.name)
@@ -555,9 +572,7 @@ class TestConcurrentStorage:
         rows: list[list] = [[] for _ in range(4)]
 
         def scan(worker: int) -> None:
-            rows[worker] = list(
-                StripedFileScanIterator(db, "R", worker, 4).rows()
-            )
+            rows[worker] = list(FileScanIterator(db, "R", worker, 4).rows())
 
         threads = [
             threading.Thread(target=scan, args=(w,)) for w in range(4)
@@ -572,25 +587,155 @@ class TestConcurrentStorage:
         )
 
     def test_sequential_classification_is_per_stream(self, catalog, db):
-        from repro.parallel import StripedFileScanIterator
-
-        heap = db.heap("R")
-        heap.flush()
         counters = db.disk.counters
         before_seq = counters.sequential_reads
         before_rand = counters.random_reads
-
-        def scan(worker: int) -> None:
-            list(StripedFileScanIterator(db, "R", worker, 4).rows())
-
-        threads = [
-            threading.Thread(target=scan, args=(w,)) for w in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        _interleaved_stripes(db, disk=db.disk)
         # Each stripe is contiguous, so at most its first page is random
-        # even though the four streams interleave on the shared disk.
+        # even though the merge interleaves the four streams' pulls.
         assert counters.random_reads - before_rand <= 4
         assert counters.sequential_reads > before_seq
+
+
+# ----------------------------------------------------------------------
+# Determinism: workers pulled in the caller's thread
+# ----------------------------------------------------------------------
+STAR_SQL = (
+    "SELECT D1.a, D2.a, P.a FROM D1, D2, P "
+    "WHERE D1.j = P.j AND D2.k = P.k AND P.a < :v"
+)
+
+
+class TestDeterministicExchange:
+    @pytest.mark.parametrize("memory_pages", [None, 1])
+    def test_star_join_at_dop2_repeats_rows_and_io(self, memory_pages):
+        from tests.builders import make_fusion_catalog
+
+        catalog = make_fusion_catalog(probe_rows=3000, build_rows=60)
+        prepared = PreparedQuery.prepare(
+            STAR_SQL, catalog, CostModel(), max_dop=2
+        )
+        runs = []
+        for _ in range(2):
+            db = Database(catalog, CostModel())
+            db.load_synthetic(seed=5)
+            result = prepared.execute(
+                db, {"v": 1500}, dop=2, memory_pages=memory_pages
+            )
+            counters = db.disk.counters
+            runs.append((
+                json.dumps(result.rows),
+                counters.sequential_reads,
+                counters.random_reads,
+                counters.writes,
+                db.buffer.hits,
+                db.buffer.misses,
+            ))
+        assert json.loads(runs[0][0])  # non-vacuous
+        assert runs[0] == runs[1]
+
+    def test_interleaved_stripes_are_sequential_per_worker_stream(self, db):
+        counters = db.disk.counters
+        before = counters.random_reads
+        keyed = _interleaved_stripes(db, disk=db.disk)
+        keyed_random = counters.random_reads - before
+        before = counters.random_reads
+        shared = _interleaved_stripes(db)
+        shared_random = counters.random_reads - before
+        assert keyed == shared
+        # At most each stripe's first page is random on its own stream;
+        # on one shared stream the interleaving breaks the runs.
+        assert keyed_random <= 4 < shared_random
+
+    @pytest.mark.parametrize("merge", [False, True])
+    def test_worker_error_restores_the_callers_stream(
+        self, catalog, db, merge
+    ):
+        schema = _schema(catalog)
+
+        def build(worker: int) -> PlanIterator:
+            if worker == 1:
+                return _FailingIterator(schema, after=3)
+            return FileScanIterator(db, "R", worker, 2)
+
+        key = schema.attributes[0] if merge else None
+        exchange = ExchangeIterator("x", 2, key, build, disk=db.disk)
+        with pytest.raises(ValueError, match="worker blew up"):
+            list(exchange.rows())
+        assert db.disk.stream == 0
+
+    def test_no_thread_while_dop4_exchange_is_mid_stream(self, db):
+        before = threading.active_count()
+        stream = ExchangeIterator(
+            "x", 4, None, lambda w: FileScanIterator(db, "R", w, 4),
+            disk=db.disk,
+        ).rows()
+        for _ in range(10):
+            next(stream)
+        assert threading.active_count() == before
+        stream.close()
+
+    @pytest.mark.parametrize("dop", [1, 2])
+    def test_forced_exchange_is_recorded_at_every_dop(
+        self, catalog, model, db, dop
+    ):
+        from repro.obs.metrics import get_metrics
+        from repro.obs.telemetry import (
+            enable_telemetry,
+            get_ledger,
+            plan_signature,
+        )
+
+        graph = parse_with_dop(JOIN_SQL, catalog)
+        result = optimize_query(
+            graph, catalog, model, mode=OptimizationMode.DYNAMIC
+        )
+        env = graph.parameters.bind({DOP_PARAMETER: 4.0})
+        choices = resolve_plan(result.plan, result.ctx.with_env(env)).choices
+        (exchange,) = (
+            n
+            for n in effective_plan_nodes(result.plan, choices)
+            if isinstance(n, ExchangeNode)
+        )
+        enable_telemetry()
+        before = get_metrics().snapshot().get("parallel.exchanges", 0)
+        execute_plan(result.plan, db, bindings={}, choices=choices, dop=dop)
+        assert get_metrics().snapshot()["parallel.exchanges"] == before + 1
+        (entry,) = (
+            e for e in get_ledger().records()
+            if e.signature == plan_signature(exchange)
+        )
+        assert entry.count == 1
+
+
+class TestThreadFreeExchange:
+    """Exchanges move no rows between threads, so nothing that existed
+    only for that — threads, queues, the service's worker budget, the
+    striped-scan and batch-exchange twins — may come back unnoticed."""
+
+    SRC = Path(repro.__file__).parent
+
+    def test_parallel_package_imports_neither_threading_nor_queue(self):
+        for path in sorted((self.SRC / "parallel").glob("*.py")):
+            assert not re.search(
+                r"^\s*(import|from)\s+(threading|queue)\b",
+                path.read_text(),
+                re.M,
+            ), path
+
+    def test_service_has_no_worker_budget(self):
+        from repro.service import QueryService
+
+        parameters = inspect.signature(QueryService.__init__).parameters
+        assert "parallel_worker_budget" not in parameters
+
+    def test_no_striped_scan_or_batch_exchange_twin(self):
+        import repro.parallel as parallel
+        from repro.parallel import exchange
+
+        names = {*parallel.__all__, *vars(parallel), *vars(exchange)}
+        assert not [
+            name
+            for name in names
+            if "Striped" in name or name == "BatchExchangeIterator"
+        ]
