@@ -13,7 +13,7 @@ Run:  python examples/adaptive_midquery.py
 
 from repro import Catalog, OptimizationMode, optimize_query, resolve_plan
 from repro.executor import Database, execute_plan
-from repro.query import parse_query
+from repro.query import parse_statement
 from repro.runtime import execute_adaptive
 
 SQL = "SELECT * FROM R, S WHERE R.a < :v AND R.k = S.j"
@@ -26,7 +26,7 @@ def main() -> None:
     for rel, attr in [("R", "a"), ("R", "k"), ("S", "j")]:
         catalog.create_index(f"{rel}_{attr}", rel, attr)
 
-    parsed = parse_query(SQL, catalog)
+    parsed = parse_statement(SQL, catalog)
     dynamic = optimize_query(parsed.graph, catalog, mode=OptimizationMode.DYNAMIC)
     db = Database(catalog)
     db.load_synthetic(seed=13)

@@ -14,7 +14,7 @@ Run:  python examples/embedded_query.py
 
 from repro import Catalog, OptimizationMode, optimize_query
 from repro.executor import Database, execute_plan
-from repro.query import parse_query
+from repro.query import parse_statement
 from repro.runtime import AccessModule
 
 SQL = """
@@ -35,7 +35,7 @@ def main() -> None:
     catalog.create_index("Customers_id", "Customers", "id")
 
     # --- compile time ------------------------------------------------------
-    parsed = parse_query(SQL, catalog)
+    parsed = parse_statement(SQL, catalog)
     print(f"host variables: {parsed.host_variables}")
     result = optimize_query(parsed.graph, catalog, mode=OptimizationMode.DYNAMIC)
     print(
@@ -67,7 +67,7 @@ def main() -> None:
             bindings={"limit": limit},
             choices=activation.decision.choices,
         )
-        projected = out.project(list(parsed.select_list))
+        projected = out.project(list(parsed.graph.projection))
         print(
             f":limit = {limit:4d}  selectivity {selectivity:4.2f}\n"
             f"  start-up: {activation.startup_seconds:.4f} s "

@@ -10,7 +10,7 @@ Run:  python examples/plan_diagram.py
 
 from repro import Catalog, OptimizationMode, optimize_query
 from repro.experiments.regions import decision_grid, selectivity_regions
-from repro.query import parse_query
+from repro.query import parse_statement
 
 SQL = "SELECT * FROM R, S WHERE R.a < :u AND S.b < :w AND R.k = S.j"
 
@@ -22,7 +22,7 @@ def main() -> None:
     for rel, attr in [("R", "a"), ("R", "k"), ("S", "j"), ("S", "b")]:
         catalog.create_index(f"{rel}_{attr}", rel, attr)
 
-    parsed = parse_query(SQL, catalog)
+    parsed = parse_statement(SQL, catalog)
     result = optimize_query(parsed.graph, catalog, mode=OptimizationMode.DYNAMIC)
     print(
         f"dynamic plan: {result.plan_node_count} nodes, "

@@ -13,7 +13,7 @@ Run:  python examples/shrinking_module.py
 import random
 
 from repro import Catalog, OptimizationMode, optimize_query
-from repro.query import parse_query
+from repro.query import parse_statement
 from repro.runtime import AccessModule
 
 
@@ -24,7 +24,7 @@ def main() -> None:
     for rel, attr in [("T1", "a"), ("T1", "k"), ("T2", "j"), ("T2", "b")]:
         catalog.create_index(f"{rel}_{attr}", rel, attr)
 
-    parsed = parse_query(
+    parsed = parse_statement(
         "SELECT * FROM T1, T2 WHERE T1.a < :v AND T1.k = T2.j", catalog
     )
     result = optimize_query(parsed.graph, catalog, mode=OptimizationMode.DYNAMIC)

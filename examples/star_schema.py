@@ -12,7 +12,7 @@ Run:  python examples/star_schema.py
 
 from repro import Catalog, OptimizationMode, optimize_query
 from repro.executor import Database, execute_plan
-from repro.query import parse_query
+from repro.query import parse_statement
 from repro.runtime import AccessModule
 
 SQL = """
@@ -46,7 +46,7 @@ def build_catalog() -> Catalog:
 
 def main() -> None:
     catalog = build_catalog()
-    parsed = parse_query(SQL, catalog)
+    parsed = parse_statement(SQL, catalog)
     print(f"star query: {parsed.graph.count_join_trees()} logical join trees")
 
     result = optimize_query(parsed.graph, catalog, mode=OptimizationMode.DYNAMIC)
@@ -91,7 +91,7 @@ def main() -> None:
     )
 
     # ---- the dashboard's summary tile: an aggregate over the same filter --
-    summary = parse_query(
+    summary = parse_statement(
         "SELECT Sales.prod, COUNT(*), SUM(Sales.amount) FROM Sales "
         "WHERE Sales.amount < :budget GROUP BY Sales.prod",
         catalog,

@@ -59,10 +59,11 @@ from repro.experiments.catalogs import make_experiment_catalog
 from repro.obs.log import setup_logging
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import RecordingTracer, set_tracer
-from repro.optimizer.optimizer import OptimizationMode, optimize_query
+from repro.optimizer.optimizer import OptimizationMode
 from repro.physical.explain import explain, explain_analyze, to_dot
-from repro.query.parser import parse_query
+from repro.physical.plan import count_choose_plan_nodes, count_plan_nodes
 from repro.runtime.chooser import effective_plan_nodes, resolve_plan
+from repro.runtime.prepared import PreparedQuery
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -461,38 +462,39 @@ def _load_catalog(args: argparse.Namespace) -> Catalog:
 # ----------------------------------------------------------------------
 def _cmd_explain(args: argparse.Namespace) -> int:
     catalog = _load_catalog(args)
-    parsed = parse_query(args.sql, catalog)
-    result = optimize_query(
-        parsed.graph,
-        catalog,
-        CostModel(),
-        mode=OptimizationMode(args.mode),
-        required_order=parsed.order_by_keys or None,
+    # Search effort as the optimizer reports it to the metrics registry,
+    # summed over every branch core a compound statement optimizes.
+    registry = get_metrics()
+    costed = registry.counter("optimizer.candidates_considered")
+    timer = registry.timer("optimizer.time")
+    costed_before, seconds_before = costed.value, timer.seconds
+    prepared = PreparedQuery.prepare(
+        args.sql, catalog, CostModel(), mode=OptimizationMode(args.mode)
     )
+    elapsed = timer.seconds - seconds_before
+    plan = prepared.module.plan
     if args.dot:
-        print(to_dot(result.plan, title=args.sql.strip()))
+        print(to_dot(plan, title=args.sql.strip()))
     else:
-        print(explain(result.plan))
+        print(explain(plan))
         print(
-            f"\n{result.plan_node_count} operator nodes, "
-            f"{result.choose_plan_count} choose-plan operators, "
-            f"optimized in {result.optimization_seconds * 1000:.2f} ms "
-            f"({result.stats.candidates_considered} candidates costed)"
+            f"\n{count_plan_nodes(plan)} operator nodes, "
+            f"{count_choose_plan_nodes(plan)} choose-plan operators, "
+            f"optimized in {elapsed * 1000:.2f} ms "
+            f"({costed.value - costed_before:.0f} candidates costed)"
         )
     return 0
 
 
 def _cmd_choose(args: argparse.Namespace) -> int:
     catalog = _load_catalog(args)
-    parsed = parse_query(args.sql, catalog)
-    result = optimize_query(
-        parsed.graph, catalog, CostModel(), mode=OptimizationMode.DYNAMIC
-    )
+    prepared = PreparedQuery.prepare(args.sql, catalog, CostModel())
     values = _parse_assignments(args.bind, "--bind", float)
-    env = parsed.graph.parameters.bind(values)
-    decision = resolve_plan(result.plan, result.ctx.with_env(env))
-    used = {id(node) for node in effective_plan_nodes(result.plan, decision.choices)}
-    print(explain(result.plan))
+    plan = prepared.module.plan
+    env = prepared.statement.parameters.bind(values)
+    decision = resolve_plan(plan, prepared.module.ctx.with_env(env))
+    used = {id(node) for node in effective_plan_nodes(plan, decision.choices)}
+    print(explain(plan))
     print(f"\ndecisions under {values}:")
     for choose_id, chosen in decision.choices.items():
         marker = "active" if choose_id in used else "unreached"
@@ -501,16 +503,20 @@ def _cmd_choose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _host_variable_names(graph) -> set[str]:
-    from repro.logical.predicates import HostVariable
-
-    names: set[str] = set()
-    for relation in graph.relations:
-        for predicate in graph.selections_on(relation):
-            operand = getattr(predicate, "operand", None)
-            if isinstance(operand, HostVariable):
-                names.add(operand.name)
-    return names
+def _require_host_values(prepared, value_bindings) -> None:
+    """Reject an invocation that leaves a host variable unbound."""
+    names = {
+        predicate.operand.name
+        for predicate in prepared.statement.selection_predicates()
+        if predicate.is_unbound
+    }
+    missing = sorted(names - set(value_bindings))
+    if missing:
+        raise ValueError(
+            "missing host-variable value(s): "
+            + ", ".join(missing)
+            + " (pass --set NAME=VALUE)"
+        )
 
 
 def _parse_assignments(items: list[str], flag: str, cast) -> dict:
@@ -536,7 +542,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.executor.database import Database
     from repro.executor.executor import execute_plan
     from repro.obs.telemetry import get_ledger
-    from repro.runtime.prepared import PreparedQuery
 
     if args.top:
         get_ledger().enable()  # record estimation errors at breakers
@@ -547,33 +552,21 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     prepared = PreparedQuery.prepare(
         args.sql, catalog, CostModel(), mode=OptimizationMode(args.mode)
     )
-    missing = sorted(
-        _host_variable_names(prepared.graph) - set(value_bindings)
-    )
-    if missing:
-        raise ValueError(
-            "missing host-variable value(s): "
-            + ", ".join(missing)
-            + " (pass --set NAME=VALUE)"
-        )
+    _require_host_values(prepared, value_bindings)
     db = Database(catalog, prepared.model)
     db.load_synthetic(seed=args.seed)
     parameter_values = prepared.derive_parameters(db, value_bindings, overrides)
     activation = prepared.activate(parameter_values)
     adaptive_run = None
     if args.adaptive:
-        from repro.adaptive.controller import execute_adaptive_plan
-
-        adaptive_run = execute_adaptive_plan(
+        adaptive_run = prepared.run_adaptive(
             prepared.module.plan,
-            prepared.graph,
-            db,
             prepared.module.ctx,
+            db,
             bindings=value_bindings,
             parameter_values=parameter_values,
             choices=activation.decision.choices,
             analyze=True,
-            mode=prepared.mode,
         )
         result = adaptive_run.result
     else:
@@ -762,7 +755,6 @@ def _print_top(n: int, operator_stats, ledger) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.executor.database import Database
-    from repro.runtime.prepared import PreparedQuery
 
     catalog = _load_catalog(args)
     value_bindings = _parse_assignments(args.values, "--set", _host_value)
@@ -771,15 +763,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     prepared = PreparedQuery.prepare(
         args.sql, catalog, CostModel(), mode=OptimizationMode(args.mode)
     )
-    missing = sorted(
-        _host_variable_names(prepared.graph) - set(value_bindings)
-    )
-    if missing:
-        raise ValueError(
-            "missing host-variable value(s): "
-            + ", ".join(missing)
-            + " (pass --set NAME=VALUE)"
-        )
+    _require_host_values(prepared, value_bindings)
     db = Database(catalog, prepared.model)
     db.load_synthetic(seed=args.seed)
     parameter_values = prepared.derive_parameters(db, value_bindings, overrides)
@@ -966,16 +950,16 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 def _cmd_demo(args: argparse.Namespace) -> int:
     del args
     catalog = make_experiment_catalog(1)
-    parsed = parse_query("SELECT * FROM R1 WHERE R1.a < :v", catalog)
-    dynamic = optimize_query(
-        parsed.graph, catalog, CostModel(), mode=OptimizationMode.DYNAMIC
+    prepared = PreparedQuery.prepare(
+        "SELECT * FROM R1 WHERE R1.a < :v", catalog, CostModel()
     )
+    plan, ctx = prepared.module.plan, prepared.module.ctx
     print("dynamic plan for  SELECT * FROM R1 WHERE R1.a < :v\n")
-    print(explain(dynamic.plan))
+    print(explain(plan))
     for selectivity in (0.01, 0.9):
-        env = parsed.graph.parameters.bind({"sel:v": selectivity})
-        decision = resolve_plan(dynamic.plan, dynamic.ctx.with_env(env))
-        chosen = decision.choices[id(dynamic.plan)]
+        env = prepared.statement.parameters.bind({"sel:v": selectivity})
+        decision = resolve_plan(plan, ctx.with_env(env))
+        chosen = decision.choices[id(plan)]
         print(
             f"\nselectivity {selectivity:4.2f} -> {chosen.label} "
             f"(cost {decision.execution_cost:.3f} s)"

@@ -23,6 +23,7 @@ so one run-time binding covers the whole statement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.catalog.schema import Attribute
 from repro.errors import OptimizationError
@@ -200,6 +201,15 @@ class Statement:
     @property
     def is_compound(self) -> bool:
         return not self.is_simple
+
+    def selection_predicates(self) -> Iterator[SelectionPredicate]:
+        """Every selection predicate of the statement: each branch core's,
+        then each of its subqueries' (the predicates host variables sit in)."""
+        for branch in self.branches:
+            for relation in branch.graph.relations:
+                yield from branch.graph.selections_on(relation)
+            for semijoin in branch.semijoins:
+                yield from semijoin.selections
 
     def output_attributes(self) -> tuple[Attribute, ...] | None:
         """The statement's projection (branch 0's), or None for SELECT *."""

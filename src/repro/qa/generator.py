@@ -1,7 +1,7 @@
 """Seeded random generator of catalogs, data seeds, and queries.
 
 Every case carries *two* descriptions of the same query: the SQL text fed
-to :func:`repro.query.parser.parse_query`, and a specification precise
+to :func:`repro.query.parser.parse_statement`, and a specification precise
 enough to rebuild the expected :class:`~repro.logical.query.QueryGraph`
 directly through the logical-layer constructors.  Comparing the two puts
 the parser itself under differential test, not just the optimizer.

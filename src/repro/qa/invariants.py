@@ -29,7 +29,9 @@ For each generated case the checkers cross-validate every layer:
 * **sharded** — :class:`ShardedQueryService` over N in-process shards
   (identical :class:`~repro.shard.executor.ShardExecutor` code to the
   spawned processes) must return the oracle's canonical multiset and
-  stay sorted under ORDER BY; and per shard i the activated module's
+  stay sorted on every ORDER BY key — or, for a statement scattering
+  cannot answer (more than one UNION branch), refuse it with a typed
+  :class:`~repro.errors.ServiceError`; and per shard i the activated module's
   start-up choice cost gᵢ must equal dᵢ, the *exhaustive-enumeration*
   optimum over every choose-plan assignment of the shard's activated
   plan re-costed under the shard's local statistics — the paper's
@@ -62,9 +64,10 @@ from dataclasses import dataclass, field, replace
 from repro.cost.formulas import choose_plan_cost, filter_cost
 from repro.util.interval import Interval
 from repro.cost.model import CostModel
+from repro.errors import ExecutionError
 from repro.executor.database import Database
 from repro.executor.executor import ExecutionResult, execute_plan
-from repro.logical.predicates import HostVariable
+from repro.executor.iterators import null_last_key
 from repro.optimizer.optimizer import OptimizationMode, optimize_query
 from repro.optimizer.statement import optimize_statement
 from repro.physical.plan import ChoosePlanNode, iter_plan_nodes
@@ -194,36 +197,15 @@ def _check_parser(case: FuzzCase, catalog, report):
 
 
 def derive_parameter_values(
-    case: FuzzCase, statement_or_graph, db: Database
+    case: FuzzCase, statement, db: Database
 ) -> dict[str, float]:
-    """Selectivity values the bound host variables imply for this database.
-
-    Accepts either a :class:`~repro.logical.statement.Statement` (covering
-    every branch's selections and subquery predicates) or a bare
-    :class:`~repro.logical.query.QueryGraph` (the legacy shape).
-    """
-
-    def graph_predicates(graph):
-        for relation in graph.relations:
-            yield from graph.selections_on(relation)
-
-    def statement_predicates(statement):
-        for branch in statement.branches:
-            yield from graph_predicates(branch.graph)
-            for semijoin in branch.semijoins:
-                yield from semijoin.selections
-
-    predicates = (
-        statement_predicates(statement_or_graph)
-        if hasattr(statement_or_graph, "branches")
-        else graph_predicates(statement_or_graph)
-    )
+    """Selectivity values the bound host variables imply for this database,
+    over every branch's selections and subquery predicates."""
     values: dict[str, float] = {}
-    for predicate in predicates:
-        operand = predicate.operand
-        if isinstance(operand, HostVariable):
-            values[operand.selectivity_parameter] = db.implied_selectivity(
-                predicate, case.bindings
+    for predicate in statement.selection_predicates():
+        if predicate.is_unbound:
+            values[predicate.operand.selectivity_parameter] = (
+                db.implied_selectivity(predicate, case.bindings)
             )
     return values
 
@@ -255,20 +237,22 @@ def _canonical_payload(result: ExecutionResult, attributes) -> list[tuple]:
     return canonical_rows(result.project(attributes))
 
 
-def _check_sorted(result: ExecutionResult, order_attr, check, report) -> None:
-    try:
-        position = result.schema.position(order_attr)
-    except Exception:
-        report(check, f"ORDER BY attribute {order_attr} missing from output")
+def _check_sorted(result, order_keys, check, report) -> None:
+    """Report unless ``result`` (an execution or a sharded result) is in
+    ORDER BY order on every key, lexicographically, NULLS LAST."""
+    if not order_keys:
         return
-    # NULLS LAST, matching the executor's sort order for padded outer rows.
-    keys = [
-        (row[position] is None, 0 if row[position] is None else row[position])
-        for row in result.rows
-    ]
+    try:
+        projected = result.project(order_keys)
+    except (ExecutionError, ValueError):  # execution / sharded result
+        names = [key.qualified_name for key in order_keys]
+        report(check, f"ORDER BY attributes {names} missing from output")
+        return
+    keys = [tuple(null_last_key(value) for value in row) for row in projected]
     for previous, current in zip(keys, keys[1:]):
         if current < previous:
-            report(check, f"output not sorted on {order_attr}: {keys[:20]}")
+            names = [key.qualified_name for key in order_keys]
+            report(check, f"output not sorted on {names}: {keys[:20]}")
             return
 
 
@@ -356,7 +340,7 @@ def _run_checks(
     statement = parsed.statement
     simple = statement.is_simple
     graph = parsed.graph
-    required_order = parsed.order_by
+    required_order = parsed.order_by_keys
 
     static = optimize_statement(
         statement, catalog, model, mode=OptimizationMode.STATIC
@@ -425,8 +409,7 @@ def _run_checks(
                 f"{len(oracle)}; first diff: "
                 f"{_first_diff(rows, oracle)}",
             )
-        if required_order is not None:
-            _check_sorted(result, required_order, f"order-{label}", report)
+        _check_sorted(result, required_order, f"order-{label}", report)
 
     # --- batch/row executor identity ----------------------------------
     if check_batch:
@@ -518,14 +501,14 @@ def _run_checks(
             parallel_dops,
         )
 
-    # --- serving layer (the service speaks plain SPJ SQL only) --------
-    if check_service and simple:
+    # --- serving layer ------------------------------------------------
+    if check_service:
         _check_service(
             case, catalog, model, attributes, executions["dynamic"], report
         )
 
-    # --- sharded serving (same SPJ front door) ------------------------
-    if shards and simple:
+    # --- sharded serving ----------------------------------------------
+    if shards:
         _check_sharded(
             case,
             catalog,
@@ -535,6 +518,7 @@ def _run_checks(
             required_order,
             report,
             shards,
+            len(statement.branches) > 1,
         )
 
 
@@ -599,10 +583,9 @@ def _check_parallel(
                 f"returned {len(rows)} rows != oracle {len(oracle)}; "
                 f"first diff: {_first_diff(rows, oracle)}",
             )
-        if required_order is not None:
-            _check_sorted(
-                result, required_order, f"parallel-order-dop{dop}", report
-            )
+        _check_sorted(
+            result, required_order, f"parallel-order-dop{dop}", report
+        )
         if check_batch:
             # Row-mode parallel execution must agree with batch-mode on
             # the raw row stream: an exchange drains its workers in a
@@ -974,10 +957,9 @@ def _check_adaptive(
                 f"{len(rows)} rows != oracle {len(oracle)}; first diff: "
                 f"{_first_diff(rows, oracle)}",
             )
-        if required_order is not None:
-            _check_sorted(
-                run.result, required_order, f"adaptive-order-{label}", report
-            )
+        _check_sorted(
+            run.result, required_order, f"adaptive-order-{label}", report
+        )
     first, again = runs["batch"], runs["repeat"]
     if (
         len(first.replans) != len(again.replans)
@@ -1066,13 +1048,12 @@ def _check_adaptive(
                     f"rows != oracle {len(oracle)}; first diff: "
                     f"{_first_diff(rows, oracle)}",
                 )
-            if required_order is not None:
-                _check_sorted(
-                    run.result,
-                    required_order,
-                    f"adaptive-order-dop{dop}",
-                    report,
-                )
+            _check_sorted(
+                run.result,
+                required_order,
+                f"adaptive-order-dop{dop}",
+                report,
+            )
 
 
 def _check_cert(
@@ -1269,12 +1250,22 @@ def _exhaustive_plan_optimum(plan, ctx) -> float | None:
 
 
 def _check_sharded(
-    case, catalog, model, attributes, oracle, required_order, report, shards
+    case,
+    catalog,
+    model,
+    attributes,
+    oracle,
+    required_order,
+    report,
+    shards,
+    unscatterable,
 ) -> None:
     """Sharded differential: N in-process shards vs the serial oracle.
 
     End to end, the coordinator's merged result must be the oracle's
-    canonical multiset (and sorted under ORDER BY).  Per shard, the
+    canonical multiset, sorted on every ORDER BY key.  A statement with
+    more than one UNION branch (``unscatterable``) must instead be
+    refused with :class:`~repro.errors.ServiceError`.  Per shard, the
     activated module's start-up choice cost gᵢ must equal dᵢ — the
     exhaustive-enumeration optimum over the shard's activated plan,
     re-costed under the shard's *local* catalog statistics.  dᵢ is
@@ -1283,6 +1274,7 @@ def _check_sharded(
     outside the alternatives compile-time pruning kept; within the
     shipped plan the chooser must still be exactly optimal.
     """
+    from repro.errors import ServiceError
     from repro.shard.coordinator import ShardedQueryService
 
     sql = case.query.to_sql()
@@ -1295,7 +1287,18 @@ def _check_sharded(
         seed=case.data_seed,
     )
     try:
-        result = service.execute(sql, case.bindings)
+        try:
+            result = service.execute(sql, case.bindings)
+        except ServiceError:
+            if not unscatterable:
+                raise
+            return  # the typed refusal is the expected outcome
+        if unscatterable:
+            report(
+                "sharded-refusal",
+                f"a {len(oracle)}-row UNION statement scattered over "
+                f"{shards} shard(s) instead of raising ServiceError",
+            )
         rows = canonical_rows(result.project(attributes))
         if rows != oracle:
             report(
@@ -1304,31 +1307,7 @@ def _check_sharded(
                 f"{len(rows)} rows != oracle {len(oracle)}; first diff: "
                 f"{_first_diff(rows, oracle)}",
             )
-        if required_order is not None:
-            triple = (
-                required_order.relation,
-                required_order.name,
-                required_order.domain_size,
-            )
-            try:
-                position = result.schema.index(triple)
-            except ValueError:
-                report(
-                    "sharded-order",
-                    f"ORDER BY attribute {required_order} missing from "
-                    f"sharded output schema {result.schema}",
-                )
-            else:
-                keys = [
-                    (row[position] is None, row[position])
-                    for row in result.rows
-                ]
-                if any(b < a for a, b in zip(keys, keys[1:])):
-                    report(
-                        "sharded-order",
-                        f"sharded output not sorted on {required_order}: "
-                        f"{keys[:20]}",
-                    )
+        _check_sorted(result, required_order, "sharded-order", report)
         for shard_id, handle in enumerate(service._handles):
             executor = handle._executor
             for module in executor._modules.values():

@@ -30,10 +30,6 @@ UNION branches share one :class:`~repro.params.parameter.ParameterSpace`.
 Aggregate select lists produce an :class:`AggregateSpec` on the query
 graph; plain attributes in such lists must appear in GROUP BY.
 Aggregates cannot be combined with UNION, outer joins, or subqueries.
-
-:func:`parse_query` keeps the historical single-query contract (it
-rejects compound statements); :func:`parse_statement` accepts the full
-grammar.
 """
 
 from __future__ import annotations
@@ -79,83 +75,31 @@ _AGGREGATE_FUNCTIONS = {f.value.upper(): f for f in AggregateFunction}
 
 
 @dataclass(frozen=True)
-class ParsedQuery:
-    """Parser output: the query graph plus presentation details."""
-
-    graph: QueryGraph
-    select_list: tuple[Attribute, ...] | None  # None means SELECT *
-    order_by: Attribute | None
-    host_variables: tuple[str, ...]
-    order_by_rest: tuple[Attribute, ...] = ()
-
-    @property
-    def is_aggregate(self) -> bool:
-        """True when the query computes aggregates."""
-        return self.graph.aggregate is not None
-
-    @property
-    def order_by_keys(self) -> tuple[Attribute, ...]:
-        """All ORDER BY attributes (leading key first), () when unordered."""
-        if self.order_by is None:
-            return ()
-        return (self.order_by,) + self.order_by_rest
-
-
-@dataclass(frozen=True)
 class ParsedStatement:
-    """Parser output for the full statement grammar."""
+    """Parser output: the statement plus the host variables it names."""
 
     statement: Statement
-    order_by: Attribute | None
     host_variables: tuple[str, ...]
-    order_by_rest: tuple[Attribute, ...] = ()
+
+    @property
+    def order_by(self) -> Attribute | None:
+        """The leading ORDER BY attribute, None when unordered."""
+        return self.statement.order_by
+
+    @property
+    def order_by_rest(self) -> tuple[Attribute, ...]:
+        """The ORDER BY attributes after the leading one."""
+        return self.statement.order_by_rest
 
     @property
     def order_by_keys(self) -> tuple[Attribute, ...]:
         """All ORDER BY attributes (leading key first), () when unordered."""
-        if self.order_by is None:
-            return ()
-        return (self.order_by,) + self.order_by_rest
+        return self.statement.order_by_keys
 
     @property
     def graph(self) -> QueryGraph:
         """The first branch's core graph (the whole graph when simple)."""
         return self.statement.branches[0].graph
-
-    @property
-    def parameters(self) -> ParameterSpace:
-        """The shared parameter space of every branch."""
-        return self.statement.parameters
-
-
-def parse_query(
-    text: str,
-    catalog: Catalog,
-    default_selectivity: float = 0.05,
-) -> ParsedQuery:
-    """Parse a single SPJ(+aggregate) query against ``catalog``.
-
-    ``default_selectivity`` is the expected value assigned to each host
-    variable's selectivity parameter (the paper's static default is 0.05).
-    Compound statements (UNION, outer joins, subqueries) are rejected —
-    use :func:`parse_statement` for those.
-    """
-    parsed = parse_statement(text, catalog, default_selectivity)
-    statement = parsed.statement
-    if statement.is_compound:
-        raise ParseError(
-            "compound statements (UNION / OUTER JOIN / subqueries) are not "
-            "supported here; use parse_statement",
-            0,
-        )
-    graph = statement.branches[0].graph
-    return ParsedQuery(
-        graph=graph,
-        select_list=graph.projection if graph.aggregate is None else None,
-        order_by=parsed.order_by,
-        host_variables=parsed.host_variables,
-        order_by_rest=parsed.order_by_rest,
-    )
 
 
 def parse_statement(
@@ -163,7 +107,11 @@ def parse_statement(
     catalog: Catalog,
     default_selectivity: float = 0.05,
 ) -> ParsedStatement:
-    """Parse the full statement grammar (SPJU + outer joins + subqueries)."""
+    """Parse the full statement grammar (SPJU + outer joins + subqueries).
+
+    ``default_selectivity`` is the expected value assigned to each host
+    variable's selectivity parameter (the paper's static default is 0.05).
+    """
     return _Parser(text, catalog, default_selectivity).parse()
 
 
@@ -333,10 +281,7 @@ class _Parser:
             order_by_rest=tuple(order_keys[1:]),
         )
         return ParsedStatement(
-            statement=statement,
-            order_by=order_by,
-            host_variables=tuple(self.host_variables),
-            order_by_rest=tuple(order_keys[1:]),
+            statement=statement, host_variables=tuple(self.host_variables)
         )
 
     # ------------------------------------------------------------------

@@ -26,18 +26,33 @@ from typing import Mapping
 from repro.catalog.catalog import Catalog
 from repro.cost.context import DOP_PARAMETER
 from repro.cost.model import CostModel
-from repro.errors import BindingError
+from repro.errors import BindingError, OptimizationError
 from repro.executor.database import Database
 from repro.executor.executor import ExecutionResult, execute_plan
+from repro.logical.predicates import SelectionPredicate
 from repro.logical.query import QueryGraph
-from repro.optimizer.optimizer import OptimizationMode, optimize_query
+from repro.logical.statement import Statement, StatementBranch
+from repro.optimizer.optimizer import OptimizationMode
+from repro.optimizer.statement import optimize_statement
 from repro.params.parameter import ParameterKind
+from repro.query.parser import parse_statement
 from repro.runtime.access_module import AccessModule, Activation
+
+
+def _single_branch(graph: QueryGraph) -> Statement:
+    """The one-branch statement over ``graph`` (sharing its parameters)."""
+    return Statement(branches=(StatementBranch(graph),), parameters=graph.parameters)
 
 
 @dataclass
 class PreparedQuery:
-    """A compiled embedded query, ready for repeated invocation."""
+    """A compiled embedded statement, ready for repeated invocation.
+
+    ``statement`` is what gets compiled and recompiled (ORDER BY and the
+    compound structure included); ``graph`` is its first branch's core.
+    Constructed without a statement, the query is the one-branch
+    statement over ``graph``.
+    """
 
     graph: QueryGraph
     catalog: Catalog
@@ -49,19 +64,39 @@ class PreparedQuery:
     # recompilation (0.0 = any change; the AS/400-style policy [CAB93]).
     stale_threshold: float = 0.0
     reoptimizations: int = 0
-    _host_to_parameter: dict[str, str] = field(default_factory=dict)
+    statement: Statement | None = None
+    # Selectivity parameter -> the host-variable predicate it measures.
+    _predicates: dict[str, SelectionPredicate] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        if self.statement is None:
+            self.statement = _single_branch(self.graph)
+        self._predicates = {}
+        for predicate in self.statement.selection_predicates():
+            if predicate.is_unbound:
+                self._predicates.setdefault(
+                    predicate.operand.selectivity_parameter, predicate
+                )
 
     @classmethod
     def prepare(
         cls,
-        query: "str | QueryGraph",
+        query: "str | Statement | QueryGraph",
         catalog: Catalog,
         model: CostModel | None = None,
         mode: OptimizationMode = OptimizationMode.DYNAMIC,
         shrink_after: int | None = None,
         max_dop: int | None = None,
     ) -> "PreparedQuery":
-        """Compile SQL text or a query graph into a prepared query.
+        """Compile SQL text, a statement or a query graph.
+
+        Text parses with :func:`~repro.query.parser.parse_statement`; a
+        bare graph is the one-branch statement over it.  Every form
+        compiles with :func:`~repro.optimizer.statement.optimize_statement`,
+        so ORDER BY and UNION / outer-join / subquery structure are part
+        of the compiled plan.
 
         ``max_dop`` > 1 declares the degree-of-parallelism run-time
         parameter (interval ``[1, max_dop]``, expected 1): the optimizer
@@ -71,35 +106,23 @@ class PreparedQuery:
         """
         model = model if model is not None else CostModel()
         if isinstance(query, str):
-            from repro.query.parser import parse_query
-
-            graph = parse_query(query, catalog).graph
+            statement = parse_statement(query, catalog).statement
+        elif isinstance(query, QueryGraph):
+            statement = _single_branch(query)
         else:
-            graph = query
-        if max_dop is not None and max_dop > 1 and DOP_PARAMETER not in graph.parameters:
-            graph.parameters.add_dop(name=DOP_PARAMETER, high=max_dop)
-        result = optimize_query(graph, catalog, model, mode=mode)
-        module = AccessModule.compile(result.plan, result.ctx, shrink_after)
-        prepared = cls(
-            graph=graph,
+            statement = query
+        space = statement.parameters
+        if max_dop is not None and max_dop > 1 and DOP_PARAMETER not in space:
+            space.add_dop(name=DOP_PARAMETER, high=max_dop)
+        return cls(
+            graph=statement.branches[0].graph,
             catalog=catalog,
             model=model,
             mode=mode,
-            module=module,
+            module=_compile(statement, catalog, model, mode, shrink_after),
             shrink_after=shrink_after,
+            statement=statement,
         )
-        prepared._index_host_variables()
-        return prepared
-
-    def _index_host_variables(self) -> None:
-        self._host_to_parameter.clear()
-        for relation in self.graph.relations:
-            for predicate in self.graph.selections_on(relation):
-                if predicate.is_unbound:
-                    operand = predicate.operand
-                    self._host_to_parameter[operand.name] = (
-                        operand.selectivity_parameter
-                    )
 
     # ------------------------------------------------------------------
     # Invocation
@@ -126,13 +149,13 @@ class PreparedQuery:
         values: dict[str, float] = {}
         overrides = dict(overrides or {})
         unknown = sorted(
-            set(overrides) - {p.name for p in self.graph.parameters}
+            set(overrides) - {p.name for p in self.statement.parameters}
         )
         if unknown:
             raise BindingError(
                 "overrides name unknown parameter(s): " + ", ".join(unknown)
             )
-        for parameter in self.graph.parameters:
+        for parameter in self.statement.parameters:
             if parameter.name in overrides:
                 values[parameter.name] = overrides[parameter.name]
                 continue
@@ -153,7 +176,7 @@ class PreparedQuery:
                         min(max(float(dop), domain.low), domain.high)
                     )
                 continue
-            predicate = self._predicate_of(parameter.name)
+            predicate = self._predicates.get(parameter.name)
             if predicate is None:
                 raise BindingError(
                     f"cannot derive a value for parameter {parameter.name}; "
@@ -164,15 +187,24 @@ class PreparedQuery:
             )
         return values
 
-    def _predicate_of(self, parameter_name: str):
-        for relation in self.graph.relations:
-            for predicate in self.graph.selections_on(relation):
-                if (
-                    predicate.is_unbound
-                    and predicate.operand.selectivity_parameter == parameter_name
-                ):
-                    return predicate
-        return None
+    def bind_parameters(
+        self,
+        db: Database,
+        value_bindings: Mapping[str, object],
+        parameter_values: Mapping[str, float] | None = None,
+        memory_pages: int | None = None,
+        dop: int | None = None,
+    ) -> Mapping[str, float]:
+        """Parameter values for one invocation: ``parameter_values`` as
+        given (with ``dop`` bound when the query declares parallelism),
+        derived by :meth:`derive_parameters` when omitted."""
+        if parameter_values is None:
+            return self.derive_parameters(
+                db, value_bindings, memory_pages=memory_pages, dop=dop
+            )
+        if dop is not None and DOP_PARAMETER in self.statement.parameters:
+            return {**parameter_values, DOP_PARAMETER: float(dop)}
+        return parameter_values
 
     def activate(self, parameter_values: Mapping[str, float]) -> Activation:
         """Start the module, re-optimizing transparently when it is
@@ -180,11 +212,8 @@ class PreparedQuery:
         if not self.module.validate(self.catalog) or self.module.is_stale(
             self.catalog, self.stale_threshold
         ):
-            result = optimize_query(
-                self.graph, self.catalog, self.model, mode=self.mode
-            )
-            self.module = AccessModule.compile(
-                result.plan, result.ctx, self.shrink_after
+            self.module = _compile(
+                self.statement, self.catalog, self.model, self.mode, self.shrink_after
             )
             self.reoptimizations += 1
         return self.module.activate(parameter_values)
@@ -213,15 +242,9 @@ class PreparedQuery:
         activation decision is identical in either mode (the cost model
         does not depend on the iterator family).
         """
-        if parameter_values is None:
-            parameter_values = self.derive_parameters(
-                db, value_bindings, memory_pages=memory_pages, dop=dop
-            )
-        elif dop is not None and DOP_PARAMETER in self.graph.parameters:
-            parameter_values = {**parameter_values, DOP_PARAMETER: float(dop)}
-        if dop is None:
-            dop = int(parameter_values.get(DOP_PARAMETER, 1))
-        activation = self.activate(parameter_values)
+        parameter_values, dop, activation = self._start(
+            db, value_bindings, parameter_values, memory_pages, dop
+        )
         return execute_plan(
             self.module.plan,
             db,
@@ -255,25 +278,13 @@ class PreparedQuery:
         :class:`~repro.adaptive.controller.AdaptiveExecution` (its
         ``.result`` is the usual :class:`ExecutionResult`).
         """
-        # Function-level import: repro.adaptive imports the executor,
-        # which sits below this module; importing it lazily keeps the
-        # runtime package importable without the adaptive subsystem.
-        from repro.adaptive.controller import execute_adaptive_plan
-
-        if parameter_values is None:
-            parameter_values = self.derive_parameters(
-                db, value_bindings, memory_pages=memory_pages, dop=dop
-            )
-        elif dop is not None and DOP_PARAMETER in self.graph.parameters:
-            parameter_values = {**parameter_values, DOP_PARAMETER: float(dop)}
-        if dop is None:
-            dop = int(parameter_values.get(DOP_PARAMETER, 1))
-        activation = self.activate(parameter_values)
-        return execute_adaptive_plan(
+        parameter_values, dop, activation = self._start(
+            db, value_bindings, parameter_values, memory_pages, dop
+        )
+        return self.run_adaptive(
             self.module.plan,
-            self.graph,
-            db,
             self.module.ctx,
+            db,
             policy=policy,
             bindings=value_bindings,
             parameter_values=parameter_values,
@@ -283,5 +294,52 @@ class PreparedQuery:
             execution_mode=execution_mode,
             batch_size=batch_size,
             analyze=analyze,
-            mode=self.mode,
         )
+
+    def _start(
+        self,
+        db: Database,
+        value_bindings: Mapping[str, object],
+        parameter_values: Mapping[str, float] | None,
+        memory_pages: int | None,
+        dop: int | None,
+    ) -> tuple[Mapping[str, float], int, Activation]:
+        """The invocation prologue: bind the parameters, settle the
+        executor's DOP, activate the module."""
+        parameter_values = self.bind_parameters(
+            db, value_bindings, parameter_values, memory_pages, dop
+        )
+        if dop is None:
+            dop = int(parameter_values.get(DOP_PARAMETER, 1))
+        return parameter_values, dop, self.activate(parameter_values)
+
+    def run_adaptive(self, plan, ctx, db: Database, **options):
+        """Run an activated ``module.plan`` / ``module.ctx`` under the
+        adaptive controller; a replan keeps the statement's ORDER BY.
+        The replanner rewrites one SPJ graph, so a compound statement
+        raises :class:`OptimizationError`."""
+        if self.statement.is_compound:
+            raise OptimizationError(
+                "mid-query re-optimization replans single-branch SPJ "
+                "statements only; use execute_adaptive_statement"
+            )
+        # Function-level import: repro.adaptive imports the executor,
+        # which sits below this module; importing it lazily keeps the
+        # runtime package importable without the adaptive subsystem.
+        from repro.adaptive.controller import execute_adaptive_plan
+
+        return execute_adaptive_plan(
+            plan,
+            self.graph,
+            db,
+            ctx,
+            required_order=self.statement.order_by_keys or None,
+            mode=self.mode,
+            **options,
+        )
+
+
+def _compile(statement, catalog, model, mode, shrink_after) -> AccessModule:
+    """Optimize ``statement`` and package the plan as an access module."""
+    result = optimize_statement(statement, catalog, model, mode=mode)
+    return AccessModule.compile(result.plan, result.ctx, shrink_after)

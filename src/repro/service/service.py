@@ -35,9 +35,8 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Mapping
 
-from repro.adaptive import AdaptiveExecution, AdaptivePolicy, execute_adaptive_plan
+from repro.adaptive import AdaptiveExecution, AdaptivePolicy
 from repro.catalog.catalog import Catalog
-from repro.cost.context import DOP_PARAMETER
 from repro.cost.model import CostModel
 from repro.errors import ServiceClosedError
 from repro.executor.database import Database
@@ -323,19 +322,13 @@ class QueryService:
             if self._max_dop is not None and granted > self._max_dop:
                 granted = self._max_dop
                 metrics.counter("service.dop_clamped").inc()
-        parameter_values = request.parameter_values
-        if parameter_values is None:
-            parameter_values = prepared.derive_parameters(
-                db,
-                request.value_bindings,
-                memory_pages=request.memory_pages,
-                dop=granted,
-            )
-        elif granted is not None and DOP_PARAMETER in prepared.graph.parameters:
-            parameter_values = {
-                **parameter_values,
-                DOP_PARAMETER: float(granted),
-            }
+        parameter_values = prepared.bind_parameters(
+            db,
+            request.value_bindings,
+            request.parameter_values,
+            request.memory_pages,
+            granted,
+        )
         with entry.lock:
             # PreparedQuery.activate transparently re-optimizes when DDL
             # lands between key computation and activation; surface that
@@ -350,11 +343,10 @@ class QueryService:
             compiled_version = prepared.module.catalog_version
         adaptive_run: AdaptiveExecution | None = None
         if request.adaptive:
-            adaptive_run = execute_adaptive_plan(
+            adaptive_run = prepared.run_adaptive(
                 plan,
-                prepared.graph,
-                db,
                 ctx,
+                db,
                 policy=self._adaptive_policy,
                 bindings=request.value_bindings,
                 parameter_values=parameter_values,
@@ -363,7 +355,6 @@ class QueryService:
                 dop=granted,
                 execution_mode=request.execution_mode,
                 batch_size=request.batch_size,
-                mode=prepared.mode,
             )
             execution = adaptive_run.result
         else:

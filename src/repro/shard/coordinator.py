@@ -19,7 +19,10 @@ Per invocation the coordinator:
    re-run choose-plan against *their* statistics, and any disagreement
    is the ``shard.decision_divergence`` metric, not an error,
 4. scatters the (possibly partial-aggregate-rewritten) wire module,
-   syncing any shard whose catalog lags first,
+   syncing any shard whose catalog lags first — only for a statement
+   with one branch, whose core holds the driver (the partitioned
+   relation); anything else is a typed
+   :class:`~repro.errors.ServiceError` before any shard runs,
 5. gathers partials — a crashed or hung shard is restarted and its
    request retried exactly once; a second failure surfaces as a typed
    :class:`~repro.errors.ShardFailedError` — and merges them
@@ -52,7 +55,6 @@ from repro.executor.database import Database
 from repro.logical.predicates import CompareOp, HostVariable, Literal
 from repro.obs.metrics import get_metrics, render_openmetrics
 from repro.optimizer.optimizer import OptimizationMode
-from repro.query.parser import parse_statement
 from repro.runtime.access_module import WIRE_FORMAT_VERSION
 from repro.service.cache import PlanCache
 from repro.service.frontend import AdmissionController
@@ -324,8 +326,9 @@ class _WirePlan:
     spec: MergeSpec
     driver: str
     module_key: str
-    order_key: str | None  # qualified name shards pre-sort on (union only)
-    order_triple: SchemaTriple | None
+    # The ORDER BY keys the merge preserves.  The shipped plan sorts each
+    # shard's partial itself, so shards are never asked to pre-sort.
+    order_keys: tuple[SchemaTriple, ...]
     # Partition pruning: when the statement carries an equality predicate
     # on the driver's hash-partition column, every qualifying driver row
     # lives on exactly one shard, so the invocation routes there instead
@@ -591,7 +594,18 @@ class ShardedQueryService:
     # Invocation path
     # ------------------------------------------------------------------
     def _wire_plan(self, entry, module) -> _WirePlan:
-        """The statement's rewritten wire form, cached per compiled module."""
+        """The statement's rewritten wire form, cached per compiled module.
+
+        Raises :class:`ServiceError` for a statement scattering cannot
+        answer.  The driver is the one partitioned relation, taken from
+        the core of the statement's only branch; subquery and
+        outer-joined relations lie outside that core (``StatementBranch``
+        enforces it) and are replicated, so every shard sees them whole.
+        A second UNION branch would read replicated relations on every
+        shard (each shard would return those rows), so it is refused.
+        The merge also needs every ORDER BY key in the select list to
+        keep the shards' partials in order.
+        """
         key = (
             entry.key.query_text,
             entry.key.mode.value,
@@ -602,6 +616,23 @@ class ShardedQueryService:
             cached = self._wire_cache.get(key)
         if cached is not None:
             return cached
+        statement = entry.prepared.statement
+        branch = statement.branches[0]
+        driver = max(
+            branch.graph.relations,
+            key=lambda name: self._catalog.relation(name).stats.cardinality,
+        )
+        if len(statement.branches) > 1:
+            raise ServiceError(
+                "cannot scatter a statement with more than one UNION "
+                f"branch: {entry.key.query_text!r}"
+            )
+        projection = branch.projection or branch.graph.projection
+        if projection and not set(statement.order_by_keys) <= set(projection):
+            raise ServiceError(
+                "cannot scatter a statement ordered on a column it does "
+                f"not select: {entry.key.query_text!r}"
+            )
         payload = json.loads(module.to_json())
         shard_plan, spec = build_merge_plan(payload["plan"], self._catalog)
         wire = json.dumps(
@@ -611,31 +642,15 @@ class ShardedQueryService:
                 "plan": shard_plan,
             }
         )
-        graph = entry.prepared.graph
-        driver = max(
-            graph.relations,
-            key=lambda name: self._catalog.relation(name).stats.cardinality,
-        )
-        statement = parse_statement(entry.key.query_text, self._catalog)
-        order_by = statement.order_by
-        order_triple = (
-            (order_by.relation, order_by.name, order_by.domain_size)
-            if order_by is not None
-            else None
-        )
         plan = _WirePlan(
             wire=wire,
             spec=spec,
             driver=driver,
             module_key=f"{entry.key.query_text}|{entry.key.mode.value}",
-            # Shards pre-sort only union-merged partials; aggregate
-            # output is sorted after recombination.
-            order_key=(
-                order_by.qualified_name
-                if order_by is not None and not spec.aggregate
-                else None
+            order_keys=tuple(
+                (key.relation, key.name, key.domain_size)
+                for key in statement.order_by_keys
             ),
-            order_triple=order_triple,
             route=self._route_for(statement, driver),
         )
         with self._wire_lock:
@@ -648,16 +663,14 @@ class ShardedQueryService:
         """Partition-pruning eligibility for one statement.
 
         Routing is sound exactly when every qualifying driver row lives
-        on one knowable shard: hash placement, a simple (single-branch
-        SPJ) statement, and a top-level equality predicate on the
-        driver's partition column.  Non-driver relations are replicated,
-        so joins stay complete under pruning.
+        on one knowable shard: hash placement and a top-level equality
+        predicate on the driver's partition column.  Non-driver
+        relations are replicated, so joins, subqueries and the outer
+        join stay complete under pruning.
         """
         if self._partition_mode is not PartitionMode.HASH:
             return None
-        if not statement.statement.is_simple:
-            return None
-        graph = statement.graph
+        graph = statement.branches[0].graph
         attributes = list(self._catalog.relation(driver).schema)
         key_name = attributes[
             partition_column(self._catalog, driver)
@@ -764,13 +777,12 @@ class ShardedQueryService:
         metrics = get_metrics()
         entry, hit = self.cache.get_or_compile(request.sql, request.mode)
         prepared = entry.prepared
-        parameter_values = request.parameter_values
-        if parameter_values is None:
-            parameter_values = prepared.derive_parameters(
-                self._params_db,
-                request.value_bindings,
-                memory_pages=request.memory_pages,
-            )
+        parameter_values = prepared.bind_parameters(
+            self._params_db,
+            request.value_bindings,
+            request.parameter_values,
+            request.memory_pages,
+        )
         with entry.lock:
             # The baseline activation doubles as the transparent
             # re-optimize-on-DDL path (surfaced in the recompile counter,
@@ -802,7 +814,6 @@ class ShardedQueryService:
                 memory_pages=request.memory_pages,
                 execution_mode=request.execution_mode,
                 batch_size=request.batch_size,
-                order_key=wire_plan.order_key,
             )
 
         target = self._resolve_route(wire_plan.route, request.value_bindings)
@@ -819,7 +830,7 @@ class ShardedQueryService:
         rows, schema = merge_partials(
             wire_plan.spec,
             [(r.rows, r.schema) for r in responses],
-            order_key=wire_plan.order_triple,
+            order_key=wire_plan.order_keys,
         )
         elapsed = perf_counter() - started
         metrics.histogram("service.latency").observe(elapsed)

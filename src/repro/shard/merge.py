@@ -34,6 +34,7 @@ from typing import Sequence
 
 from repro.catalog.catalog import Catalog
 from repro.errors import ServiceError
+from repro.executor.iterators import compile_sort_key
 from repro.logical.aggregates import AGGREGATE_RELATION
 
 #: Node kinds in the serialized plan that aggregate their input.
@@ -183,8 +184,16 @@ def build_merge_plan(
 # ----------------------------------------------------------------------
 # Gather
 # ----------------------------------------------------------------------
-def _null_last_key(position: int):
-    return lambda row: (row[position] is None, row[position])
+def _order_positions(
+    order_key: "SchemaTriple | Sequence[SchemaTriple] | None",
+    schema: tuple[SchemaTriple, ...],
+) -> tuple[int, ...]:
+    """Column positions of the ORDER BY keys in ``schema``; a bare triple
+    is a one-key order."""
+    if not order_key:
+        return ()
+    keys = (order_key,) if isinstance(order_key[0], str) else order_key
+    return tuple(schema.index(key) for key in keys)
 
 
 def _reproject(
@@ -214,14 +223,16 @@ def merge_partials(
     spec: MergeSpec,
     partials: Sequence[tuple[list[tuple], tuple[SchemaTriple, ...]]],
     *,
-    order_key: SchemaTriple | None = None,
+    order_key: "SchemaTriple | Sequence[SchemaTriple] | None" = None,
 ) -> tuple[list[tuple], tuple[SchemaTriple, ...]]:
     """Combine per-shard ``(rows, schema)`` partials into the final result.
 
-    Plain queries union (streaming k-way merge on ``order_key`` when the
-    shards pre-sorted their partials); aggregate queries recombine group
-    by group and sort afterwards when ordered.  Returns the merged rows
-    and the result schema.
+    ``order_key`` is the ORDER BY key tuple (NULLS LAST, lexicographic);
+    a single triple reads as a one-key order.  Plain queries union
+    (streaming k-way merge on the keys when ordered: each shard's
+    partial arrives sorted); aggregate queries recombine group by group
+    and sort afterwards when ordered.  Returns the merged rows and the
+    result schema.
     """
     partials = [p for p in partials if p is not None]
     if not partials:
@@ -229,10 +240,10 @@ def merge_partials(
     if not spec.aggregate:
         target = partials[0][1]
         aligned = [_reproject(rows, schema, target) for rows, schema in partials]
-        if order_key is not None:
-            position = target.index(order_key)
+        positions = _order_positions(order_key, target)
+        if positions:
             merged = list(
-                heapq.merge(*aligned, key=_null_last_key(position))
+                heapq.merge(*aligned, key=compile_sort_key(positions))
             )
         else:
             merged = [row for rows in aligned for row in rows]
@@ -270,9 +281,9 @@ def merge_partials(
             else:
                 out.append(combined[primary])
         merged.append(tuple(out))
-    if order_key is not None:
-        position = spec.final_schema.index(order_key)
-        merged.sort(key=_null_last_key(position))
+    positions = _order_positions(order_key, spec.final_schema)
+    if positions:
+        merged.sort(key=compile_sort_key(positions))
     return merged, spec.final_schema
 
 
@@ -282,4 +293,4 @@ def recut_top_n(
     """Top-N over merged shard partials: each shard's local Top-N bounds
     its contribution, so re-cutting the union reproduces the global
     Top-N.  (Nulls sort last, matching the engine's sort order.)"""
-    return sorted(rows, key=_null_last_key(key_position))[:limit]
+    return sorted(rows, key=compile_sort_key((key_position,)))[:limit]

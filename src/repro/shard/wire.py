@@ -57,8 +57,9 @@ class ExecuteRequest:
     to rebuild the cost environment the module deserializes under);
     ``driver`` names the one relation this query partitions — the shard
     stores its slice of the driver and full copies of everything else.
-    ``order_key`` asks the shard to return its partial sorted on that
-    attribute (NULLS LAST) so the coordinator can stream-merge.
+    ``order_key`` asks the shard to re-sort its partial on that attribute
+    (NULLS LAST).  The coordinator leaves it unset: the plans it ships
+    sort in-plan, so their partials arrive ordered on every ORDER BY key.
     ``module_key`` keys the shard-side deserialized-module cache, so
     repeated invocations of a cached statement re-use the shard's module
     (and its memoized start-up decisions) instead of re-parsing JSON.

@@ -1,4 +1,5 @@
-"""Catalog and data builders shared by the adaptive and fused-execution tests.
+"""Catalog and data builders shared by the adaptive, fused-execution and
+sharded tests.
 
 ``make_bench_catalog`` / ``make_bench_query`` / ``load_bench_data`` build
 the mis-estimated skewed chain join ``R ⋈ S ⋈ T``: the selection on ``R``
@@ -8,6 +9,8 @@ estimate), so the first hash-join build observes a cardinality far
 outside its compile-time interval.  ``make_fusion_catalog`` is the
 index-free star (two small build relations, one large probe relation)
 whose plan is the maximal streaming chain the fused executor compiles.
+``make_shard_catalog`` is the partitioned-fact shape the sharded
+ORDER BY tests scatter over.
 """
 
 from __future__ import annotations
@@ -176,4 +179,19 @@ def make_fusion_catalog(probe_rows: int, build_rows: int) -> Catalog:
         cardinality=probe_rows,
         record_bytes=RECORD_BYTES,
     )
+    return catalog
+
+
+def make_shard_catalog(cardinality: int, group_domain: int = 100) -> Catalog:
+    """``F0``/``F1`` with the unique, unindexed hash-partition key ``k``,
+    a coarse group column ``g`` and a value column ``v`` (the shape the
+    sharded ORDER BY tests scatter over)."""
+    catalog = Catalog()
+    for name in ("F0", "F1"):
+        catalog.add_relation(
+            name,
+            [("k", cardinality), ("g", group_domain), ("v", 1_000)],
+            cardinality=cardinality,
+        )
+        catalog.declare_unique(f"{name}.k")
     return catalog

@@ -364,6 +364,26 @@ class TestPreparedQuery:
         assert adaptive.schema == plain.schema
         assert sorted(adaptive.rows) == sorted(plain.rows)
 
+    def test_replan_keeps_every_order_by_key(self, bench_catalog):
+        """The replanned remainder re-optimizes with the statement's
+        ORDER BY as its required order, so the spliced result is still
+        sorted on both keys (not merely the same multiset)."""
+        sql = (
+            "SELECT * FROM R, S, T WHERE R.a = 7 AND S.b < :v "
+            "AND R.k = S.j AND S.m = T.c ORDER BY T.d, S.j"
+        )
+        prepared = PreparedQuery.prepare(sql, bench_catalog)
+        db = load_bench_data(bench_catalog, skewed=True, seed=SEED, **SIZES)
+        bindings = {"v": 50}
+        plain = prepared.execute(db, bindings)
+        adaptive = prepared.execute_adaptive(db, bindings)
+        assert len(adaptive.replans) >= 1
+        keys = adaptive.result.project(
+            [bench_catalog.attribute("T.d"), bench_catalog.attribute("S.j")]
+        )
+        assert keys == sorted(keys)
+        assert sorted(adaptive.rows) == sorted(plain.rows)
+
 
 SERVICE_SQL = "SELECT * FROM R, S WHERE R.k = S.j AND R.a < :v"
 
@@ -423,6 +443,22 @@ class TestService:
             assert after.get("plan_cache.recompiles", 0.0) == mid.get(
                 "plan_cache.recompiles", 0.0
             )
+        finally:
+            service.close()
+
+    def test_adaptive_request_keeps_order_by(self, service_catalog):
+        sql = SERVICE_SQL + " ORDER BY S.j, R.a"
+        service = QueryService(service_catalog, workers=1, seed=3)
+        try:
+            baseline = service.execute(sql, {"v": 500})
+            service_catalog.set_cardinality("R", 100)
+            result = service.execute(sql, {"v": 500}, adaptive=True)
+            assert len(result.adaptive.replans) >= 1
+            keys = result.execution.project(
+                [service_catalog.attribute("S.j"), service_catalog.attribute("R.a")]
+            )
+            assert keys == sorted(keys)
+            assert _canonical_rows(result) == _canonical_rows(baseline)
         finally:
             service.close()
 

@@ -22,7 +22,7 @@ from repro.physical.plan import (
     SortedAggregateNode,
     iter_plan_nodes,
 )
-from repro.query.parser import parse_query
+from repro.query.parser import parse_statement
 from repro.runtime.access_module import deserialize_plan, serialize_plan
 from repro.runtime.chooser import resolve_plan
 
@@ -79,10 +79,10 @@ class TestSpec:
 
 class TestParser:
     def test_grouped_aggregate(self, catalog):
-        parsed = parse_query(
+        parsed = parse_statement(
             "SELECT R.k, COUNT(*), SUM(R.a) FROM R GROUP BY R.k", catalog
         )
-        assert parsed.is_aggregate
+        assert parsed.graph.aggregate is not None
         spec = parsed.graph.aggregate
         assert [a.qualified_name for a in spec.group_by] == ["R.k"]
         assert [e.function for e in spec.aggregates] == [
@@ -91,31 +91,31 @@ class TestParser:
         ]
 
     def test_scalar_aggregate(self, catalog):
-        parsed = parse_query("SELECT COUNT(*) FROM R", catalog)
-        assert parsed.is_aggregate
+        parsed = parse_statement("SELECT COUNT(*) FROM R", catalog)
+        assert parsed.graph.aggregate is not None
         assert parsed.graph.aggregate.group_by == ()
 
     def test_plain_query_unaffected(self, catalog):
-        parsed = parse_query("SELECT R.a FROM R", catalog)
-        assert not parsed.is_aggregate
+        parsed = parse_statement("SELECT R.a FROM R", catalog)
+        assert parsed.graph.aggregate is None
 
     def test_select_attr_not_in_group_by_rejected(self, catalog):
         from repro.errors import ParseError
 
         with pytest.raises(ParseError):
-            parse_query("SELECT R.a, COUNT(*) FROM R GROUP BY R.k", catalog)
+            parse_statement("SELECT R.a, COUNT(*) FROM R GROUP BY R.k", catalog)
 
     def test_group_by_without_aggregate_rejected(self, catalog):
         from repro.errors import ParseError
 
         with pytest.raises(ParseError):
-            parse_query("SELECT R.k FROM R GROUP BY R.k", catalog)
+            parse_statement("SELECT R.k FROM R GROUP BY R.k", catalog)
 
     def test_star_argument_only_for_count(self, catalog):
         from repro.errors import ParseError
 
         with pytest.raises(ParseError):
-            parse_query("SELECT SUM(*) FROM R", catalog)
+            parse_statement("SELECT SUM(*) FROM R", catalog)
 
 
 class TestOptimizer:
@@ -175,7 +175,7 @@ class TestExecution:
 
     @pytest.mark.parametrize("v", [50, 400])
     def test_all_functions_match_reference(self, catalog, db, v):
-        parsed = parse_query(self.SQL, catalog)
+        parsed = parse_statement(self.SQL, catalog)
         result = optimize_query(parsed.graph, catalog, mode=OptimizationMode.DYNAMIC)
         env = parsed.graph.parameters.bind({"sel:v": v / 500})
         decision = resolve_plan(result.plan, result.ctx.with_env(env))
@@ -193,7 +193,7 @@ class TestExecution:
             assert average == pytest.approx(sum(values) / len(values))
 
     def test_both_implementations_agree(self, catalog, db):
-        parsed = parse_query(
+        parsed = parse_statement(
             "SELECT R.k, COUNT(*) FROM R GROUP BY R.k", catalog
         )
         result = optimize_query(parsed.graph, catalog, mode=OptimizationMode.DYNAMIC)
@@ -209,7 +209,7 @@ class TestExecution:
         assert all(o == outputs[0] for o in outputs)
 
     def test_scalar_aggregate_on_empty_input(self, catalog, db):
-        parsed = parse_query("SELECT COUNT(*) FROM R WHERE R.a < :v", catalog)
+        parsed = parse_statement("SELECT COUNT(*) FROM R WHERE R.a < :v", catalog)
         result = optimize_query(parsed.graph, catalog, mode=OptimizationMode.DYNAMIC)
         env = parsed.graph.parameters.bind({"sel:v": 0.0})
         decision = resolve_plan(result.plan, result.ctx.with_env(env))
@@ -219,7 +219,7 @@ class TestExecution:
         assert out.rows == [(0,)]
 
     def test_serialization_round_trip(self, catalog):
-        parsed = parse_query(
+        parsed = parse_statement(
             "SELECT R.k, SUM(R.a) FROM R GROUP BY R.k", catalog
         )
         result = optimize_query(parsed.graph, catalog, mode=OptimizationMode.DYNAMIC)

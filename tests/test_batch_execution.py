@@ -30,7 +30,7 @@ from repro.logical.predicates import (
     SelectionPredicate,
 )
 from repro.optimizer.optimizer import OptimizationMode, optimize_query
-from repro.query.parser import parse_query
+from repro.query.parser import parse_statement
 from repro.runtime.prepared import PreparedQuery
 
 
@@ -274,7 +274,7 @@ class TestEndToEndIdentity:
 
 class TestMeteringOverhead:
     def _static_plan(self, catalog, model):
-        parsed = parse_query("SELECT * FROM R, S WHERE R.k = S.j", catalog)
+        parsed = parse_statement("SELECT * FROM R, S WHERE R.k = S.j", catalog)
         return optimize_query(
             parsed.graph, catalog, model, mode=OptimizationMode.STATIC
         )

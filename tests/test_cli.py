@@ -110,6 +110,43 @@ class TestChoose:
         assert code == 1
 
 
+class TestOneCompilePath:
+    """Every SQL command compiles the whole statement, ORDER BY included."""
+
+    SQL = "SELECT R1.k, R1.a FROM R1 WHERE R1.a < :v ORDER BY R1.k, R1.a"
+
+    def test_explain_and_choose_print_the_same_plan(self, capsys):
+        assert main(["explain", "--demo-catalog", self.SQL]) == 0
+        explained = capsys.readouterr().out.split("\n\n")[0]
+        assert main(
+            ["choose", "--demo-catalog", self.SQL, "--bind", "sel:v=0.3"]
+        ) == 0
+        chosen = capsys.readouterr().out.split("\n\n")[0]
+        assert chosen == explained
+        assert "Sort" in explained
+
+    def test_run_returns_rows_in_full_key_order(self, capsys):
+        code = main(
+            [
+                "run",
+                "--demo-catalog",
+                self.SQL,
+                "--set",
+                "v=200",
+                "--limit",
+                "100000",
+            ]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [
+            tuple(int(value) for value in line.split(" | "))
+            for line in lines[2:]
+            if " | " in line
+        ]
+        assert len(rows) > 100 and rows == sorted(rows)
+
+
 class TestDemoAndExperiments:
     def test_demo(self, capsys):
         assert main(["demo"]) == 0

@@ -13,7 +13,7 @@ import pytest
 from repro.executor.database import Database
 from repro.executor.executor import execute_plan
 from repro.optimizer.optimizer import OptimizationMode, optimize_query
-from repro.query.parser import parse_query
+from repro.query.parser import parse_statement
 from repro.runtime.access_module import AccessModule
 from repro.runtime.chooser import resolve_plan
 
@@ -29,7 +29,7 @@ class TestSqlToExecution:
     SQL = "SELECT R.a, S.b FROM R, S WHERE R.a < :v AND R.k = S.j"
 
     def test_pipeline(self, catalog, db):
-        parsed = parse_query(self.SQL, catalog)
+        parsed = parse_statement(self.SQL, catalog)
         result = optimize_query(parsed.graph, catalog, mode=OptimizationMode.DYNAMIC)
         assert result.is_dynamic
 
@@ -50,7 +50,7 @@ class TestSqlToExecution:
             bindings={"v": v},
             choices=activation.decision.choices,
         )
-        projected = out.project(list(parsed.select_list))
+        projected = out.project(list(parsed.graph.projection))
         reference = sorted(
             (r[0], s[1])
             for _, r in db.heap("R").scan()
@@ -61,7 +61,7 @@ class TestSqlToExecution:
         assert sorted(projected) == reference
 
     def test_module_survives_unrelated_ddl(self, catalog, db):
-        parsed = parse_query(self.SQL, catalog)
+        parsed = parse_statement(self.SQL, catalog)
         result = optimize_query(parsed.graph, catalog, mode=OptimizationMode.DYNAMIC)
         module = AccessModule.compile(result.plan, result.ctx)
         catalog.add_relation("Unrelated", [("x", 5)], cardinality=10)

@@ -8,7 +8,7 @@ from repro.executor.database import Database
 from repro.executor.executor import execute_plan
 from repro.optimizer.optimizer import OptimizationMode, optimize_query
 from repro.physical.plan import BtreeScanNode, SortNode, iter_plan_nodes
-from repro.query.parser import parse_query
+from repro.query.parser import parse_statement
 from repro.runtime.chooser import resolve_plan
 
 
@@ -21,7 +21,7 @@ def db(catalog) -> Database:
 
 class TestOptimizedOrder:
     def test_plan_delivers_requested_order(self, catalog):
-        parsed = parse_query("SELECT * FROM R ORDER BY R.a", catalog)
+        parsed = parse_statement("SELECT * FROM R ORDER BY R.a", catalog)
         result = optimize_query(
             parsed.graph,
             catalog,
@@ -31,7 +31,7 @@ class TestOptimizedOrder:
         assert result.plan.order == catalog.attribute("R.a")
 
     def test_index_provides_order_when_selective(self, catalog):
-        parsed = parse_query(
+        parsed = parse_statement(
             "SELECT * FROM R WHERE R.a < :v ORDER BY R.a", catalog
         )
         result = optimize_query(
@@ -48,7 +48,7 @@ class TestOptimizedOrder:
         assert SortNode not in kinds
 
     def test_sort_enforcer_when_order_not_free(self, catalog):
-        parsed = parse_query("SELECT * FROM R ORDER BY R.k", catalog)
+        parsed = parse_statement("SELECT * FROM R ORDER BY R.k", catalog)
         result = optimize_query(
             parsed.graph,
             catalog,
@@ -63,7 +63,7 @@ class TestOptimizedOrder:
 
 class TestExecutedOrder:
     def test_output_rows_are_sorted(self, catalog, db):
-        parsed = parse_query("SELECT * FROM R ORDER BY R.k", catalog)
+        parsed = parse_statement("SELECT * FROM R ORDER BY R.k", catalog)
         result = optimize_query(
             parsed.graph,
             catalog,
@@ -77,7 +77,7 @@ class TestExecutedOrder:
         assert len(out.rows) == catalog.relation("R").stats.cardinality
 
     def test_dynamic_plan_with_order(self, catalog, db):
-        parsed = parse_query(
+        parsed = parse_statement(
             "SELECT * FROM R WHERE R.a < :v ORDER BY R.a", catalog
         )
         result = optimize_query(
@@ -98,7 +98,7 @@ class TestExecutedOrder:
             assert all(k < v for k in keys)
 
     def test_join_with_order(self, catalog, db):
-        parsed = parse_query(
+        parsed = parse_statement(
             "SELECT R.k, S.b FROM R, S WHERE R.k = S.j ORDER BY R.k", catalog
         )
         result = optimize_query(

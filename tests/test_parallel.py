@@ -42,7 +42,7 @@ from repro.physical.plan import (
     IndexJoinNode,
     iter_plan_nodes,
 )
-from repro.query.parser import parse_query
+from repro.query.parser import parse_statement
 from repro.runtime.chooser import effective_plan_nodes, resolve_plan
 from repro.runtime.prepared import PreparedQuery
 
@@ -64,7 +64,7 @@ def dop_space(max_dop: int = 4) -> ParameterSpace:
 
 
 def parse_with_dop(sql: str, catalog, max_dop: int = 4):
-    graph = parse_query(sql, catalog).graph
+    graph = parse_statement(sql, catalog).graph
     graph.parameters.add_dop(high=max_dop)
     return graph
 
@@ -322,7 +322,7 @@ class TestParallelRules:
             FileScanNode(ctx, "R"),
             "S",
             catalog.attribute("S.j"),
-            parse_query(JOIN_SQL, catalog).graph.joins,
+            parse_statement(JOIN_SQL, catalog).graph.joins,
         )
         alternative = parallel_alternative(ctx, plan)
         assert alternative is not None
@@ -351,7 +351,7 @@ class TestChoosePlanBinding:
         assert exchanges, "dynamic plan lost every parallel alternative"
 
     def test_without_dop_parameter_no_exchanges(self, catalog, model):
-        graph = parse_query(FILTER_JOIN_SQL, catalog).graph
+        graph = parse_statement(FILTER_JOIN_SQL, catalog).graph
         result = optimize_query(
             graph, catalog, model, mode=OptimizationMode.DYNAMIC
         )
@@ -453,7 +453,7 @@ class TestParallelExecution:
             FileScanNode(ctx, "R"),
             "S",
             catalog.attribute("S.j"),
-            parse_query(JOIN_SQL, catalog).graph.joins,
+            parse_statement(JOIN_SQL, catalog).graph.joins,
         )
         reference = canonical(execute_plan(plan, db, bindings={}))
         exchange = ExchangeNode(

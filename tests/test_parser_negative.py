@@ -13,7 +13,7 @@ import pytest
 
 from repro.catalog.catalog import Catalog
 from repro.errors import BindingError, CatalogError, ParseError, ReproError
-from repro.query.parser import parse_query
+from repro.query.parser import parse_statement
 
 
 @pytest.fixture
@@ -73,43 +73,43 @@ class TestTypedFailures:
         # A non-ReproError (AttributeError, IndexError, ...) would escape
         # this except clause and fail the test with the raw traceback.
         with pytest.raises(ReproError):
-            parse_query(sql, catalog)
+            parse_statement(sql, catalog)
 
     @pytest.mark.parametrize("sql", TRUNCATED)
     def test_truncated_input_is_parse_error(self, catalog, sql):
         with pytest.raises(ParseError):
-            parse_query(sql, catalog)
+            parse_statement(sql, catalog)
 
     def test_unknown_relation_is_catalog_error(self, catalog):
         with pytest.raises(CatalogError):
-            parse_query("SELECT * FROM Unknown", catalog)
+            parse_statement("SELECT * FROM Unknown", catalog)
 
     def test_same_relation_join_is_binding_error(self, catalog):
         with pytest.raises(BindingError):
-            parse_query("SELECT * FROM R WHERE R.a = R.b", catalog)
+            parse_statement("SELECT * FROM R WHERE R.a = R.b", catalog)
 
 
 class TestDiagnostics:
     def test_parse_error_carries_offset(self, catalog):
         with pytest.raises(ParseError) as excinfo:
-            parse_query("SELECT * FROM R LIMIT 5", catalog)
+            parse_statement("SELECT * FROM R LIMIT 5", catalog)
         assert excinfo.value.position == 16
         assert "offset 16" in str(excinfo.value)
 
     def test_unterminated_string_points_at_quote(self, catalog):
         with pytest.raises(ParseError) as excinfo:
-            parse_query("SELECT * FROM R WHERE R.a < 'oops", catalog)
+            parse_statement("SELECT * FROM R WHERE R.a < 'oops", catalog)
         assert excinfo.value.position == 28
 
     def test_aggregate_order_by_rejected_at_parse_time(self, catalog):
         # Ordering an aggregate query by a non-grouped attribute used to
         # surface only at execution; the parser now rejects it directly.
         with pytest.raises(ParseError) as excinfo:
-            parse_query("SELECT COUNT(*) FROM R ORDER BY R.a", catalog)
+            parse_statement("SELECT COUNT(*) FROM R ORDER BY R.a", catalog)
         assert "GROUP BY" in str(excinfo.value)
 
     def test_group_by_order_by_group_key_still_parses(self, catalog):
-        parsed = parse_query(
+        parsed = parse_statement(
             "SELECT R.a, COUNT(*) FROM R GROUP BY R.a ORDER BY R.a", catalog
         )
         assert parsed.order_by == catalog.attribute("R.a")

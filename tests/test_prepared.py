@@ -206,3 +206,85 @@ class TestCombinedOverrides:
         assert "dop" not in values
         out = prepared.execute(db, {"v": 100}, dop=4)
         assert out.metrics.rows == reference(db, 100)
+
+
+ORDERED_SQL = "SELECT R.k, R.a FROM R WHERE R.a < :v ORDER BY R.k, R.a"
+
+COMPOUND_SQL = [
+    "SELECT R.a, R.k FROM R WHERE R.a < :v "
+    "UNION ALL SELECT S.b, S.j FROM S WHERE S.b < :v",
+    "SELECT R.a, S.b FROM R LEFT OUTER JOIN S ON R.k = S.j WHERE R.a < :v",
+    "SELECT R.a, R.k FROM R WHERE R.a < :v "
+    "AND R.k IN (SELECT S.j FROM S WHERE S.b < 100)",
+]
+
+
+class TestOneCompilePath:
+    """Every form of ``prepare`` compiles the whole statement."""
+
+    def test_order_by_is_part_of_the_plan(self, catalog, db):
+        prepared = PreparedQuery.prepare(ORDERED_SQL, catalog)
+        rows = prepared.execute(db, {"v": 300}).rows
+        assert rows and rows == sorted(rows)
+        assert prepared.statement.order_by_keys == (
+            catalog.attribute("R.k"),
+            catalog.attribute("R.a"),
+        )
+
+    def test_recompile_after_ddl_keeps_order_by(self, catalog, db):
+        prepared = PreparedQuery.prepare(ORDERED_SQL, catalog)
+        before = prepared.execute(db, {"v": 300}).rows
+        catalog.drop_index("R_a")
+        catalog.drop_index("R_k")
+        after = prepared.execute(db, {"v": 300}).rows
+        assert prepared.reoptimizations == 1
+        assert after == before == sorted(before)
+
+    def test_graph_constructor_is_the_one_branch_statement(
+        self, join_query, catalog
+    ):
+        compiled = PreparedQuery.prepare(join_query, catalog)
+        prepared = PreparedQuery(
+            graph=join_query,
+            catalog=catalog,
+            model=compiled.model,
+            mode=OptimizationMode.DYNAMIC,
+            module=compiled.module,
+        )
+        assert prepared.statement.is_simple
+        assert prepared.statement.branches[0].graph is join_query
+        assert prepared.statement.parameters is join_query.parameters
+
+    @pytest.mark.parametrize("sql", COMPOUND_SQL)
+    def test_compound_statement_matches_direct_execution(
+        self, sql, catalog, db
+    ):
+        from repro.executor.executor import execute_plan
+        from repro.optimizer.statement import optimize_statement
+        from repro.query.parser import parse_statement
+
+        prepared = PreparedQuery.prepare(sql, catalog)
+        assert prepared.statement.is_compound
+        values = prepared.derive_parameters(db, {"v": 200})
+        statement = parse_statement(sql, catalog).statement
+        direct = optimize_statement(
+            statement, catalog, mode=OptimizationMode.RUN_TIME, binding=values
+        )
+        want = execute_plan(direct.plan, db, bindings={"v": 200}).rows
+        got = prepared.execute(db, {"v": 200}).rows
+        assert sorted(got, key=repr) == sorted(want, key=repr)
+
+    def test_compound_statement_is_refused_by_the_replanner(self, catalog, db):
+        from repro.errors import OptimizationError
+
+        prepared = PreparedQuery.prepare(COMPOUND_SQL[0], catalog)
+        with pytest.raises(OptimizationError, match="execute_adaptive_statement"):
+            prepared.execute_adaptive(db, {"v": 200})
+
+    def test_subquery_host_variable_is_derived(self, catalog, db):
+        prepared = PreparedQuery.prepare(
+            "SELECT R.a FROM R WHERE R.k IN (SELECT S.j FROM S WHERE S.b < :w)",
+            catalog,
+        )
+        values = prepared.derive_parameters(db, {"w": 100})
+        assert values["sel:w"] == pytest.approx(0.25)

@@ -11,7 +11,7 @@ from repro.logical.algebra import GetSet, Project, Select
 from repro.logical.query import QueryGraph, normalize
 from repro.optimizer.optimizer import OptimizationMode, optimize_query
 from repro.physical.plan import ProjectNode
-from repro.query.parser import parse_query
+from repro.query.parser import parse_statement
 from repro.runtime.access_module import deserialize_plan, serialize_plan
 
 
@@ -83,7 +83,7 @@ class TestOptimizer:
 
 class TestExecution:
     def test_projected_rows(self, catalog, db):
-        parsed = parse_query(
+        parsed = parse_statement(
             "SELECT S.b, R.a FROM R, S WHERE R.a < :v AND R.k = S.j", catalog
         )
         result = optimize_query(parsed.graph, catalog, mode=OptimizationMode.DYNAMIC)
@@ -107,7 +107,7 @@ class TestExecution:
 
     def test_projection_independent_of_chosen_alternative(self, catalog, db):
         """SELECT-list order holds no matter which join order won."""
-        parsed = parse_query(
+        parsed = parse_statement(
             "SELECT R.a, S.b FROM R, S WHERE R.a < :v AND R.k = S.j", catalog
         )
         result = optimize_query(parsed.graph, catalog, mode=OptimizationMode.DYNAMIC)
@@ -127,7 +127,7 @@ class TestExecution:
 
 class TestSerialization:
     def test_project_round_trip(self, catalog):
-        parsed = parse_query("SELECT R.a FROM R WHERE R.a < :v", catalog)
+        parsed = parse_statement("SELECT R.a FROM R WHERE R.a < :v", catalog)
         result = optimize_query(parsed.graph, catalog, mode=OptimizationMode.DYNAMIC)
         data = serialize_plan(result.plan)
         rebuilt = deserialize_plan(data, result.ctx, parsed.graph.parameters)

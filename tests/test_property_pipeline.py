@@ -169,12 +169,12 @@ class TestParserFuzz:
     def test_parser_never_crashes_unexpectedly(self, text):
         """Arbitrary input produces ParseError/CatalogError, never others."""
         from repro.errors import ReproError
-        from repro.query.parser import parse_query
+        from repro.query.parser import parse_statement
 
         fuzz_catalog = Catalog()
         fuzz_catalog.add_relation("R", [("a", 10)], cardinality=5)
         try:
-            parse_query(text, fuzz_catalog)
+            parse_statement(text, fuzz_catalog)
         except ReproError:
             pass
         except RecursionError:  # pragma: no cover - defensive

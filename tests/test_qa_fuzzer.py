@@ -22,7 +22,7 @@ from repro.qa import (
     run_fuzz,
     shrink_case,
 )
-from repro.query.parser import parse_query
+from repro.query.parser import parse_statement
 from repro.util.interval import Interval
 
 
@@ -43,7 +43,7 @@ class TestGenerator:
     def test_generated_sql_round_trips_through_parser(self, index):
         case = CaseGenerator(f"roundtrip/{index}").draw_case()
         catalog = case.build_catalog()
-        parsed = parse_query(case.query.to_sql(), catalog)
+        parsed = parse_statement(case.query.to_sql(), catalog)
         expected = case.expected_graph(catalog)
         assert parsed.graph.relations == expected.relations
         assert parsed.graph.joins == expected.joins

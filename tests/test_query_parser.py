@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ParseError
 from repro.logical.predicates import CompareOp, HostVariable, Literal
-from repro.query.parser import parse_query
+from repro.query.parser import parse_statement
 from repro.query.tokenizer import TokenKind, tokenize
 
 
@@ -59,7 +59,7 @@ class TestTokenizer:
 
 class TestParser:
     def test_simple_selection(self, catalog):
-        parsed = parse_query("SELECT * FROM R WHERE R.a < :v", catalog)
+        parsed = parse_statement("SELECT * FROM R WHERE R.a < :v", catalog)
         assert parsed.graph.relations == ("R",)
         (predicate,) = parsed.graph.selections_on("R")
         assert predicate.op is CompareOp.LT
@@ -68,41 +68,41 @@ class TestParser:
         assert "sel:v" in parsed.graph.parameters
 
     def test_join_query(self, catalog):
-        parsed = parse_query(
+        parsed = parse_statement(
             "SELECT R.a, S.b FROM R, S WHERE R.a < :v AND R.k = S.j", catalog
         )
         assert parsed.graph.relations == ("R", "S")
         assert len(parsed.graph.joins) == 1
-        assert parsed.select_list is not None
-        assert [a.qualified_name for a in parsed.select_list] == ["R.a", "S.b"]
+        assert parsed.graph.projection is not None
+        assert [a.qualified_name for a in parsed.graph.projection] == ["R.a", "S.b"]
 
     def test_literal_predicates(self, catalog):
-        parsed = parse_query("SELECT * FROM R WHERE R.a = 42", catalog)
+        parsed = parse_statement("SELECT * FROM R WHERE R.a = 42", catalog)
         (predicate,) = parsed.graph.selections_on("R")
         assert isinstance(predicate.operand, Literal)
         assert predicate.operand.value == 42
 
     def test_string_literal(self, catalog):
-        parsed = parse_query("SELECT * FROM R WHERE R.a = 'x'", catalog)
+        parsed = parse_statement("SELECT * FROM R WHERE R.a = 'x'", catalog)
         (predicate,) = parsed.graph.selections_on("R")
         assert predicate.operand.value == "x"
 
     def test_order_by(self, catalog):
-        parsed = parse_query("SELECT * FROM R ORDER BY R.a", catalog)
+        parsed = parse_statement("SELECT * FROM R ORDER BY R.a", catalog)
         assert parsed.order_by == catalog.attribute("R.a")
 
     def test_no_where_clause(self, catalog):
-        parsed = parse_query("SELECT * FROM R", catalog)
+        parsed = parse_statement("SELECT * FROM R", catalog)
         assert parsed.graph.selections_on("R") == ()
 
     def test_shared_host_variable_single_parameter(self, catalog):
-        parsed = parse_query(
+        parsed = parse_statement(
             "SELECT * FROM R WHERE R.a < :v AND R.k < :v", catalog
         )
         assert len(parsed.graph.parameters) == 1
 
     def test_default_selectivity_configurable(self, catalog):
-        parsed = parse_query(
+        parsed = parse_statement(
             "SELECT * FROM R WHERE R.a < :v", catalog, default_selectivity=0.2
         )
         assert parsed.graph.parameters.get("sel:v").expected == 0.2
@@ -110,7 +110,7 @@ class TestParser:
     def test_parsed_query_optimizes(self, catalog):
         from repro.optimizer.optimizer import OptimizationMode, optimize_query
 
-        parsed = parse_query(
+        parsed = parse_statement(
             "SELECT * FROM R, S WHERE R.a < :v AND R.k = S.j", catalog
         )
         result = optimize_query(parsed.graph, catalog, mode=OptimizationMode.DYNAMIC)
@@ -134,22 +134,22 @@ class TestParserErrors:
     )
     def test_rejected(self, catalog, text):
         with pytest.raises(ParseError):
-            parse_query(text, catalog)
+            parse_statement(text, catalog)
 
     def test_unknown_relation(self, catalog):
         from repro.errors import CatalogError
 
         with pytest.raises(CatalogError):
-            parse_query("SELECT * FROM Nope", catalog)
+            parse_statement("SELECT * FROM Nope", catalog)
 
     def test_attribute_outside_from_list(self, catalog):
         with pytest.raises(ParseError):
-            parse_query("SELECT * FROM R WHERE S.b < 3", catalog)
+            parse_statement("SELECT * FROM R WHERE S.b < 3", catalog)
 
     def test_non_equi_join_rejected(self, catalog):
         with pytest.raises(ParseError):
-            parse_query("SELECT * FROM R, S WHERE R.k < S.j", catalog)
+            parse_statement("SELECT * FROM R, S WHERE R.k < S.j", catalog)
 
     def test_unknown_attribute(self, catalog):
         with pytest.raises(ParseError):
-            parse_query("SELECT * FROM R WHERE R.zzz < 3", catalog)
+            parse_statement("SELECT * FROM R WHERE R.zzz < 3", catalog)

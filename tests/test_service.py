@@ -241,3 +241,64 @@ class TestStress:
             # No lost invalidation: the executed module's compile version is
             # at least the version observed before the request was admitted.
             assert result.compiled_catalog_version >= v_pre
+
+
+#: One statement per compound shape the service compiles whole.
+COMPOUND_SQL = [
+    "SELECT R.a, R.k FROM R WHERE R.a < :v "
+    "UNION ALL SELECT S.b1, S.j FROM S WHERE S.b1 < :v",
+    "SELECT R.a, S.b1 FROM R LEFT OUTER JOIN S ON R.k = S.j WHERE R.a < :v",
+    "SELECT R.a, R.k FROM R WHERE R.a < :v "
+    "AND R.k IN (SELECT S.j FROM S WHERE S.b2 < 40)",
+]
+
+
+def direct_rows(catalog: Catalog, sql: str, bindings, seed: int):
+    """The statement parsed, optimized at its bound values and executed
+    without the service."""
+    from repro.executor.executor import execute_plan
+    from repro.optimizer.optimizer import OptimizationMode
+    from repro.optimizer.statement import optimize_statement
+    from repro.query.parser import parse_statement
+
+    db = Database(catalog)
+    db.load_synthetic(seed=seed)
+    statement = parse_statement(sql, catalog).statement
+    values = {
+        predicate.operand.selectivity_parameter: db.implied_selectivity(
+            predicate, bindings
+        )
+        for predicate in statement.selection_predicates()
+        if predicate.is_unbound
+    }
+    result = optimize_statement(
+        statement, catalog, mode=OptimizationMode.RUN_TIME, binding=values
+    )
+    return execute_plan(result.plan, db, bindings=bindings).rows
+
+
+class TestStatements:
+    """The service compiles the submitted statement, not a reduced graph."""
+
+    def test_every_order_by_key_holds(self, service_catalog):
+        sql = "SELECT R.k, R.a FROM R WHERE R.a < :v ORDER BY R.k, R.a"
+        with QueryService(service_catalog, workers=1, seed=5) as service:
+            cold = service.execute(sql, {"v": 70})
+            cached = service.execute(sql, {"v": 70})
+        assert cached.cache_hit
+        assert cold.rows and cold.rows == sorted(cold.rows)
+        assert cached.rows == cold.rows
+
+    @pytest.mark.parametrize("sql", COMPOUND_SQL)
+    def test_compound_statement_matches_direct_execution(
+        self, service_catalog, sql
+    ):
+        want = sorted(
+            direct_rows(service_catalog, sql, {"v": 60}, seed=5), key=repr
+        )
+        with QueryService(service_catalog, workers=1, seed=5) as service:
+            cold = service.execute(sql, {"v": 60})
+            cached = service.execute(sql, {"v": 60})
+        assert cached.cache_hit
+        assert sorted(cold.rows, key=repr) == want
+        assert sorted(cached.rows, key=repr) == want

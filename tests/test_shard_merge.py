@@ -188,6 +188,34 @@ def test_ordered_merge_matches_global_sort(rows, shard_count, data):
 
 
 @given(union_rows, st.integers(1, 5), st.data())
+@settings(max_examples=80, deadline=None)
+def test_multi_key_merge_matches_global_sort_on_every_key(
+    rows, shard_count, data
+):
+    assignment = data.draw(
+        st.lists(
+            st.integers(0, shard_count - 1),
+            min_size=len(rows),
+            max_size=len(rows),
+        )
+    )
+    shards: list[list[tuple]] = [[] for _ in range(shard_count)]
+    for row, shard in zip(rows, assignment):
+        shards[shard].append(row)
+    from repro.shard.merge import MergeSpec
+
+    def both_keys(row):
+        return (_null_last(row), row[1])
+
+    merged, _ = merge_partials(
+        MergeSpec(aggregate=False),
+        [(sorted(shard, key=both_keys), UNION_SCHEMA) for shard in shards],
+        order_key=UNION_SCHEMA,
+    )
+    assert merged == sorted(rows, key=both_keys)
+
+
+@given(union_rows, st.integers(1, 5), st.data())
 @settings(max_examples=40, deadline=None)
 def test_unordered_union_is_exact_multiset(rows, shard_count, data):
     assignment = data.draw(

@@ -19,11 +19,12 @@ from __future__ import annotations
 import pytest
 
 from repro.catalog.catalog import Catalog
-from repro.errors import ServiceClosedError, ShardFailedError
+from repro.errors import ServiceClosedError, ServiceError, ShardFailedError
 from repro.obs.metrics import get_metrics
 from repro.service import QueryService
 from repro.shard import ShardedQueryService
 from repro.shard.coordinator import _Waiter
+from tests.builders import make_shard_catalog
 
 #: (sql, bindings) pairs spanning every merge shape: plain union,
 #: replicated join, grouped partial-aggregate recombination (all five
@@ -105,6 +106,76 @@ def test_order_by_is_merged_in_order(catalog, reference):
     keys = [row[position] for row in result.rows]
     assert keys == sorted(keys)
     assert_matches_reference(result, reference[sql])
+
+
+#: Two-key ORDER BY over a union merge and over partial-aggregate
+#: recombination (sorted after the groups combine).
+MULTI_KEY_SQL = [
+    "SELECT F0.g, F0.v FROM F0 WHERE F0.v < :v ORDER BY F0.g, F0.v",
+    "SELECT F0.g, F0.v, COUNT(*) FROM F0 WHERE F0.v < :v "
+    "GROUP BY F0.g, F0.v ORDER BY F0.g, F0.v",
+]
+
+
+@pytest.mark.parametrize("sql", MULTI_KEY_SQL)
+@pytest.mark.parametrize("shards", [2, 3])
+def test_multi_key_order_by_matches_unsharded_in_full_key_order(sql, shards):
+    shard_catalog = make_shard_catalog(2_000, group_domain=20)
+    with QueryService(shard_catalog, workers=1, seed=0) as single:
+        want = single.execute(sql, {"v": 500}).rows
+    with ShardedQueryService(
+        shard_catalog, shards=shards, workers=1, in_process=True, seed=0
+    ) as service:
+        result = service.execute(sql, {"v": 500})
+    assert result.schema[:2] == (("F0", "g", 20), ("F0", "v", 1_000))
+    assert len(want) > 100 and want == sorted(want)
+    assert result.rows == want
+
+
+#: Single-branch compound statements: the driver R sits in the core,
+#: the subquery / outer-joined S is replicated on every shard.
+SCATTERABLE_COMPOUND = [
+    "SELECT R.a, S.b FROM R LEFT OUTER JOIN S ON R.k = S.j WHERE R.a < :v",
+    "SELECT R.a, R.k FROM R WHERE R.a < :v "
+    "AND R.k IN (SELECT S.j FROM S WHERE S.b < 200) ORDER BY R.k, R.a",
+]
+
+
+@pytest.mark.parametrize("sql", SCATTERABLE_COMPOUND)
+def test_single_branch_compound_statement_scatters(catalog, sql):
+    with QueryService(catalog, workers=1, seed=0) as single:
+        want = single.execute(sql, {"v": 300}).rows
+    with ShardedQueryService(
+        catalog, shards=3, workers=1, in_process=True, seed=0
+    ) as service:
+        result = service.execute(sql, {"v": 300})
+    assert sorted(result.rows, key=repr) == sorted(want, key=repr)
+    if "ORDER BY" in sql:
+        assert result.rows == want
+
+
+#: Statements scattering cannot answer: the second UNION branch would
+#: return replicated S rows once per shard; partials ordered on a column
+#: the statement does not select cannot be merged in order.
+UNSCATTERABLE = [
+    "SELECT R.a, R.k FROM R WHERE R.a < :v "
+    "UNION ALL SELECT S.b, S.j FROM S WHERE S.b < :v",
+    "SELECT R.a FROM R WHERE R.a < :v ORDER BY R.k",
+]
+
+
+@pytest.mark.parametrize("sql", UNSCATTERABLE)
+def test_unscatterable_statement_is_refused_before_any_shard_runs(
+    catalog, sql
+):
+    with ShardedQueryService(
+        catalog, shards=2, workers=1, in_process=True, seed=0
+    ) as service:
+        before = get_metrics().snapshot().get("shard.executions", 0.0)
+        with pytest.raises(ServiceError, match="cannot scatter"):
+            service.execute(sql, {"v": 100})
+        after = get_metrics().snapshot().get("shard.executions", 0.0)
+    assert after == before
 
 
 def test_partition_pruning_routes_to_one_shard(catalog):
