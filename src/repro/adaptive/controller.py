@@ -33,8 +33,8 @@ from repro.cost.context import CostContext
 from repro.errors import BindingError, OptimizationError, PlanError
 from repro.executor.database import Database
 from repro.executor.executor import (
-    ExecutionMetrics,
     ExecutionResult,
+    _metrics_since,
     _snapshot,
     execute_plan,
 )
@@ -372,17 +372,8 @@ def execute_adaptive_plan(
             kept += guard.kept
         break
 
-    elapsed = time.perf_counter() - started
-    after = _snapshot(db)
-    combined = ExecutionMetrics(
-        rows=len(result.rows),
-        io_seconds=after[0] - before[0],
-        sequential_reads=after[1] - before[1],
-        random_reads=after[2] - before[2],
-        writes=after[3] - before[3],
-        buffer_hits=after[4] - before[4],
-        buffer_misses=after[5] - before[5],
-        wall_seconds=elapsed,
+    combined = _metrics_since(
+        db, before, len(result.rows), time.perf_counter() - started
     )
     max_error = result.max_estimate_error
     for event in replans:
@@ -530,17 +521,8 @@ def execute_adaptive_statement(
         pinned_nodes=pinned_nodes,
     )
     attempts += 1
-    elapsed = time.perf_counter() - started
-    after = _snapshot(db)
-    combined = ExecutionMetrics(
-        rows=len(final.rows),
-        io_seconds=after[0] - before[0],
-        sequential_reads=after[1] - before[1],
-        random_reads=after[2] - before[2],
-        writes=after[3] - before[3],
-        buffer_hits=after[4] - before[4],
-        buffer_misses=after[5] - before[5],
-        wall_seconds=elapsed,
+    combined = _metrics_since(
+        db, before, len(final.rows), time.perf_counter() - started
     )
     max_error = final.max_estimate_error
     for event in replans:

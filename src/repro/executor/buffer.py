@@ -1,25 +1,50 @@
-"""LRU buffer pool over the simulated disk.
+"""LRU buffer pool over the simulated disk, kept as an LRU list of extents.
 
 A fixed number of page frames caches reads; hits cost nothing, misses go to
-the disk (charging simulated time).  The pool deliberately implements only
-what the reproduction needs — read caching with LRU replacement — because
-every write path in this engine is append-only (loads, sort runs, hash
-partitions) and bypasses the pool.
+the disk (charging simulated time).  Every write path in this engine is
+append-only (loads, sort runs, hash partitions) and bypasses the pool.
 
-One lock guards the frame map and the hit/miss counters, so threads may
-share a pool.  A miss holds the lock across the disk read (single-flight
-per pool), trading a little concurrency on buffered paths for exact
-accounting — the row-mode heap scan reads the disk directly and never
-touches the pool.
+The frames are extents, oldest first: runs of consecutive pages of one
+file holding their payload references, recency rising with the page number
+inside an extent.  A range read touches its pages in ascending order, so a
+per-page LRU ends with the range as its newest pages, ascending, and every
+other page in its old order.  The extent pool reaches the same state: a
+range read cuts itself out of its file's extents (those pages are hits,
+the remnants keep their place), reads each gap from the disk in ascending
+order (the calls a per-page pool makes for its runs of misses), appends
+the range as the newest extent and trims the oldest pages to capacity.
+
+One lock guards the extents and the hit/miss counters, so threads may
+share a pool; a miss holds it across the disk read, for exact accounting.
+The row-mode heap scan reads the disk directly and never touches the pool.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+from bisect import bisect_left, bisect_right, insort
+from operator import attrgetter
 
 from repro.errors import ExecutionError
-from repro.executor.storage import PageId, SimulatedDisk
+from repro.executor.storage import SimulatedDisk
+
+
+class _Extent:
+    """Pages ``first, first + 1, …`` of one file (payload references)."""
+
+    __slots__ = ("file", "first", "pages")
+
+    def __init__(self, file: str, first: int, pages: list) -> None:
+        self.file = file
+        self.first = first
+        self.pages = pages
+
+
+_first_page = attrgetter("first")
+
+
+def _end(extent: _Extent) -> int:
+    return extent.first + len(extent.pages)
 
 
 class BufferPool:
@@ -30,125 +55,99 @@ class BufferPool:
             raise ExecutionError("buffer pool needs at least one frame")
         self.disk = disk
         self.capacity = capacity_pages
-        self._frames: OrderedDict[PageId, list] = OrderedDict()
-        # Per-file high-water mark: 1 + the highest page number ever
-        # inserted.  A page at or past the mark was never read, so it
-        # cannot be cached — which lets sequential scans skip the
-        # per-page lookup entirely (see read_page_range).  Eviction
-        # never lowers the mark (it only removes pages below it), so
-        # the invariant survives replacement.
-        self._file_high: dict[str, int] = {}
+        self._extents: list[_Extent] = []  # least recently used first
+        self._by_file: dict[str, list[_Extent]] = {}  # by first page
+        self._size = 0  # pages held
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     def read_page(self, file_name: str, page_no: int) -> list:
         """Read a page through the cache."""
-        key: PageId = (file_name, page_no)
-        with self._lock:
-            cached = self._frames.get(key)
-            if cached is not None:
-                self._frames.move_to_end(key)
-                self.hits += 1
-                return cached
-            payload = self.disk.read_page(file_name, page_no)
-            self.misses += 1
-            self._frames[key] = payload
-            if page_no >= self._file_high.get(file_name, 0):
-                self._file_high[file_name] = page_no + 1
-            if len(self._frames) > self.capacity:
-                self._frames.popitem(last=False)
-            return payload
+        return self.read_page_range(file_name, page_no, page_no + 1)[0]
 
     def read_page_range(self, file_name: str, first: int, last: int) -> list[list]:
-        """Read pages ``[first, last)`` through the cache, lock held once.
-
-        Hits are served from the pool; contiguous runs of misses go to the
-        disk as a single :meth:`SimulatedDisk.read_page_range` call, so the
-        accounting (hit/miss counters, sequential/random classification)
-        is exactly what per-page reads would have produced while the
-        locking and bookkeeping are paid once per run instead of per page.
-        """
+        """Read pages ``[first, last)`` through the cache, lock held once."""
         if last <= first:
             return []
         with self._lock:
-            if first >= self._file_high.get(file_name, 0):
-                return self._read_all_miss(file_name, first, last)
-            payloads: list[list | None] = []
-            run_start: int | None = None  # first page of the current miss run
+            extents, in_file = self._extents, self._by_file.setdefault(file_name, [])
+            # A file's extents are disjoint: the overlapping ones are a slice.
+            low_i = bisect_right(in_file, first, key=_first_page)
+            if low_i and _end(in_file[low_i - 1]) > first:
+                low_i -= 1
+            high_i = bisect_left(in_file, last, low_i, key=_first_page)
+            payloads: list[list] = []
+            read = first  # first page not yet served
+            remnants: list[_Extent] = []
+            for extent in in_file[low_i:high_i]:
+                start, pages = extent.first, extent.pages
+                low, high = max(start, first), min(start + len(pages), last)
+                if read < low:
+                    payloads += self._miss(file_name, read, low)
+                payloads += pages[low - start : high - start]
+                self.hits += high - low
+                self._size -= high - low
+                read = high
+                kept = [
+                    _Extent(file_name, a, pages[a - start : b - start])
+                    for a, b in ((start, first), (last, start + len(pages)))
+                    if a < b
+                ]
+                position = extents.index(extent)
+                extents[position : position + 1] = kept
+                remnants += kept
+            in_file[low_i:high_i] = remnants
+            if read < last:
+                payloads += self._miss(file_name, read, last)
+            self._admit(file_name, first, payloads)
+            return payloads
 
-            def fill_run(end: int) -> None:
-                nonlocal run_start
-                if run_start is None:
-                    return
-                fetched = self.disk.read_page_range(file_name, run_start, end)
-                self.misses += end - run_start
-                for offset, payload in enumerate(fetched):
-                    key = (file_name, run_start + offset)
-                    self._frames[key] = payload
-                    payloads[run_start + offset - first] = payload
-                run_start = None
+    def _miss(self, file_name: str, first: int, last: int) -> list[list]:
+        self.misses += last - first
+        return self.disk.read_page_range(file_name, first, last)
 
-            for page_no in range(first, last):
-                key: PageId = (file_name, page_no)
-                cached = self._frames.get(key)
-                if cached is not None:
-                    fill_run(page_no)
-                    self._frames.move_to_end(key)
-                    self.hits += 1
-                    payloads.append(cached)
-                else:
-                    if run_start is None:
-                        run_start = page_no
-                    payloads.append(None)
-            fill_run(last)
-            if last > self._file_high.get(file_name, 0):
-                self._file_high[file_name] = last
-            while len(self._frames) > self.capacity:
-                self._frames.popitem(last=False)
-            return payloads  # type: ignore[return-value]
-
-    def _read_all_miss(self, file_name: str, first: int, last: int) -> list[list]:
-        """Range read past the file's high-water mark (lock held).
-
-        Every page is a guaranteed miss, so the range goes to the disk as
-        one call — the same single sequential read ``fill_run`` would
-        have issued — and the per-page cache probes are skipped.  When
-        the range is at least as large as the pool, only its tail
-        survives replacement, so the leading pages are never inserted at
-        all; hit/miss counters and the final LRU state are exactly what
-        the general path produces.
-        """
-        payloads = self.disk.read_page_range(file_name, first, last)
-        count = last - first
-        self.misses += count
-        frames = self._frames
-        keep = min(count, self.capacity)
-        if keep < count:
-            frames.clear()  # the whole range evicts every older frame
-        tail_start = last - keep
-        for offset in range(keep):
-            frames[(file_name, tail_start + offset)] = payloads[
-                tail_start + offset - first
-            ]
-        self._file_high[file_name] = last
-        while len(frames) > self.capacity:
-            frames.popitem(last=False)
-        return payloads
+    def _admit(self, file_name: str, first: int, payloads: list[list]) -> None:
+        """Make ``payloads`` (pages from ``first``) the newest extent, then
+        trim the oldest pages back to capacity; lock held.  Extents copy
+        the references: the caller owns ``payloads``."""
+        extents, capacity, count = self._extents, self.capacity, len(payloads)
+        if count >= capacity:  # the range alone fills the pool
+            tail = _Extent(file_name, first + count - capacity, payloads[-capacity:])
+            self._extents, self._by_file = [tail], {file_name: [tail]}
+            self._size = capacity
+            return
+        newest = extents[-1] if extents else None
+        if newest is not None and newest.file == file_name and _end(newest) == first:
+            newest.pages += payloads
+        else:
+            newest = _Extent(file_name, first, payloads[:])
+            extents.append(newest)
+            insort(self._by_file[file_name], newest, key=_first_page)
+        self._size += count
+        while self._size > capacity:
+            oldest, excess = extents[0], self._size - capacity
+            if len(oldest.pages) <= excess:
+                del extents[0]
+                self._by_file[oldest.file].remove(oldest)
+                self._size -= len(oldest.pages)
+            else:
+                del oldest.pages[:excess]
+                oldest.first += excess
+                self._size = capacity
 
     def invalidate_file(self, file_name: str) -> None:
         """Drop all cached frames of one file (after drop/rewrite)."""
         with self._lock:
-            stale = [key for key in self._frames if key[0] == file_name]
-            for key in stale:
-                del self._frames[key]
-            self._file_high.pop(file_name, None)
+            self._extents = [e for e in self._extents if e.file != file_name]
+            self._by_file.pop(file_name, None)
+            self._size = sum(len(extent.pages) for extent in self._extents)
 
     def clear(self) -> None:
         """Empty the pool (between experiment runs)."""
         with self._lock:
-            self._frames.clear()
-            self._file_high.clear()
+            self._extents, self._by_file = [], {}
+            self._size = 0
 
     @property
     def hit_ratio(self) -> float:

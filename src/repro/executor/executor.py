@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, NamedTuple
 
 from repro.cost.context import DOP_PARAMETER, CostContext
@@ -46,6 +46,7 @@ from repro.executor.iterators import (
     UnionAllIterator,
 )
 from repro.executor.fused import iter_fused_pipelines, step_pipeline, try_fuse
+from repro.executor.storage import IoCounters
 from repro.obs.metrics import get_metrics
 from repro.obs.telemetry import CardinalityLedger, get_ledger, plan_signature
 from repro.obs.trace import get_tracer
@@ -273,19 +274,7 @@ def execute_plan(
             rows = list(iterator.rows())
     if collection is not None:
         max_estimate_error = collection.max_error_ratio
-    elapsed = time.perf_counter() - started
-    after = _snapshot(db)
-
-    metrics = ExecutionMetrics(
-        rows=len(rows),
-        io_seconds=after[0] - before[0],
-        sequential_reads=after[1] - before[1],
-        random_reads=after[2] - before[2],
-        writes=after[3] - before[3],
-        buffer_hits=after[4] - before[4],
-        buffer_misses=after[5] - before[5],
-        wall_seconds=elapsed,
-    )
+    metrics = _metrics_since(db, before, len(rows), time.perf_counter() - started)
     _record_metrics(metrics)
     registry = get_metrics()
     registry.gauge("executor.buffer_hit_ratio").set(db.buffer.hit_ratio)
@@ -354,15 +343,30 @@ def _record_metrics(metrics: ExecutionMetrics) -> None:
     registry.timer("executor.time").observe(metrics.wall_seconds)
 
 
-def _snapshot(db: Database) -> tuple[float, int, int, int, int, int]:
-    counters = db.disk.counters
-    return (
-        counters.seconds,
-        counters.sequential_reads,
-        counters.random_reads,
-        counters.writes,
-        db.buffer.hits,
-        db.buffer.misses,
+def _snapshot(db: Database) -> tuple[IoCounters, int, int]:
+    """The disk counters and pool hits/misses, for :func:`_metrics_since`."""
+    return replace(db.disk.counters), db.buffer.hits, db.buffer.misses
+
+
+def _metrics_since(
+    db: Database,
+    before: tuple[IoCounters, int, int],
+    rows: int,
+    wall_seconds: float,
+) -> ExecutionMetrics:
+    """What ``db`` did since the :func:`_snapshot` ``before``; the simulated
+    I/O time is the page-count deltas times the model's page times."""
+    counters, hits, misses = before
+    io = db.disk.counters.since(counters)
+    return ExecutionMetrics(
+        rows=rows,
+        io_seconds=io.seconds,
+        sequential_reads=io.sequential_reads,
+        random_reads=io.random_reads,
+        writes=io.writes,
+        buffer_hits=db.buffer.hits - hits,
+        buffer_misses=db.buffer.misses - misses,
+        wall_seconds=wall_seconds,
     )
 
 

@@ -1,10 +1,11 @@
 """Simulated disk: pages, files, and an I/O clock.
 
-Pages live in memory but every access is metered: the simulated clock
-advances by the cost model's sequential or random page time, and counters
-record the traffic.  A page read is *sequential* when it touches the page
-immediately following the same file's previously accessed page, otherwise
-*random* — the same distinction the cost formulas make.
+Pages live in memory but every access is metered: counters record the
+traffic as sequential or random pages, and the simulated clock is those
+counts times the cost model's sequential and random page times.  A page
+read is *sequential* when it touches the page immediately following the
+same file's previously accessed page, otherwise *random* — the same
+distinction the cost formulas make.
 
 Temporary files (hash-join partitions, sort runs) are first-class: they are
 created and dropped through the same interface and their I/O is charged
@@ -31,22 +32,55 @@ from typing import Iterator
 from repro.cost.model import CostModel
 from repro.errors import ExecutionError
 
-PageId = tuple[str, int]  # (file name, page number)
-
 
 @dataclass
 class IoCounters:
-    """Cumulative I/O traffic of a simulated disk."""
+    """Cumulative I/O traffic of a simulated disk, in whole pages.
 
+    Every page is charged one of the model's two page times: sequential (a
+    read that follows its stream's previous page, an append) or random (any
+    other read, an in-place overwrite).  :attr:`seconds` is derived from the
+    counts, never summed call by call, so the simulated time of a span of
+    work — ``after.since(before).seconds`` — depends only on the pages it
+    touched: not on how its reads were grouped into calls, nor on what the
+    disk did before.
+    """
+
+    model: CostModel = field(repr=False, compare=False)
     sequential_reads: int = 0
     random_reads: int = 0
-    writes: int = 0
-    seconds: float = 0.0
+    appends: int = 0
+    overwrites: int = 0
 
     @property
     def total_reads(self) -> int:
         """All page reads, sequential plus random."""
         return self.sequential_reads + self.random_reads
+
+    @property
+    def writes(self) -> int:
+        """All page writes, appends plus overwrites."""
+        return self.appends + self.overwrites
+
+    @property
+    def seconds(self) -> float:
+        """Simulated I/O time of the counted pages."""
+        sequential_pages = self.sequential_reads + self.appends
+        random_pages = self.random_reads + self.overwrites
+        return (
+            sequential_pages * self.model.sequential_page_io
+            + random_pages * self.model.random_page_io
+        )
+
+    def since(self, earlier: IoCounters) -> IoCounters:
+        """The traffic counted after the snapshot ``earlier`` was taken."""
+        return IoCounters(
+            self.model,
+            self.sequential_reads - earlier.sequential_reads,
+            self.random_reads - earlier.random_reads,
+            self.appends - earlier.appends,
+            self.overwrites - earlier.overwrites,
+        )
 
 
 @dataclass
@@ -69,7 +103,7 @@ class SimulatedDisk:
 
     def __init__(self, model: CostModel) -> None:
         self.model = model
-        self.counters = IoCounters()
+        self.counters = IoCounters(model)
         #: the stream reads are classified on: 0 for the caller, worker
         #: index + 1 while an exchange pulls that worker.
         self.stream = 0
@@ -120,8 +154,7 @@ class SimulatedDisk:
         with self._lock:
             file = self._file(name)
             file.pages.append(payload)
-            self.counters.writes += 1
-            self.counters.seconds += self.model.sequential_page_io
+            self.counters.appends += 1
             return len(file.pages) - 1
 
     def write_page(self, name: str, page_no: int, payload: list) -> None:
@@ -130,8 +163,7 @@ class SimulatedDisk:
             file = self._file(name)
             self._check_page(file, page_no)
             file.pages[page_no] = payload
-            self.counters.writes += 1
-            self.counters.seconds += self.model.random_page_io
+            self.counters.overwrites += 1
 
     def read_page(self, name: str, page_no: int) -> list:
         """Read one page, charging sequential or random time.
@@ -148,10 +180,8 @@ class SimulatedDisk:
             last = file.last_read_by_stream.get(stream)
             if last is not None and page_no == last + 1:
                 self.counters.sequential_reads += 1
-                self.counters.seconds += self.model.sequential_page_io
             else:
                 self.counters.random_reads += 1
-                self.counters.seconds += self.model.random_page_io
             file.last_read_by_stream[stream] = page_no
             return file.pages[page_no]
 
@@ -179,10 +209,6 @@ class SimulatedDisk:
                 sequential = count - 1
             self.counters.sequential_reads += sequential
             self.counters.random_reads += count - sequential
-            self.counters.seconds += (
-                sequential * self.model.sequential_page_io
-                + (count - sequential) * self.model.random_page_io
-            )
             file.last_read_by_stream[stream] = last - 1
             return file.pages[first:last]
 

@@ -121,7 +121,8 @@ def optimize_statement(
     Compound statements optimize each branch core and each
     single-relation extension input independently, then compose the fixed
     superstructure (semi-joins → outer join → projection → union →
-    distinct → sort) above the optima.
+    distinct → sort) above the optima; a one-branch statement sorts below
+    its projection instead.
     """
     model = model if model is not None else CostModel()
     started = time.perf_counter()
@@ -197,6 +198,10 @@ def optimize_statement(
                     branch.outer.right_attr.qualified_name
                 ),
             )
+        if statement.order_by is not None and len(statement.branches) == 1:
+            # Sorted below the projection, so a one-branch statement may
+            # order on a column it does not select.
+            root = enforce_ordering(ctx, root, statement.order_by_keys)
         if branch.projection is not None:
             root = ProjectNode(ctx, root, branch.projection)
         branch_plans.append(
@@ -211,8 +216,8 @@ def optimize_statement(
             attributes = statement.output_attributes()
             assert attributes is not None  # validated by Statement
             plan = DistinctNode(ctx, plan, attributes)
-    if statement.order_by is not None:
-        plan = enforce_ordering(ctx, plan, statement.order_by_keys)
+        if statement.order_by is not None:
+            plan = enforce_ordering(ctx, plan, statement.order_by_keys)
 
     return StatementResult(
         statement=statement,

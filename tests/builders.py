@@ -10,7 +10,9 @@ outside its compile-time interval.  ``make_fusion_catalog`` is the
 index-free star (two small build relations, one large probe relation)
 whose plan is the maximal streaming chain the fused executor compiles.
 ``make_shard_catalog`` is the partitioned-fact shape the sharded
-ORDER BY tests scatter over.
+ORDER BY tests scatter over.  ``UNSELECTED_ORDER_FORMS`` are the
+one-branch compound statements every entry point must order on a column
+they do not select.
 """
 
 from __future__ import annotations
@@ -195,3 +197,37 @@ def make_shard_catalog(cardinality: int, group_domain: int = 100) -> Catalog:
         )
         catalog.declare_unique(f"{name}.k")
     return catalog
+
+
+#: One-branch compound statements (outer join, IN, EXISTS) over ``{R}``
+#: and ``{S}`` ordered on ``{R}.k, {R}.a``.  With ``cols="{R}.a"`` the
+#: leading key is not selected; with ``cols="{R}.a, {R}.k"`` the same
+#: statement selects it, so the narrow form's rows must be the wide
+#: form's ``a`` column, in order.
+UNSELECTED_ORDER_FORMS = {
+    "outer-join": "SELECT {cols} FROM {R} LEFT OUTER JOIN {S} ON {R}.k = {S}.j "
+    "WHERE {R}.a < :v ORDER BY {R}.k, {R}.a",
+    "in": "SELECT {cols} FROM {R} WHERE {R}.a < :v "
+    "AND {R}.k IN (SELECT {S}.j FROM {S}) ORDER BY {R}.k, {R}.a",
+    "exists": "SELECT {cols} FROM {R} WHERE {R}.a < :v "
+    "AND EXISTS (SELECT * FROM {S} WHERE {S}.j = {R}.k) ORDER BY {R}.k, {R}.a",
+}
+
+
+def unselected_order_pair(
+    form: str, r: str = "R", s: str = "S"
+) -> tuple[str, str]:
+    """``(narrow, wide)`` SQL of one :data:`UNSELECTED_ORDER_FORMS` form."""
+    narrow, wide = (
+        form.replace("{cols}", cols).format(R=r, S=s)
+        for cols in ("{R}.a", "{R}.a, {R}.k")
+    )
+    return narrow, wide
+
+
+def assert_ordered_on_unselected_key(narrow_rows, wide_rows) -> None:
+    """``narrow_rows`` (``a``) is ``wide_rows`` (``a, k``, sorted on
+    ``k, a``) without its key column."""
+    assert wide_rows
+    assert wide_rows == sorted(wide_rows, key=lambda row: (row[1], row[0]))
+    assert list(narrow_rows) == [(a,) for a, _ in wide_rows]

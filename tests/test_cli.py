@@ -13,6 +13,11 @@ from repro import cli
 from repro.catalog.catalog import Catalog
 from repro.cli import main
 from repro.obs.metrics import validate_openmetrics
+from tests.builders import (
+    UNSELECTED_ORDER_FORMS,
+    assert_ordered_on_unselected_key,
+    unselected_order_pair,
+)
 
 
 @pytest.fixture
@@ -145,6 +150,25 @@ class TestOneCompilePath:
             if " | " in line
         ]
         assert len(rows) > 100 and rows == sorted(rows)
+
+    @pytest.mark.parametrize(
+        "form", UNSELECTED_ORDER_FORMS.values(), ids=list(UNSELECTED_ORDER_FORMS)
+    )
+    def test_run_orders_compound_statement_on_unselected_column(
+        self, form, capsys
+    ):
+        printed = []
+        for sql in unselected_order_pair(form, "R1", "R2"):
+            command = ["run", "--demo-catalog", sql, "--set", "v=200"]
+            assert main(command + ["--limit", "100000"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            printed.append(
+                [
+                    tuple(int(value) for value in line.split(" | "))
+                    for line in lines[2 : lines.index("")]
+                ]
+            )
+        assert_ordered_on_unselected_key(*printed)
 
 
 class TestDemoAndExperiments:

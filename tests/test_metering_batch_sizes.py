@@ -53,7 +53,7 @@ QUERIES = [
 ]
 
 
-def _run(catalog, sql, bindings, **kwargs):
+def _run(catalog, sql, bindings, analyze=True, **kwargs):
     """One execution against a freshly loaded database.
 
     Each run gets its own :class:`Database` so buffer-pool state from a
@@ -71,7 +71,7 @@ def _run(catalog, sql, bindings, **kwargs):
         db,
         bindings=bindings,
         choices=activation.decision.choices,
-        analyze=True,
+        analyze=analyze,
         **kwargs,
     )
 
@@ -121,6 +121,34 @@ def test_batch_metering_matches_row_path(catalog, sql, bindings):
             assert all(
                 stats.seconds >= 0.0
                 for stats in execution.operator_stats.values()
+            )
+
+
+@pytest.mark.parametrize("sql,bindings", QUERIES)
+def test_simulated_io_identical_across_modes_on_a_cold_pool(
+    catalog, sql, bindings
+):
+    """Row mode reads heap pages one disk call each, batch and fused modes
+    read ranges through the pool; on a cold pool they read the same pages,
+    and the simulated time is derived from the page counts, so it is the
+    same float, not merely close."""
+
+    def io(**kwargs):
+        metrics = _run(catalog, sql, bindings, analyze=False, **kwargs).metrics
+        return (
+            metrics.sequential_reads,
+            metrics.random_reads,
+            metrics.writes,
+            metrics.io_seconds,
+        )
+
+    reference = io(execution_mode="row")
+    assert reference[-1] > 0
+    for size in BATCH_SIZES:
+        for mode in ("batch", "fused"):
+            assert io(execution_mode=mode, batch_size=size) == reference, (
+                mode,
+                size,
             )
 
 

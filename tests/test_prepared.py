@@ -8,6 +8,11 @@ from repro.errors import BindingError
 from repro.executor.database import Database
 from repro.optimizer.optimizer import OptimizationMode
 from repro.runtime.prepared import PreparedQuery
+from tests.builders import (
+    UNSELECTED_ORDER_FORMS,
+    assert_ordered_on_unselected_key,
+    unselected_order_pair,
+)
 
 SQL = "SELECT * FROM R, S WHERE R.a < :v AND R.k = S.j"
 
@@ -288,3 +293,15 @@ class TestOneCompilePath:
         )
         values = prepared.derive_parameters(db, {"w": 100})
         assert values["sel:w"] == pytest.approx(0.25)
+
+    @pytest.mark.parametrize(
+        "form", UNSELECTED_ORDER_FORMS.values(), ids=list(UNSELECTED_ORDER_FORMS)
+    )
+    def test_compound_statement_orders_on_unselected_column(
+        self, form, catalog, db
+    ):
+        narrow, wide = (
+            PreparedQuery.prepare(sql, catalog).execute(db, {"v": 200}).rows
+            for sql in unselected_order_pair(form)
+        )
+        assert_ordered_on_unselected_key(narrow, wide)

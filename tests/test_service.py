@@ -15,6 +15,11 @@ from repro.obs.metrics import get_metrics
 from repro.runtime.prepared import PreparedQuery
 from repro.service import QueryService
 from repro.util.rng import make_rng
+from tests.builders import (
+    UNSELECTED_ORDER_FORMS,
+    assert_ordered_on_unselected_key,
+    unselected_order_pair,
+)
 
 SQL = "SELECT * FROM R WHERE R.a < :v"
 JOIN_SQL = "SELECT * FROM R, S WHERE R.a < :v AND R.k = S.j"
@@ -288,6 +293,20 @@ class TestStatements:
         assert cached.cache_hit
         assert cold.rows and cold.rows == sorted(cold.rows)
         assert cached.rows == cold.rows
+
+    @pytest.mark.parametrize(
+        "form", UNSELECTED_ORDER_FORMS.values(), ids=list(UNSELECTED_ORDER_FORMS)
+    )
+    def test_compound_statement_orders_on_unselected_column(
+        self, service_catalog, form
+    ):
+        narrow, wide = unselected_order_pair(form)
+        with QueryService(service_catalog, workers=1, seed=5) as service:
+            narrow_rows = service.execute(narrow, {"v": 60}).rows
+            wide_rows = service.execute(wide, {"v": 60}).rows
+            cached = service.execute(narrow, {"v": 60})
+        assert cached.cache_hit and cached.rows == narrow_rows
+        assert_ordered_on_unselected_key(narrow_rows, wide_rows)
 
     @pytest.mark.parametrize("sql", COMPOUND_SQL)
     def test_compound_statement_matches_direct_execution(
