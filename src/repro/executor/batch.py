@@ -144,15 +144,15 @@ class BatchBtreeScanIterator(BatchIterator):
 
     def batches(self) -> Iterator[RowBatch]:
         btree = self.db.btree_on(self.key)
-        heap = self.db.heap(self.relation)
-        fetch = heap.fetch
+        fetch = self.db.fetcher(self.relation, self.key)
         residual = self._residual
         size = self.batch_size
         pending: list = []
-        for _, rid in btree.range_scan(
+        entries = btree.range_scan(
             self.low, self.high, self.include_low, self.include_high
-        ):
-            pending.append(fetch(rid))
+        )
+        for record in fetch(rid for _, rid in entries):
+            pending.append(record)
             if len(pending) >= size:
                 kept = residual(pending) if residual is not None else pending
                 if kept:

@@ -9,7 +9,9 @@ the catalog's estimates in expectation.
 
 from __future__ import annotations
 
-from typing import Mapping
+from functools import partial
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import Attribute
@@ -118,7 +120,10 @@ class Database:
             self.load_relation(name, rows)
 
     def load_relation(self, name: str, rows: list[tuple]) -> None:
-        """Store explicit rows for one relation and build its indexes."""
+        """Store explicit rows for one relation and build its indexes.
+
+        A clustered index's relation is stored in its key order (a stable
+        sort: equal keys keep their arrival order)."""
         info = self.catalog.relation(name)
         if name in self._heaps:
             raise ExecutionError(f"relation {name} already loaded")
@@ -132,6 +137,10 @@ class Database:
             f"heap_{name}",
             records_per_page=self.model.records_per_page(info.stats),
         )
+        for index in info.indexes:
+            if index.clustered:
+                position = info.schema.index_of(index.attribute)
+                rows = sorted(rows, key=itemgetter(position))
         rids = [heap.append(row) for row in rows]
         heap.flush()
         self._heaps[name] = heap
@@ -150,6 +159,9 @@ class Database:
 
     def insert_row(self, relation: str, row: tuple, update_statistics: bool = True) -> None:
         """Append one row, maintaining every index on the relation.
+
+        The row goes to the end of the heap, clustered index or not, so
+        inserts degrade clustering: each costs a clustered scan one run.
 
         With ``update_statistics`` the catalog cardinality follows the data
         — the paper's opening motivation ("changes in the database
@@ -210,6 +222,20 @@ class Database:
             return self._btrees[index_name]
         except KeyError:
             raise ExecutionError(f"index {index_name} is not loaded") from None
+
+    def fetcher(
+        self, relation: str, key: Attribute
+    ) -> Callable[[Iterable[tuple[int, int]]], Iterator[tuple]]:
+        """How records reached through the index on ``key`` are fetched:
+        page runs (:meth:`HeapFile.fetch_run`) when the index is clustered,
+        one page read per rid (:meth:`HeapFile.fetch`) otherwise."""
+        heap = self.heap(relation)
+        return heap.fetch_run if self.clustered_on(key) else partial(map, heap.fetch)
+
+    def clustered_on(self, key: Attribute) -> bool:
+        """Whether the index on ``key`` is clustered (its heap in key order)."""
+        index = self.catalog.index_on(key)
+        return index is not None and index.clustered
 
     def btree_on(self, attribute: Attribute) -> BTree:
         """The index keyed on ``attribute``."""

@@ -522,7 +522,7 @@ class _OuterStep(_Step):
 
 
 class _IndexJoinStep(_Step):
-    __slots__ = ("db", "inner_width", "probe_position", "residuals")
+    __slots__ = ("db", "inner_width", "probe_position", "residuals", "clustered")
 
     def __init__(self, node: IndexJoinNode, in_schema, side, cx, index) -> None:
         inner_schema = RowSchema.from_schema(
@@ -535,10 +535,11 @@ class _IndexJoinStep(_Step):
             in_schema, inner_schema, node.inner_relation, node.inner_key,
             node.predicates,
         )
+        self.clustered = cx.db.clustered_on(node.inner_key)
 
     def cache_token(self) -> str:
         residuals = ";".join(f"{a}={b}" for a, b in self.residuals)
-        return f"indexjoin:{self.probe_position}:{residuals}"
+        return f"indexjoin:{self.probe_position}:{residuals}:{self.clustered}"
 
     def env_names(self) -> tuple[str, ...]:
         return (f"_x{self.index}_lookup", f"_x{self.index}_fetch")
@@ -546,9 +547,11 @@ class _IndexJoinStep(_Step):
     def render_loop(self, ctx: _CompCtx) -> None:
         i = self.index
         probe = ctx.row.index(self.probe_position)
-        # map() keeps the fetch lazy and in record-id order, exactly as
-        # the interpreted per-rid loop performs it.
-        ctx.emit(f"for q{i} in map(_x{i}_fetch, _x{i}_lookup({probe}))")
+        # Database.fetcher's fetch, so the pages read are the interpreted
+        # loop's; map() keeps an unclustered fetch lazy, in rid order.
+        rids = f"_x{i}_lookup({probe})"
+        fetch = f"_x{i}_fetch({rids})" if self.clustered else f"map(_x{i}_fetch, {rids})"
+        ctx.emit(f"for q{i} in {fetch}")
         if self.residuals:
             condition = " and ".join(
                 f"{ctx.row.index(a)} == q{i}[{b}]" for a, b in self.residuals
@@ -559,7 +562,8 @@ class _IndexJoinStep(_Step):
     def bind(self, env: dict) -> None:
         node = self.node
         env[f"_x{self.index}_lookup"] = self.db.btree_on(node.inner_key).lookup
-        env[f"_x{self.index}_fetch"] = self.db.heap(node.inner_relation).fetch
+        heap = self.db.heap(node.inner_relation)
+        env[f"_x{self.index}_fetch"] = heap.fetch_run if self.clustered else heap.fetch
 
 
 #: The streaming node types: node type → (step class, the input rows

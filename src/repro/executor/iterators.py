@@ -357,8 +357,10 @@ class BtreeScanIterator(PlanIterator):
     """Index range scan: descend, walk leaves, fetch records by rid.
 
     With a predicate this is Filter-B-tree-Scan; without one it is a full
-    scan whose value is the key order it delivers.  Unclustered, so every
-    qualifying record costs one (possibly buffered) heap-page fetch.
+    scan whose value is the key order it delivers.  Records come from the
+    heap through :meth:`Database.fetcher`: one heap-page read per
+    qualifying record when the index is unclustered, each qualifying page
+    once, in ascending order, when it is clustered.
     """
 
     __slots__ = ("db", "relation", "key", "low", "high", "include_low", "include_high", "residual", "bindings")
@@ -383,12 +385,12 @@ class BtreeScanIterator(PlanIterator):
 
     def rows(self) -> Iterator[Row]:
         btree = self.db.btree_on(self.key)
-        heap = self.db.heap(self.relation)
+        fetch = self.db.fetcher(self.relation, self.key)
         key_position = self.schema.position(self.key)
-        for _, rid in btree.range_scan(
+        entries = btree.range_scan(
             self.low, self.high, self.include_low, self.include_high
-        ):
-            record = heap.fetch(rid)
+        )
+        for record in fetch(rid for _, rid in entries):
             if self.residual is not None and not self.residual.evaluate(
                 record[key_position], self.bindings
             ):
@@ -689,15 +691,14 @@ class IndexJoinIterator(PlanIterator):
 
     def rows(self) -> Iterator[Row]:
         btree = self.db.btree_on(self.inner_key)
-        heap = self.db.heap(self.inner_relation)
+        fetch = self.db.fetcher(self.inner_relation, self.inner_key)
         outer_probe_position, residuals = index_probe_positions(
             self.outer.schema, self.inner_schema, self.inner_relation,
             self.inner_key, self.predicates,
         )
         for outer_row in self.outer.rows():
             probe_value = outer_row[outer_probe_position]
-            for rid in btree.lookup(probe_value):
-                inner_row = heap.fetch(rid)
+            for inner_row in fetch(btree.lookup(probe_value)):
                 if all(
                     outer_row[op] == inner_row[ip] for op, ip in residuals
                 ):

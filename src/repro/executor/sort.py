@@ -47,23 +47,24 @@ def external_sort(
     if buffer:
         runs.append(_spill_run(disk, buffer, key, rows_per_page))
 
-    # Phase 2: multi-pass merge down to one stream.
+    # Phase 2: multi-pass merge down to one stream.  An intermediate
+    # level is always drained in full, so it reads its runs one after
+    # another and sorts once: the same pages in each file's page order,
+    # and a stable sort keeps equal keys in run order, as a merge does.
+    # The final level stays a lazy merge; its consumer may stop early.
     fan_in = max(2, memory_pages - 1)
     while len(runs) > fan_in:
         merged_level: list[str] = []
         for i in range(0, len(runs), fan_in):
             group = runs[i : i + fan_in]
-            merged_level.append(
-                spill_stream(
-                    disk, _merge_runs(disk, group, key), rows_per_page
-                )
-            )
+            merged = [row for name in group for row in read_run(disk, name)]
+            merged_level.append(_spill_run(disk, merged, key, rows_per_page))
             for name in group:
                 disk.drop_file(name)
         runs = merged_level
 
     try:
-        yield from _merge_runs(disk, runs, key)
+        yield from heapq.merge(*(read_run(disk, name) for name in runs), key=key)
     finally:
         for name in runs:
             disk.drop_file(name)
@@ -97,9 +98,3 @@ def read_run(disk: SimulatedDisk, name: str) -> Iterator[Row]:
     for _, payload in disk.scan_pages(name):
         yield from payload
 
-
-def _merge_runs(
-    disk: SimulatedDisk, run_names: list[str], key: KeyFunc
-) -> Iterator[Row]:
-    streams = [read_run(disk, name) for name in run_names]
-    yield from heapq.merge(*streams, key=key)

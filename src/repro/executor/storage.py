@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.cost.model import CostModel
 from repro.errors import ExecutionError
@@ -239,7 +239,9 @@ class HeapFile:
     """Record-oriented view over a simulated file.
 
     Records are stored ``records_per_page`` to a page; record ids are
-    ``(page number, slot)`` pairs used by unclustered indexes.
+    ``(page number, slot)`` pairs, the entries of every B-tree index.  A
+    relation with a clustered index is loaded in that index's key order, so
+    its index delivers rids in page order.
 
     Loading (``append``/``flush``) is single-threaded by design; scans and
     fetches of a loaded file only read through the locked disk.
@@ -306,7 +308,8 @@ class HeapFile:
                 yield (page_no, slot), record
 
     def fetch(self, rid: tuple[int, int]) -> tuple:
-        """Fetch one record by record id (a random page read)."""
+        """Fetch one record by record id: one page read, random unless it
+        follows this stream's last page (the unclustered-index path)."""
         self.flush()
         page_no, slot = rid
         payload = self.disk.read_page(self.name, page_no)
@@ -314,3 +317,15 @@ class HeapFile:
             return payload[slot]
         except IndexError:
             raise ExecutionError(f"invalid rid {rid} in file {self.name}") from None
+
+    def fetch_run(self, rids: Iterable[tuple[int, int]]) -> Iterator[tuple]:
+        """Fetch records by record id, reading a page once per run of
+        consecutive rids on it: the clustered-index path, whose pages come
+        in ascending order and are charged as sequential reads."""
+        self.flush()
+        read_page, name = self.disk.read_page, self.name
+        page_no, payload = None, []
+        for current, slot in rids:
+            if current != page_no:
+                page_no, payload = current, read_page(name, current)
+            yield payload[slot]

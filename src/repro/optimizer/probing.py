@@ -32,7 +32,9 @@ class ProbePolicy:
     domain (plus the all-minimum and all-maximum corners).  Plan costs at a
     binding are obtained by re-evaluating the cost functions bottom-up —
     the same machinery as the start-up decision procedure — and memoized
-    per (plan, binding).
+    per (plan, binding).  Plans hash by identity and the memo keeps every
+    plan it has costed alive, so a discarded plan's cost is never read for
+    a new one.
     """
 
     def __init__(self, ctx: CostContext, samples: int = 6, seed: int = 0) -> None:
@@ -51,13 +53,13 @@ class ProbePolicy:
                 {p.name: rng.uniform(p.domain.low, p.domain.high) for p in space}
             )
         self._envs: list[Environment] = [space.bind(b) for b in bindings]
-        self._costs: dict[tuple[int, int], float] = {}
+        self._costs: dict[tuple[PlanNode, int], float] = {}
         self.comparisons = 0
         self.drops = 0
 
     def cost_at(self, plan: PlanNode, env_index: int) -> float:
         """Plan cost at the given sample binding (memoized)."""
-        key = (id(plan), env_index)
+        key = (plan, env_index)
         cached = self._costs.get(key)
         if cached is None:
             ctx = self.ctx.with_env(self._envs[env_index])

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.catalog.catalog import Catalog
 from repro.errors import CatalogError, ExecutionError
-from repro.executor.database import Database
+from repro.executor.database import Database, synthetic_rows
 from repro.logical.predicates import CompareOp, HostVariable, Literal, SelectionPredicate
 
 
@@ -70,6 +73,52 @@ class TestLoading:
         catalog.drop_index("R_a")
         with pytest.raises(CatalogError):
             db.btree_on(catalog.attribute("R.a"))
+
+
+def _clustered_catalog(clustered: bool) -> Catalog:
+    catalog = Catalog()
+    catalog.add_relation("R", [("a", 500), ("k", 30)], cardinality=1000)
+    catalog.create_index("R_k", "R", "k", clustered=clustered)
+    catalog.create_index("R_a", "R", "a")
+    return catalog
+
+
+class TestClusteredHeap:
+    def test_loaded_in_clustered_key_order(self):
+        """Stable: equal keys keep their arrival order."""
+        catalog = _clustered_catalog(clustered=True)
+        db = Database(catalog)
+        db.load_synthetic(seed=3)
+        arrived = synthetic_rows(catalog, seed=3)["R"]
+        stored = [row for _, row in db.heap("R").scan()]
+        assert stored == sorted(arrived, key=lambda row: row[1])
+
+    def test_unclustered_relation_keeps_arrival_order(self):
+        catalog = _clustered_catalog(clustered=False)
+        db = Database(catalog)
+        db.load_synthetic(seed=3)
+        stored = [row for _, row in db.heap("R").scan()]
+        assert stored == synthetic_rows(catalog, seed=3)["R"]
+
+    def test_clustered_fetch_reads_each_page_once(self):
+        """A full clustered-index scan reads the heap once, in page order:
+        one random read, then sequential ones.  The unclustered index on
+        the same heap reads a page per record."""
+        db = Database(_clustered_catalog(clustered=True))
+        db.load_synthetic(seed=3)
+        heap = db.heap("R")
+        everything = sorted(row for _, row in heap.scan())
+        pages = db.disk.page_count(heap.name)
+        for name, key in (("R_k", "R.k"), ("R_a", "R.a")):
+            rids = [rid for _, rid in db.btree(name).range_scan()]
+            before = replace(db.disk.counters)
+            records = list(db.fetcher("R", db.catalog.attribute(key))(rids))
+            reads = db.disk.counters.since(before)
+            assert sorted(records) == everything
+            if name == "R_k":
+                assert (reads.random_reads, reads.sequential_reads) == (1, pages - 1)
+            else:
+                assert reads.total_reads == len(records) > pages
 
 
 class TestImpliedSelectivity:

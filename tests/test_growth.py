@@ -10,8 +10,20 @@ from __future__ import annotations
 
 import pytest
 
+from repro.catalog.catalog import Catalog
+from repro.cost.context import CostContext
+from repro.cost.model import CostModel
 from repro.errors import ExecutionError
 from repro.executor.database import Database
+from repro.executor.executor import execute_plan
+from repro.logical.predicates import (
+    CompareOp,
+    HostVariable,
+    JoinPredicate,
+    SelectionPredicate,
+)
+from repro.params.parameter import ParameterSpace
+from repro.physical.plan import BtreeScanNode, FileScanNode, IndexJoinNode
 from repro.runtime.prepared import PreparedQuery
 
 
@@ -49,6 +61,44 @@ class TestInsert:
     def test_arity_checked(self, db):
         with pytest.raises(ExecutionError):
             db.insert_row("R", (1, 2, 3))
+
+    @pytest.mark.parametrize("mode", ["row", "batch", "fused"])
+    def test_clustered_access_after_out_of_order_inserts(self, mode):
+        """Inserts append to a heap loaded in clustered-key order, so the
+        clustered index's rids leave page order; its range scan and an
+        index join into it still return exactly the qualifying rows."""
+        catalog = Catalog()
+        catalog.add_relation("R", [("a", 500), ("k", 300)], cardinality=400)
+        catalog.add_relation("S", [("j", 300)], cardinality=50)
+        catalog.create_index("R_a", "R", "a", clustered=True)
+        db = Database(catalog)
+        db.load_synthetic(seed=55)
+        for a in (480, 3, 250, 3, 0, 499, 120):
+            db.insert_row("R", (a, a % 300), update_statistics=False)
+        space = ParameterSpace()
+        space.add_selectivity("sel_v")
+        ctx = CostContext(catalog, CostModel(), space.static_environment())
+        key = catalog.attribute("R.a")
+        below = SelectionPredicate(key, CompareOp.LT, HostVariable("v", "sel_v"))
+        heap_rows = [row for _, row in db.heap("R").scan()]
+
+        scan = execute_plan(
+            BtreeScanNode(ctx, "R", key, below), db,
+            bindings={"v": 260}, execution_mode=mode,
+        )
+        expected = sorted(row for row in heap_rows if row[0] < 260)
+        assert [row[0] for row in scan.rows] == sorted(r[0] for r in expected)
+        assert sorted(scan.rows) == expected
+
+        join = JoinPredicate(catalog.attribute("S.j"), key)
+        joined = execute_plan(
+            IndexJoinNode(ctx, FileScanNode(ctx, "S"), "R", key, (join,)),
+            db, execution_mode=mode,
+        )
+        s_rows = [row for _, row in db.heap("S").scan()]
+        assert sorted(joined.rows) == sorted(
+            s + r for s in s_rows for r in heap_rows if s[0] == r[0]
+        )
 
     def test_many_inserts_keep_index_sorted(self, db):
         import random

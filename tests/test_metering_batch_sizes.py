@@ -17,6 +17,9 @@ from itertools import islice
 
 import pytest
 
+from repro.catalog.catalog import Catalog
+from repro.cost.context import CostContext
+from repro.cost.model import CostModel
 from repro.executor.database import Database
 from repro.executor.executor import execute_plan
 from repro.executor.iterators import (
@@ -27,8 +30,21 @@ from repro.executor.iterators import (
     OperatorStats,
 )
 from repro.executor.tuples import RowSchema
+from repro.logical.predicates import (
+    CompareOp,
+    HostVariable,
+    JoinPredicate,
+    SelectionPredicate,
+)
 from repro.obs.telemetry import CardinalityLedger
 from repro.optimizer.optimizer import OptimizationMode
+from repro.params.parameter import ParameterSpace
+from repro.physical.plan import (
+    BtreeScanNode,
+    FileScanNode,
+    FilterNode,
+    IndexJoinNode,
+)
 from repro.runtime.prepared import PreparedQuery
 from repro.util.interval import Interval
 
@@ -150,6 +166,68 @@ def test_simulated_io_identical_across_modes_on_a_cold_pool(
                 mode,
                 size,
             )
+
+
+def _clustered_plan(kind: str):
+    """The conftest shape with ``R.a`` and ``S.j`` clustered, and one
+    plan reading through a clustered index: a range scan of ``R`` on
+    ``a``, or an index join from a filtered file scan of ``R`` into
+    ``S`` on ``j``."""
+    catalog = Catalog()
+    catalog.add_relation("R", [("a", 500), ("k", 300)], cardinality=1000)
+    catalog.add_relation("S", [("j", 300), ("b", 400)], cardinality=600)
+    catalog.create_index("R_a", "R", "a", clustered=True)
+    catalog.create_index("S_j", "S", "j", clustered=True)
+    space = ParameterSpace()
+    space.add_selectivity("sel_v")
+    ctx = CostContext(
+        catalog=catalog, model=CostModel(), env=space.static_environment()
+    )
+    below = SelectionPredicate(
+        catalog.attribute("R.a"), CompareOp.LT, HostVariable("v", "sel_v")
+    )
+    if kind == "range":
+        return catalog, BtreeScanNode(ctx, "R", catalog.attribute("R.a"), below)
+    outer = FilterNode(ctx, FileScanNode(ctx, "R"), below)
+    join = JoinPredicate(catalog.attribute("R.k"), catalog.attribute("S.j"))
+    return catalog, IndexJoinNode(
+        ctx, outer, "S", catalog.attribute("S.j"), (join,)
+    )
+
+
+@pytest.mark.parametrize("kind", ["range", "index_join"])
+def test_clustered_access_charges_identical_io_across_modes(kind):
+    """A clustered index fetches page runs in every mode: the row scan,
+    the batch scan, the interpreted index join and the generated one read
+    the same heap pages in the same order, so on a cold pool the counters
+    and the simulated time are equal, not merely close."""
+    catalog, plan = _clustered_plan(kind)
+
+    def run(**kwargs):
+        db = Database(catalog)
+        db.load_synthetic(seed=23)
+        result = execute_plan(plan, db, bindings={"v": 250}, **kwargs)
+        metrics = result.metrics
+        io = (
+            metrics.sequential_reads,
+            metrics.random_reads,
+            metrics.writes,
+            metrics.io_seconds,
+        )
+        return io, result.rows
+
+    reference, rows = run(execution_mode="row")
+    assert rows and reference[-1] > 0
+    if kind == "range":
+        # Each qualifying heap page is read once, in ascending order.
+        assert reference[0] + reference[1] < len(rows)
+        assert reference[1] < reference[0]
+    for size in BATCH_SIZES:
+        for mode in ("batch", "fused"):
+            assert run(execution_mode=mode, batch_size=size) == (
+                reference,
+                rows,
+            ), (mode, size)
 
 
 class _SampledCounters:

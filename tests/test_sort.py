@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import heapq
+from itertools import islice
+from operator import itemgetter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cost.model import CostModel
 from repro.errors import ExecutionError
-from repro.executor.sort import external_sort
+from repro.executor.sort import external_sort, read_run, spill_stream
 from repro.executor.storage import SimulatedDisk
 
 
@@ -109,3 +113,98 @@ class TestProperties:
         _, tight = run_sort(list(rows), memory_pages=3, rows_per_page=2)
         _, ample = run_sort(list(rows), memory_pages=8, rows_per_page=2)
         assert ample.counters.writes <= tight.counters.writes
+
+
+def merge_level_sort(disk, rows, key, memory_pages, rows_per_page):
+    """Reference external sort: every merge level a lazy ``heapq.merge``.
+
+    The sort :func:`external_sort` must match page for page: same run
+    formation, same fan-in, same temporary files in the same order, and
+    each intermediate level merged into a new run as it is read.
+    """
+    budget, runs, buffer = memory_pages * rows_per_page, [], []
+
+    def spill(run):
+        run.sort(key=key)
+        return spill_stream(disk, iter(run), rows_per_page)
+
+    def merge(names):
+        return heapq.merge(*(read_run(disk, name) for name in names), key=key)
+
+    for row in rows:
+        buffer.append(row)
+        if len(buffer) >= budget:
+            runs.append(spill(buffer))
+            buffer = []
+    if not runs:
+        yield from sorted(buffer, key=key)
+        return
+    if buffer:
+        runs.append(spill(buffer))
+    fan_in = max(2, memory_pages - 1)
+    while len(runs) > fan_in:
+        level = []
+        for i in range(0, len(runs), fan_in):
+            group = runs[i : i + fan_in]
+            level.append(spill_stream(disk, merge(group), rows_per_page))
+            for name in group:
+                disk.drop_file(name)
+        runs = level
+    try:
+        yield from merge(runs)
+    finally:
+        for name in runs:
+            disk.drop_file(name)
+
+
+@st.composite
+def _multi_level_case(draw):
+    """Duplicate-heavy rows (key, arrival) and a memory budget that leaves
+    more than fan-in² runs: at least two intermediate merge levels."""
+    memory_pages = draw(st.integers(3, 4))
+    rows_per_page = draw(st.integers(1, 3))
+    budget, fan_in = memory_pages * rows_per_page, memory_pages - 1
+    count = draw(st.integers(budget * fan_in**2 + 1, 3 * budget * fan_in**2))
+    keys = draw(st.lists(st.integers(0, 5), min_size=count, max_size=count))
+    stop = draw(st.integers(0, count))
+    return [(k, i) for i, k in enumerate(keys)], memory_pages, rows_per_page, stop
+
+
+def _disk_state(disk) -> tuple:
+    counters = disk.counters
+    return (
+        counters.sequential_reads,
+        counters.random_reads,
+        counters.appends,
+        counters.overwrites,
+        disk._temp_counter,
+        sorted(disk._files),
+    )
+
+
+class TestMatchesMergeLevelReference:
+    @settings(max_examples=100, deadline=None)
+    @given(_multi_level_case())
+    def test_same_rows_and_io_as_per_level_merges(self, case):
+        rows, memory_pages, rows_per_page, stop = case
+        key = itemgetter(0)
+        outputs, states = [], []
+        for sort in (external_sort, merge_level_sort):
+            disk = SimulatedDisk(CostModel())
+            outputs.append(list(sort(disk, rows, key, memory_pages, rows_per_page)))
+            states.append(_disk_state(disk))
+        # Stable: equal keys keep their arrival order.
+        assert outputs[0] == outputs[1] == sorted(rows, key=key)
+        assert states[0] == states[1]
+        assert states[0][-1] == []  # every run file dropped
+
+        # A consumer that stops early is charged what the reference charges.
+        early = []
+        for sort in (external_sort, merge_level_sort):
+            disk = SimulatedDisk(CostModel())
+            stream = sort(disk, rows, key, memory_pages, rows_per_page)
+            head = list(islice(stream, stop))
+            stream.close()
+            early.append((head, _disk_state(disk)))
+        assert early[0] == early[1]
+        assert early[0][0] == outputs[0][:stop]
