@@ -3,7 +3,7 @@
 ``REPRO_BENCH_N`` (default 100, the paper's N) controls how many random
 binding sets each query is evaluated over.  Figure tables are printed to
 stdout and written to ``benchmarks/results/`` so they survive pytest's
-output capture.
+output capture; wall-clock columns go to untracked ``*.wall.txt`` files.
 """
 
 from __future__ import annotations
@@ -62,12 +62,20 @@ def suite_records_with_memory(catalog, model) -> list[ExperimentRecord]:
 
 @pytest.fixture(scope="session")
 def publish():
-    """Print a table and persist it under benchmarks/results/."""
+    """Print a table and persist it under benchmarks/results/.
+
+    ``text`` goes to the tracked ``<name>.txt`` and must hold only
+    deterministic columns (counts, modeled seconds), so rerunning a
+    benchmark leaves the tree clean; wall-clock columns go in ``wall``,
+    written to the git-ignored ``<name>.wall.txt``.
+    """
     RESULTS_DIR.mkdir(exist_ok=True)
 
-    def _publish(name: str, text: str) -> None:
-        print()
-        print(text)
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    def _publish(name: str, text: str, wall: str | None = None) -> None:
+        for suffix, body in ((".txt", text), (".wall.txt", wall)):
+            if body is not None:
+                print()
+                print(body)
+                (RESULTS_DIR / f"{name}{suffix}").write_text(body + "\n")
 
     return _publish

@@ -10,7 +10,8 @@ wrappers are per-row algorithms written once in
 loop body cannot be: the two scans, which *produce* the blocks a
 pipeline consumes (and hand a fused pipeline their raw page chunks), and
 the Grace-spill hash join, which regroups its output by partition and so
-cannot stream through a probe loop.
+cannot stream through a probe loop (it partitions whole probe batches
+and reads its spill files in page ranges).
 
 Batch *boundaries* are not part of the contract: operators may emit
 batches smaller or larger than ``batch_size`` (scans align to storage
@@ -20,18 +21,19 @@ row stream is specified, and it is byte-identical to row mode.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
 from typing import Iterator, Mapping
 
 from repro.catalog.schema import Attribute
-from repro.executor.compiled import compile_filter, compile_key
+from repro.executor.compiled import compile_filter, hash_table
 from repro.executor.database import Database
 from repro.executor.iterators import (
     BatchIterator,
-    flatten,
     grace_partitions,
     predicate_range,
 )
-from repro.executor.sort import read_run
+from repro.executor.sort import read_file
 from repro.executor.tuples import Row, RowBatch, RowSchema
 from repro.logical.predicates import SelectionPredicate
 
@@ -176,6 +178,9 @@ class GraceHashJoinIterator(BatchIterator):
     Both inputs are partitioned through
     :func:`~repro.executor.iterators.grace_partitions`, as the row join
     does, so spill files and output order are identical across modes.
+    A partition's build file is read in one range call, its probe file
+    in groups of ⌈``batch_size`` / rows per page⌉ pages: the reads run
+    at most one group ahead of a consumer that stops early.
     """
 
     __slots__ = (
@@ -205,25 +210,31 @@ class GraceHashJoinIterator(BatchIterator):
 
     def batches(self) -> Iterator[RowBatch]:
         disk = self.db.disk
-        build_key = compile_key(self._build_positions)
-        probe_key = compile_key(self._probe_positions)
+        size = self.batch_size
+        group = max(1, -(-size // self.db.intermediate_rows_per_page))
+        probe_key = itemgetter(*self._probe_positions)  # as hash_table's
         with grace_partitions(
             self.db, self.build_rows, self._build_positions,
-            flatten(self.probe), self._probe_positions, self.budget_rows,
+            (batch.rows for batch in self.probe.batches()),
+            self._probe_positions, self.budget_rows,
         ) as partitions:
             for build_file, probe_file in partitions:
-                table: dict[tuple, list[Row]] = {}
-                for row in read_run(disk, build_file):
-                    table.setdefault(build_key(row), []).append(row)
-                get = table.get
+                get = hash_table(
+                    chain.from_iterable(read_file(disk, build_file)),
+                    self._build_positions,
+                ).get
+                pages = disk.page_count(probe_file)
                 pending: list = []
-                for _, payload in disk.scan_pages(probe_file):
-                    pending.extend(
+                for start in range(0, pages, group):
+                    pending += [
                         build_row + probe_row
-                        for probe_row in payload
+                        for page in disk.read_page_range(
+                            probe_file, start, min(start + group, pages)
+                        )
+                        for probe_row in page
                         for build_row in get(probe_key(probe_row), ())
-                    )
-                    if len(pending) >= self.batch_size:
+                    ]
+                    if len(pending) >= size:
                         yield RowBatch(pending)
                         pending = []
                 if pending:

@@ -20,7 +20,7 @@ either mode.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.errors import BindingError, ExecutionError
 from repro.executor.tuples import Row, RowSchema
@@ -125,3 +125,19 @@ def compile_key(positions: Sequence[int]) -> KeyFunc:
     Grace-partition spill files use.
     """
     return row_shape(positions)
+
+
+def hash_table(rows: Iterable[Row], positions: Sequence[int]) -> dict:
+    """An in-memory join table: rows grouped, in arrival order, by
+    ``itemgetter(*positions)`` — the bare value for one column (scalars
+    group exactly as their 1-tuples would), the key tuple otherwise."""
+    key_of = itemgetter(*positions)
+    table: dict[object, list[Row]] = {}
+    for row in rows:
+        key = key_of(row)
+        bucket = table.get(key)
+        if bucket is None:
+            table[key] = [row]
+        else:
+            bucket.append(row)
+    return table

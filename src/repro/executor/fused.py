@@ -80,7 +80,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 from repro.errors import BindingError, ExecutionError
 
 from repro.executor.batch import BatchFileScanIterator, GraceHashJoinIterator
-from repro.executor.compiled import compile_key, resolve_operand
+from repro.executor.compiled import hash_table, resolve_operand
 from repro.executor.iterators import (
     BatchIterator,
     flatten,
@@ -417,19 +417,7 @@ class _HashProbeStep(_Step):
         return len(self.build_rows) > self.budget_rows
 
     def bind(self, env: dict) -> None:
-        if len(self.build_positions) == 1:
-            position = self.build_positions[0]
-            key_of = lambda row: row[position]  # noqa: E731 - scalar key
-        else:
-            key_of = compile_key(self.build_positions)
-        table: dict[object, list[Row]] = {}
-        for row in self.build_rows:
-            key = key_of(row)
-            bucket = table.get(key)
-            if bucket is None:
-                table[key] = [row]
-            else:
-                bucket.append(row)
+        table = hash_table(self.build_rows, self.build_positions)
         env[f"_h{self.index}_get"] = table.get
 
     def fallback(self, child: BatchIterator) -> BatchIterator:
@@ -511,10 +499,7 @@ class _OuterStep(_Step):
     def prepare(self) -> None:
         if self.table is None:
             right_position = self.side.schema.position(self.node.right_attr)
-            table: dict[object, list[Row]] = {}
-            for row in flatten(self.side):
-                table.setdefault(row[right_position], []).append(row)
-            self.table = table
+            self.table = hash_table(flatten(self.side), [right_position])
 
     def bind(self, env: dict) -> None:
         env[f"_o{self.index}_get"] = self.table.get

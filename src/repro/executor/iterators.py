@@ -24,13 +24,13 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.catalog.schema import Attribute
 from repro.errors import BindingError, ExecutionError
 from repro.executor.compiled import compile_key
 from repro.executor.database import Database
-from repro.executor.sort import external_sort, read_run, spill_stream
+from repro.executor.sort import external_sort, read_run
 from repro.executor.tuples import DEFAULT_BATCH_SIZE, Row, RowBatch, RowSchema
 from repro.logical.aggregates import AggregateFunction
 from repro.logical.predicates import (
@@ -458,23 +458,20 @@ def join_key_positions(
 
 
 def _partition(
-    db: Database, rows: Iterator[Row], key_positions: list[int], partitions: int
-) -> list[str]:
-    disk = db.disk
-    files = [disk.create_temp_file() for _ in range(partitions)]
-    pages: list[list[Row]] = [[] for _ in range(partitions)]
-    rows_per_page = db.intermediate_rows_per_page
+    db: Database,
+    chunks: Iterable[Iterable[Row]],
+    key_positions: list[int],
+    files: list[str],
+) -> None:
+    partitions = len(files)
+    buckets: list[list[Row]] = [[] for _ in range(partitions)]
+    place = [bucket.append for bucket in buckets]
     key_of = compile_key(key_positions)
-    for row in rows:
-        index = hash(key_of(row)) % partitions
-        pages[index].append(row)
-        if len(pages[index]) == rows_per_page:
-            disk.append_page(files[index], pages[index])
-            pages[index] = []
-    for index, page in enumerate(pages):
-        if page:
-            disk.append_page(files[index], page)
-    return files
+    for chunk in chunks:
+        for row in chunk:
+            place[hash(key_of(row)) % partitions](row)
+    for name, bucket in zip(files, buckets):
+        db.disk.append_rows(name, bucket, db.intermediate_rows_per_page)
 
 
 @contextmanager
@@ -482,26 +479,29 @@ def grace_partitions(
     db: Database,
     build_rows: list[Row],
     build_positions: list[int],
-    probe_rows: Iterator[Row],
+    probe_chunks: Iterable[Iterable[Row]],
     probe_positions: list[int],
     budget_rows: int,
 ):
     """Grace partitioning: both join inputs hashed to the same partitions.
 
     Yields the ``(build file, probe file)`` pairs, each build file within
-    ``budget_rows`` on average, and drops the files on exit.  The one
-    partitioning scheme — tuple keys placed by hash modulo the partition
-    count, intermediate-result pages — shared by the row and batch
-    hash joins, so spill files and output order are identical across
-    modes.
+    ``budget_rows`` on average, and drops the files on exit, also when an
+    input raises.  The one partitioning scheme (tuple keys placed by hash
+    modulo the partition count), shared by the row and batch hash joins.
+    The probe side comes in chunks (a row stream, or one list per batch)
+    and each partition is written in one ``append_rows`` call: appends are
+    sequential, so files and counters equal page-at-a-time writes.
     """
     partitions = -(-len(build_rows) // budget_rows)
-    build_files = _partition(db, iter(build_rows), build_positions, partitions)
-    probe_files = _partition(db, probe_rows, probe_positions, partitions)
+    files = [db.disk.create_temp_file() for _ in range(2 * partitions)]
+    build_files, probe_files = files[:partitions], files[partitions:]
     try:
+        _partition(db, [build_rows], build_positions, build_files)
+        _partition(db, probe_chunks, probe_positions, probe_files)
         yield zip(build_files, probe_files)
     finally:
-        for name in build_files + probe_files:
+        for name in files:
             db.disk.drop_file(name)
 
 
@@ -539,7 +539,7 @@ class HashJoinIterator(PlanIterator):
         disk = self.db.disk
         with grace_partitions(
             self.db, build_rows, self._build_keys,
-            self.probe.rows(), self._probe_keys, budget_rows,
+            [self.probe.rows()], self._probe_keys, budget_rows,
         ) as partitions:
             for build_file, probe_file in partitions:
                 yield from self._in_memory(
@@ -593,8 +593,9 @@ class NestedLoopsJoinIterator(RowStreamIterator):
         block_rows = max(1, (self.memory_pages - 2) * rows_per_page)
         outer_key = self._outer_key
         inner_key_of = self._inner_key
-        inner_file = spill_stream(disk, inner_rows, rows_per_page)
+        inner_file = disk.create_temp_file()
         try:
+            disk.append_rows(inner_file, list(inner_rows), rows_per_page)
             while True:
                 block = [
                     (outer_key(row), row) for row in islice(outer_rows, block_rows)

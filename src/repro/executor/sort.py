@@ -4,11 +4,15 @@ Inputs that fit into the memory budget are sorted in place with no I/O;
 larger inputs are cut into sorted runs spilled to temporary files and
 merged with a bounded fan-in, charging simulated I/O for every spilled and
 re-read page — the behaviour :func:`repro.cost.formulas.sort_cost` models.
+Runs are written in one ``append_rows`` call and drained levels read
+whole in one range call (:func:`read_file`); :func:`read_run` reads page
+by page for consumers that may stop early.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 from repro.errors import ExecutionError
@@ -57,7 +61,8 @@ def external_sort(
         merged_level: list[str] = []
         for i in range(0, len(runs), fan_in):
             group = runs[i : i + fan_in]
-            merged = [row for name in group for row in read_run(disk, name)]
+            pages = [page for name in group for page in read_file(disk, name)]
+            merged = list(chain.from_iterable(pages))
             merged_level.append(_spill_run(disk, merged, key, rows_per_page))
             for name in group:
                 disk.drop_file(name)
@@ -74,27 +79,18 @@ def _spill_run(
     disk: SimulatedDisk, buffer: list[Row], key: KeyFunc, rows_per_page: int
 ) -> str:
     buffer.sort(key=key)
-    return spill_stream(disk, iter(buffer), rows_per_page)
-
-
-def spill_stream(
-    disk: SimulatedDisk, rows: Iterator[Row], rows_per_page: int
-) -> str:
-    """Write ``rows`` to a new temporary file in pages; return its name."""
     name = disk.create_temp_file()
-    page: list[Row] = []
-    for row in rows:
-        page.append(row)
-        if len(page) == rows_per_page:
-            disk.append_page(name, page)
-            page = []
-    if page:
-        disk.append_page(name, page)
+    disk.append_rows(name, buffer, rows_per_page)
     return name
 
 
+def read_file(disk: SimulatedDisk, name: str) -> list[list]:
+    """Every page of a temporary file, read in one range call."""
+    return disk.read_page_range(name, 0, disk.page_count(name))
+
+
 def read_run(disk: SimulatedDisk, name: str) -> Iterator[Row]:
-    """Row stream of a temporary file written by :func:`spill_stream`."""
+    """Row stream of a temporary file, read one page at a time as the
+    consumer pulls."""
     for _, payload in disk.scan_pages(name):
         yield from payload
-

@@ -10,6 +10,8 @@ distinction the cost formulas make.
 Temporary files (hash-join partitions, sort runs) are first-class: they are
 created and dropped through the same interface and their I/O is charged
 identically, so measured execution validates the operators' spill formulas.
+Bulk calls (``append_rows``, ``read_page_range``) charge exactly what
+page-at-a-time calls would.
 
 All accounting is guarded by one lock, so threads may share a disk:
 counter updates, the file map, temp-file naming, and the
@@ -156,6 +158,18 @@ class SimulatedDisk:
             file.pages.append(payload)
             self.counters.appends += 1
             return len(file.pages) - 1
+
+    def append_rows(self, name: str, rows: list, rows_per_page: int) -> None:
+        """Append ``rows`` as pages of ``rows_per_page`` (the last may be
+        short) under one lock: one append charged per page, as
+        :meth:`append_page` would.  Every spill file is written here."""
+        pages = [
+            rows[start : start + rows_per_page]
+            for start in range(0, len(rows), rows_per_page)
+        ]
+        with self._lock:
+            self._file(name).pages.extend(pages)
+            self.counters.appends += len(pages)
 
     def write_page(self, name: str, page_no: int, payload: list) -> None:
         """Overwrite an existing page in place."""

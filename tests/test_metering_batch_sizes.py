@@ -21,7 +21,7 @@ from repro.catalog.catalog import Catalog
 from repro.cost.context import CostContext
 from repro.cost.model import CostModel
 from repro.executor.database import Database
-from repro.executor.executor import execute_plan
+from repro.executor.executor import BuildContext, build, execute_plan
 from repro.executor.iterators import (
     CheckpointIterator,
     LedgerProbeIterator,
@@ -43,6 +43,7 @@ from repro.physical.plan import (
     BtreeScanNode,
     FileScanNode,
     FilterNode,
+    HashJoinNode,
     IndexJoinNode,
 )
 from repro.runtime.prepared import PreparedQuery
@@ -53,7 +54,11 @@ BATCH_SIZES = (1, 7, 1024)
 # Fully-consumed plans only: no LIMIT and no early-stopping consumers,
 # so every operator runs to natural exhaustion and its counters are
 # deterministic.  (Under a Top-N or a merge join the *producer's* counts
-# legitimately depend on the pull granularity.)
+# legitimately depend on the pull granularity.)  A spilling hash join's
+# probe files are read in groups of ceil(batch_size / rows per page)
+# pages, one range call per group: a consumer that stops early is
+# charged at most one group beyond the pages of the rows it took
+# (test_grace_early_stop_reads_at_most_one_group_ahead).
 QUERIES = [
     pytest.param("SELECT * FROM R WHERE R.a < :v", {"v": 120}, id="selection"),
     pytest.param(
@@ -228,6 +233,98 @@ def test_clustered_access_charges_identical_io_across_modes(kind):
                 reference,
                 rows,
             ), (mode, size)
+
+
+def _spilling_join(width: int):
+    """A hash join whose 300-row build side ``S`` exceeds a 16-page
+    memory budget (64 intermediate rows), so it Grace-partitions into 5
+    partitions, on a one- or two-column key over small domains."""
+    catalog = Catalog()
+    catalog.add_relation("R", [("k", 20), ("m", 3), ("a", 500)], cardinality=400)
+    catalog.add_relation("S", [("j", 20), ("n", 3), ("b", 400)], cardinality=300)
+    ctx = CostContext(
+        catalog=catalog,
+        model=CostModel(),
+        env=ParameterSpace().static_environment(),
+    )
+    pairs = [("R.k", "S.j"), ("R.m", "S.n")][:width]
+    predicates = tuple(
+        JoinPredicate(catalog.attribute(r), catalog.attribute(s))
+        for r, s in pairs
+    )
+    plan = HashJoinNode(
+        ctx, FileScanNode(ctx, "S"), FileScanNode(ctx, "R"), predicates
+    )
+    return catalog, plan
+
+
+SPILL_MEMORY_PAGES = 16
+
+
+def _io(metrics) -> tuple:
+    return (
+        metrics.sequential_reads,
+        metrics.random_reads,
+        metrics.writes,
+        metrics.io_seconds,
+    )
+
+
+@pytest.mark.parametrize("width", [1, 2], ids=["one_column", "two_columns"])
+def test_spilling_hash_join_charges_identical_io_across_modes(width):
+    """The row join partitions its row stream, the batch and fused joins
+    partition batch by batch and read their probe files in page groups;
+    on a cold pool every mode writes and reads the same pages, so rows,
+    row order and the counters are equal, not merely close."""
+    catalog, plan = _spilling_join(width)
+
+    def run(**kwargs):
+        db = Database(catalog)
+        db.load_synthetic(seed=23)
+        result = execute_plan(
+            plan, db, memory_pages=SPILL_MEMORY_PAGES, **kwargs
+        )
+        return _io(result.metrics), result.rows
+
+    reference, rows = run(execution_mode="row")
+    assert rows and reference[2] > 0  # the join spilled
+    for size in BATCH_SIZES:
+        for mode in ("batch", "fused"):
+            assert run(execution_mode=mode, batch_size=size) == (
+                reference,
+                rows,
+            ), (mode, size)
+
+
+@pytest.mark.parametrize("size", [1, 7, 64])
+def test_grace_early_stop_reads_at_most_one_group_ahead(size):
+    """A consumer that takes only the first batch of a spilling join is
+    charged at most one probe page group (ceil(size / rows per page)
+    pages) more than a row-mode consumer taking ``size`` rows: the
+    reads never run more than one batch ahead."""
+    catalog, plan = _spilling_join(1)
+
+    def reads(batch_size, take) -> tuple[int, list]:
+        db = Database(catalog)
+        db.load_synthetic(seed=23)
+        iterator = build(
+            plan,
+            BuildContext(
+                db=db, bindings={}, choices={}, memory=SPILL_MEMORY_PAGES,
+                materialized={}, batch_size=batch_size,
+            ),
+        )
+        before = db.disk.counters.total_reads
+        taken = take(iterator)
+        return db.disk.counters.total_reads - before, taken
+
+    batch_reads, first = reads(size, lambda it: next(it.batches()).rows)
+    row_reads, rows = reads(None, lambda it: list(islice(it.rows(), size)))
+    full_reads, _ = reads(None, lambda it: list(it.rows()))
+    assert first[:size] == rows
+    group = -(-size // Database(catalog).intermediate_rows_per_page)
+    assert row_reads <= batch_reads <= row_reads + group
+    assert batch_reads < full_reads  # the consumer did stop early
 
 
 class _SampledCounters:

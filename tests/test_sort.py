@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from repro.cost.model import CostModel
 from repro.errors import ExecutionError
-from repro.executor.sort import external_sort, read_run, spill_stream
+from repro.executor.sort import external_sort, read_run
 from repro.executor.storage import SimulatedDisk
+from tests.spill_reference import spill_stream
 
 
 def run_sort(rows, memory_pages=4, rows_per_page=4):
