@@ -11,6 +11,7 @@ is fully bound and whose values are bare floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.catalog.catalog import Catalog
 from repro.cost.model import CostModel
@@ -32,10 +33,12 @@ class CostContext:
     model: CostModel
     env: Environment
 
-    @property
+    @cached_property
     def memory_pages(self) -> Interval:
         """Available memory: the ``memory`` parameter when declared uncertain,
-        otherwise the model's fixed default."""
+        otherwise the model's fixed default.  Read once per context (the
+        environment and model never change), so every cost formula of a
+        search shares one interval instead of building a point per call."""
         if MEMORY_PARAMETER in self.env.space:
             return self.env.interval(MEMORY_PARAMETER)
         return Interval.point(float(self.model.default_memory_pages))

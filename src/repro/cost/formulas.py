@@ -56,7 +56,10 @@ def _lift(func: Callable[..., float], fixed: tuple, values, signs: str) -> Inter
     the formula's known operands (model, statistics, record width)."""
     lows, highs = list(fixed), list(fixed)
     for value, sign in zip(values, signs):
-        low, high = bounds(value)
+        if value.__class__ is Interval:
+            low, high = value.low, value.high
+        else:
+            low = high = value
         lows.append(low if sign == INCREASING else high)
         highs.append(high if sign == INCREASING else low)
     low, high = func(*lows), func(*highs)

@@ -35,51 +35,63 @@ def external_sort(
             "external sort needs at least 3 pages (2-way merge + output)"
         )
     budget_rows = memory_pages * rows_per_page
-
-    # Phase 1: run formation.
-    runs: list[str] = []
-    buffer: list[Row] = []
-    for row in rows:
-        buffer.append(row)
-        if len(buffer) >= budget_rows:
-            runs.append(_spill_run(disk, buffer, key, rows_per_page))
-            buffer = []
-    if not runs:
-        buffer.sort(key=key)
-        yield from buffer
-        return
-    if buffer:
-        runs.append(_spill_run(disk, buffer, key, rows_per_page))
-
-    # Phase 2: multi-pass merge down to one stream.  An intermediate
-    # level is always drained in full, so it reads its runs one after
-    # another and sorts once: the same pages in each file's page order,
-    # and a stable sort keeps equal keys in run order, as a merge does.
-    # The final level stays a lazy merge; its consumer may stop early.
-    fan_in = max(2, memory_pages - 1)
-    while len(runs) > fan_in:
-        merged_level: list[str] = []
-        for i in range(0, len(runs), fan_in):
-            group = runs[i : i + fan_in]
-            pages = [page for name in group for page in read_file(disk, name)]
-            merged = list(chain.from_iterable(pages))
-            merged_level.append(_spill_run(disk, merged, key, rows_per_page))
-            for name in group:
-                disk.drop_file(name)
-        runs = merged_level
-
+    # Every spilled run is listed in ``live`` from its creation until it is
+    # dropped, and one ``finally`` drops what is left: an input or key that
+    # raises in any phase, or a consumer that stops early, leaves no
+    # temporary file behind.
+    live: list[str] = []
     try:
+        # Phase 1: run formation.
+        runs: list[str] = []
+        buffer: list[Row] = []
+        for row in rows:
+            buffer.append(row)
+            if len(buffer) >= budget_rows:
+                runs.append(_spill_run(disk, buffer, key, rows_per_page, live))
+                buffer = []
+        if not runs:
+            buffer.sort(key=key)
+            yield from buffer
+            return
+        if buffer:
+            runs.append(_spill_run(disk, buffer, key, rows_per_page, live))
+
+        # Phase 2: multi-pass merge down to one stream.  An intermediate
+        # level is always drained in full, so it reads its runs one after
+        # another and sorts once: the same pages in each file's page order,
+        # and a stable sort keeps equal keys in run order, as a merge does.
+        # The final level stays a lazy merge; its consumer may stop early.
+        fan_in = max(2, memory_pages - 1)
+        while len(runs) > fan_in:
+            merged_level: list[str] = []
+            for i in range(0, len(runs), fan_in):
+                group = runs[i : i + fan_in]
+                pages = [page for name in group for page in read_file(disk, name)]
+                merged = list(chain.from_iterable(pages))
+                merged_level.append(
+                    _spill_run(disk, merged, key, rows_per_page, live)
+                )
+                for name in group:
+                    live.remove(name)
+                    disk.drop_file(name)
+            runs = merged_level
+
         yield from heapq.merge(*(read_run(disk, name) for name in runs), key=key)
     finally:
-        for name in runs:
+        for name in live:
             disk.drop_file(name)
 
 
 def _spill_run(
-    disk: SimulatedDisk, buffer: list[Row], key: KeyFunc, rows_per_page: int
+    disk: SimulatedDisk,
+    buffer: list[Row],
+    key: KeyFunc,
+    rows_per_page: int,
+    live: list[str],
 ) -> str:
     buffer.sort(key=key)
     name = disk.create_temp_file()
+    live.append(name)
     disk.append_rows(name, buffer, rows_per_page)
     return name
 

@@ -511,19 +511,25 @@ class SearchEngine:
                 self.optimize_group(subset, order, None).plan
                 for subset, order in requests
             )
-        pending_lower_bounds = [
-            self._proven_lower_bound(subset, order) for subset, order in requests
+        # Later inputs' minima are read before any input is optimized.  The
+        # running sums start at 0.0 and add left to right, as ``sum()``
+        # does, so every child limit is the same float as summing afresh.
+        later_lower_bounds = [
+            self._proven_lower_bound(subset, order) for subset, order in requests[1:]
         ]
-        results: list[GroupResult] = []
+        plans: list[PlanNode] = []
+        already = 0.0
         for i, (subset, order) in enumerate(requests):
-            already = sum(r.plan.execution_cost.low for r in results)
-            pending = sum(pending_lower_bounds[i + 1 :])
+            pending = 0.0
+            for lower_bound in later_lower_bounds[i:]:
+                pending += lower_bound
             child_limit = budget - operator_lower_bound - already - pending
             outcome = self.optimize_group(subset, order, child_limit)
             if isinstance(outcome, Pruned):
                 return None
-            results.append(outcome)
-        return tuple(r.plan for r in results)
+            plans.append(outcome.plan)
+            already += outcome.plan.execution_cost.low
+        return tuple(plans)
 
     def _proven_lower_bound(
         self, subset: frozenset[str], order: Attribute | None

@@ -30,6 +30,7 @@ from repro.physical.plan import (
     MergeJoinNode,
     NestedLoopsJoinNode,
     PlanNode,
+    _intermediate_record_bytes,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -180,12 +181,14 @@ class HashJoinRule:
         if not predicates:
             return  # cross products belong to the nested-loops rule
         ctx = engine.ctx
+        # Cost the budget's lower bound with the record width the node
+        # will cost with (see IndexJoinRule on why the two must agree).
         op_cost = formulas.hash_join_cost(
             ctx.model,
             engine.cardinality(left),
             engine.cardinality(right),
             engine.join_cardinality(left, right, predicates),
-            record_bytes=512,
+            record_bytes=_intermediate_record_bytes(ctx),
             memory_pages=ctx.memory_pages,
         )
         inputs = engine.optimize_inputs(
@@ -304,12 +307,13 @@ class NestedLoopsJoinRule:
         if predicates and self.cross_products_only:
             return
         ctx = engine.ctx
+        # Same record width as the node's own cost (see HashJoinRule).
         op_cost = formulas.nested_loops_join_cost(
             ctx.model,
             engine.cardinality(left),
             engine.cardinality(right),
             engine.join_cardinality(left, right, predicates),
-            record_bytes=512,
+            record_bytes=_intermediate_record_bytes(ctx),
             memory_pages=ctx.memory_pages,
         )
         inputs = engine.optimize_inputs(

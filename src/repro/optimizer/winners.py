@@ -28,9 +28,17 @@ from repro.util.interval import Interval
 
 
 class WinnerSet:
-    """Mutually incomparable plans for one (group, properties) pair."""
+    """Mutually incomparable plans for one (group, properties) pair.
 
-    __slots__ = ("plans", "keep_all", "probe")
+    ``best_upper_bound`` is maintained rather than re-scanned: the search
+    asks for it before every join rule it applies, far more often than the
+    set changes.  A retained candidate that displaced nothing lowers the
+    bound to ``min(bound, candidate high)``; whenever any plan leaves the
+    set (dominated, or dropped by the probe policy, even when the candidate
+    itself is then rejected) the bound is recomputed over the survivors.
+    """
+
+    __slots__ = ("plans", "keep_all", "probe", "_bound")
 
     def __init__(self, keep_all: bool = False, probe=None) -> None:
         self.plans: list[PlanNode] = []
@@ -40,6 +48,7 @@ class WinnerSet:
         # Optional ProbePolicy: detect consistently-cheaper plans whose
         # intervals overlap (the paper's Section 3 heuristic, opt-in).
         self.probe = probe
+        self._bound = float("inf")
 
     def __len__(self) -> int:
         return len(self.plans)
@@ -55,27 +64,43 @@ class WinnerSet:
         plan dominates it.  Ties between identical point costs keep the
         earlier plan (traditional arbitrary tie-breaking).
         """
+        cost = candidate.execution_cost
         if self.keep_all:
             self.plans.append(candidate)
+            self._bound = min(self._bound, cost.high)
             return True
-        cost = candidate.execution_cost
-        for existing in self.plans:
+        plans = self.plans
+        for existing in plans:
             if existing.execution_cost.dominates(cost):
                 return False
-        self.plans = [
-            p for p in self.plans if not cost.dominates(p.execution_cost)
-        ]
+        survivors = [p for p in plans if not cost.dominates(p.execution_cost)]
+        shrunk = len(survivors) != len(plans)
         if self.probe is not None:
-            for existing in self.plans:
+            for existing in survivors:
                 if self.probe.consistently_cheaper(existing, candidate):
+                    self.plans = survivors
+                    if shrunk:
+                        self._recompute_bound()
                     return False
-            self.plans = [
+            kept = [
                 p
-                for p in self.plans
+                for p in survivors
                 if not self.probe.consistently_cheaper(candidate, p)
             ]
-        self.plans.append(candidate)
+            shrunk = shrunk or len(kept) != len(survivors)
+            survivors = kept
+        survivors.append(candidate)
+        self.plans = survivors
+        if shrunk:
+            self._recompute_bound()
+        else:
+            self._bound = min(self._bound, cost.high)
         return True
+
+    def _recompute_bound(self) -> None:
+        self._bound = min(
+            (plan.execution_cost.high for plan in self.plans), default=float("inf")
+        )
 
     def best_upper_bound(self) -> float:
         """Tightest worst-case bound proven by any retained plan.
@@ -83,11 +108,10 @@ class WinnerSet:
         This is the only bound branch-and-bound may use with interval costs
         (Section 3): a new plan can be discarded only when its *minimum*
         cost exceeds some retained plan's *maximum*.  Measured over
-        execution costs, consistently with :meth:`consider`.
+        execution costs, consistently with :meth:`consider`; infinite while
+        the set is empty.
         """
-        if not self.plans:
-            return float("inf")
-        return min(plan.execution_cost.high for plan in self.plans)
+        return self._bound
 
     def combined_cost(self, choose_plan_overhead: float) -> Interval:
         """Cost interval of the group's dynamic plan.

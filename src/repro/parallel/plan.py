@@ -93,10 +93,13 @@ class ExchangeNode(PlanNode):
         self.merge_key = merge_key
         self.partition_keys = partition_keys
         super().__init__(ctx, (child,))
+
+    def _install_costs(self, ctx: CostContext, self_cost) -> None:
         # Like ChoosePlanNode, override the default sum-of-inputs
         # accumulation: the subtree's execution is divided across workers.
         # Any choose-plan decision overhead embedded in the subtree is
         # charged once at start-up, undivided.
+        (child,) = self.inputs
         dop = ctx.degree_of_parallelism
         self.execution_cost = formulas.parallel_execution_cost(
             ctx.model, child.execution_cost, self.cardinality, dop
@@ -116,7 +119,7 @@ class ExchangeNode(PlanNode):
         (cardinality,) = input_cards
         dop = ctx.degree_of_parallelism
         # Operator-only cost (startup + transfer); the full parallel total
-        # is installed by __init__ / computed by the chooser, which both
+        # is installed by _install_costs / computed by the chooser, which both
         # need the child's *total* cost, not available here.
         overhead = formulas.parallel_execution_cost(ctx.model, 0.0, cardinality, dop)
         order = self.merge_key if self.mode is ExchangeMode.MERGE else None

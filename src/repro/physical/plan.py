@@ -21,6 +21,7 @@ simple identity traversal.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Iterator
 
 from repro.catalog.schema import Attribute
@@ -98,16 +99,20 @@ class PlanNode:
         cardinality, self_cost, order = self._compute(ctx, input_cards, input_orders)
         self.cardinality = cardinality
         self.order = order
-        self.ordering = self._derive_ordering(
-            [child.ordering for child in inputs]
-        )
-        total = self_cost
-        execution = self_cost
-        for child in inputs:
-            total = total + child.cost
-            execution = execution + child.execution_cost
-        self.cost = total
-        self.execution_cost = execution
+        self.ordering = self._derive_ordering(inputs)
+        self._install_costs(ctx, self_cost)
+
+    def _install_costs(self, ctx: CostContext, self_cost: Interval | float) -> None:
+        """Set ``cost`` and ``execution_cost`` to the subtree's sums, bound by
+        bound in interval addition's order (same floats, one object each)."""
+        low, high = bounds(self_cost)
+        execution_low, execution_high = low, high
+        for child in self.inputs:
+            low, high = low + child.cost.low, high + child.cost.high
+            execution_low += child.execution_cost.low
+            execution_high += child.execution_cost.high
+        self.cost = Interval(low, high)
+        self.execution_cost = Interval(execution_low, execution_high)
 
     # ------------------------------------------------------------------
     # Subclass contract
@@ -121,7 +126,7 @@ class PlanNode:
         """Return (output cardinality, operator cost, output sort order)."""
         raise NotImplementedError
 
-    def _derive_ordering(self, input_orderings: list[Ordering]) -> Ordering:
+    def _derive_ordering(self, inputs: tuple["PlanNode", ...]) -> Ordering:
         """Refine the single-attribute ``order`` into a prefix ordering.
 
         The default is the conservative singleton ``(order,)`` — correct
@@ -253,9 +258,9 @@ class FilterNode(PlanNode):
         cost = formulas.filter_cost(ctx.model, input_card, selectivity)
         return cardinality, cost, input_orders[0]
 
-    def _derive_ordering(self, input_orderings):
+    def _derive_ordering(self, inputs):
         # Filtering drops rows but never reorders them.
-        return input_orderings[0]
+        return inputs[0].ordering
 
     @property
     def label(self) -> str:
@@ -376,10 +381,10 @@ class MergeJoinNode(PlanNode):
         # Output inherits the left input's order on the merge attribute.
         return cardinality, cost, input_orders[0]
 
-    def _derive_ordering(self, input_orderings):
+    def _derive_ordering(self, inputs):
         # Each left row's matches are emitted contiguously, so the output
         # stays sorted by the left input's full prefix ordering.
-        return input_orderings[0]
+        return inputs[0].ordering
 
     @property
     def label(self) -> str:
@@ -432,10 +437,10 @@ class IndexJoinNode(PlanNode):
         )
         return cardinality, cost, input_orders[0]
 
-    def _derive_ordering(self, input_orderings):
+    def _derive_ordering(self, inputs):
         # Probes happen per outer row, in outer order; matches per outer
         # row are contiguous, preserving the outer prefix ordering.
-        return input_orderings[0]
+        return inputs[0].ordering
 
     @property
     def label(self) -> str:
@@ -541,11 +546,11 @@ class ProjectNode(PlanNode):
         order = input_orders[0] if input_orders[0] in self.attributes else None
         return input_card, cost, order
 
-    def _derive_ordering(self, input_orderings):
+    def _derive_ordering(self, inputs):
         # The longest leading prefix whose attributes all survive the
         # projection; a dropped attribute cuts everything after it too.
         kept = []
-        for attribute in input_orderings[0]:
+        for attribute in inputs[0].ordering:
             if attribute not in self.attributes:
                 break
             kept.append(attribute)
@@ -595,11 +600,11 @@ class SortNode(PlanNode):
         )
         return input_card, cost, self.keys[0]
 
-    def _derive_ordering(self, input_orderings):
+    def _derive_ordering(self, inputs):
         # The sort is stable, so rows tied on the full key tuple keep
         # their input order — the input's ordering survives as a suffix.
         return self.keys + tuple(
-            a for a in input_orderings[0] if a not in self.keys
+            a for a in inputs[0].ordering if a not in self.keys
         )
 
     @property
@@ -648,9 +653,7 @@ class PartialSortNode(PlanNode):
         self.prefix_len = prefix_len
         super().__init__(ctx, (input_plan,))
 
-    @property
-    def key(self) -> Attribute:
-        return self.keys[0]
+    key = SortNode.key
 
     def _compute(self, ctx, input_cards, input_orders):
         (input_card,) = input_cards
@@ -664,10 +667,7 @@ class PartialSortNode(PlanNode):
         )
         return input_card, cost, self.keys[0]
 
-    def _derive_ordering(self, input_orderings):
-        return self.keys + tuple(
-            a for a in input_orderings[0] if a not in self.keys
-        )
+    _derive_ordering = SortNode._derive_ordering
 
     @property
     def label(self) -> str:
@@ -791,9 +791,9 @@ class SemiJoinNode(PlanNode):
         )
         return cardinality, cost, input_orders[0]
 
-    def _derive_ordering(self, input_orderings):
+    def _derive_ordering(self, inputs):
         # A semi-join only filters the outer stream.
-        return input_orderings[0]
+        return inputs[0].ordering
 
     @property
     def label(self) -> str:
@@ -923,21 +923,18 @@ class ChoosePlanNode(PlanNode):
         if len(alternatives) < 2:
             raise PlanError("choose-plan requires at least two alternatives")
         super().__init__(ctx, alternatives)
+
+    def _install_costs(self, ctx: CostContext, overhead: Interval) -> None:
         # Total cost is NOT the sum of the inputs: only one alternative
-        # runs.  Override the default accumulation from PlanNode.__init__.
-        combined = alternatives[0].cost
-        combined_execution = alternatives[0].execution_cost
-        for alternative in alternatives[1:]:
-            combined = combined.min_with(alternative.cost)
-            combined_execution = combined_execution.min_with(
-                alternative.execution_cost
-            )
-        overhead = formulas.choose_plan_cost(ctx.model, len(alternatives))
+        # runs.  ``overhead`` is the decision cost ``_compute`` returned.
+        combined = reduce(Interval.min_with, [a.cost for a in self.inputs])
         self.cost = combined + overhead
         # The decision overhead is charged at start-up, not during
         # execution; the chooser minimizes (and g = d compares) pure
         # execution cost, so that is what dominance pruning must see.
-        self.execution_cost = combined_execution
+        self.execution_cost = reduce(
+            Interval.min_with, [a.execution_cost for a in self.inputs]
+        )
 
     def _compute(self, ctx, input_cards, input_orders):
         cardinality = Interval.hull(input_cards)
@@ -946,10 +943,10 @@ class ChoosePlanNode(PlanNode):
         common = first_order if all(o == first_order for o in input_orders) else None
         return cardinality, overhead, common
 
-    def _derive_ordering(self, input_orderings):
+    def _derive_ordering(self, inputs):
         # Whichever alternative runs, the output is sorted at least on
         # the alternatives' common leading prefix.
-        return common_prefix(list(input_orderings))
+        return common_prefix([alternative.ordering for alternative in inputs])
 
     @property
     def alternatives(self) -> tuple[PlanNode, ...]:

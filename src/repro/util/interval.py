@@ -15,31 +15,52 @@ obtained by evaluating at the bounds.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
 Number = Union[int, float]
 
 
-@dataclass(frozen=True, slots=True)
 class Interval:
     """A closed interval ``[low, high]`` over the reals.
 
-    Instances are immutable and hashable.  ``low == high`` models a fully
-    known (point) value; ``low < high`` models compile-time uncertainty.
+    Instances are treated as immutable and are hashable.  ``low == high``
+    models a fully known (point) value; ``low < high`` models compile-time
+    uncertainty.
+
+    A plain ``__slots__`` class rather than a frozen dataclass: the search
+    builds and discards thousands per optimization, and a frozen
+    dataclass's generated ``__init__`` pays for two NaN calls and two
+    ``object.__setattr__`` calls on each.  Equality and hashing are
+    spelled out to keep the dataclass semantics: equal only to another
+    ``Interval`` with the same bounds, hashing as ``(low, high)``.
     """
+
+    __slots__ = ("low", "high")
 
     low: float
     high: float
 
-    def __post_init__(self) -> None:
-        if math.isnan(self.low) or math.isnan(self.high):
-            raise ValueError("interval bounds must not be NaN")
-        if self.low > self.high:
+    def __init__(self, low: float, high: float) -> None:
+        # One comparison rejects both faults: it is False for NaN bounds.
+        if not low <= high:
+            if low != low or high != high:
+                raise ValueError("interval bounds must not be NaN")
             raise ValueError(
-                f"interval low bound {self.low!r} exceeds high bound {self.high!r}"
+                f"interval low bound {low!r} exceeds high bound {high!r}"
             )
+        self.low = low
+        self.high = high
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.low == other.low and self.high == other.high
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.low, self.high))
+
+    def __reduce__(self):
+        return (Interval, (self.low, self.high))
 
     # ------------------------------------------------------------------
     # Constructors
@@ -111,6 +132,13 @@ class Interval:
     # Arithmetic (monotone)
     # ------------------------------------------------------------------
     def __add__(self, other: "Interval | Number") -> "Interval":
+        # Interval and float operands skip _coerce; the bounds are the
+        # same sums, bit for bit.
+        cls = other.__class__
+        if cls is Interval:
+            return Interval(self.low + other.low, self.high + other.high)
+        if cls is float:
+            return Interval(self.low + other, self.high + other)
         other = _coerce(other)
         return Interval(self.low + other.low, self.high + other.high)
 
@@ -129,18 +157,25 @@ class Interval:
         return Interval(self.low - other.low, self.high - other.high)
 
     def __mul__(self, other: "Interval | Number") -> "Interval":
-        other = _coerce(other)
+        cls = other.__class__
+        if cls is Interval:
+            other_low, other_high = other.low, other.high
+        elif cls is float:
+            other_low = other_high = other
+        else:
+            other = _coerce(other)
+            other_low, other_high = other.low, other.high
         # Fast path for the overwhelmingly common case in cost arithmetic:
         # cardinalities, selectivities, and costs are all non-negative, so
         # the product's extremes are the products of like bounds — no need
         # to build and scan the 4-tuple of corner products.
-        if self.low >= 0.0 and other.low >= 0.0:
-            return Interval(self.low * other.low, self.high * other.high)
+        if self.low >= 0.0 and other_low >= 0.0:
+            return Interval(self.low * other_low, self.high * other_high)
         products = (
-            self.low * other.low,
-            self.low * other.high,
-            self.high * other.low,
-            self.high * other.high,
+            self.low * other_low,
+            self.low * other_high,
+            self.high * other_low,
+            self.high * other_high,
         )
         return Interval(min(products), max(products))
 

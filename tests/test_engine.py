@@ -238,6 +238,36 @@ class TestPruning:
         assert static.stats.candidates_pruned > dynamic.stats.candidates_pruned
 
 
+    def test_budget_and_node_cost_with_one_record_width(
+        self, catalog, monkeypatch
+    ):
+        """A join rule's budget lower bound and the node it builds must
+        cost with the same record width: a lower bound computed on another
+        width than the node's cost makes branch-and-bound unsound."""
+        from repro.cost import formulas
+        from repro.logical.predicates import JoinPredicate
+        from repro.physical.plan import _intermediate_record_bytes
+
+        widths: dict[str, list[int]] = {}
+        for name in ("hash_join_cost", "nested_loops_join_cost"):
+            original = getattr(formulas, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                widths.setdefault(_name, []).append(kwargs["record_bytes"])
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(formulas, name, spy)
+        catalog.add_relation("Iso", [("x", 5)], cardinality=10)
+        graph = QueryGraph(
+            relations=("R", "S", "Iso"),
+            joins=(JoinPredicate(catalog.attribute("R.k"), catalog.attribute("S.j")),),
+        )
+        result = optimize_query(graph, catalog, mode=OptimizationMode.STATIC)
+        expected = _intermediate_record_bytes(result.ctx)
+        assert set(widths) == {"hash_join_cost", "nested_loops_join_cost"}
+        assert {w for calls in widths.values() for w in calls} == {expected}
+
+
 class TestErrors:
     def test_disconnected_query_uses_cross_product(self, catalog):
         from repro.physical.plan import NestedLoopsJoinNode

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
+import struct
 
 import pytest
 from hypothesis import given
@@ -183,3 +186,114 @@ class TestProperties:
     def test_point_midpoint_is_value(self, a):
         p = Interval.point(a.low)
         assert p.midpoint == a.low
+
+
+# ----------------------------------------------------------------------
+# Representation: a plain __slots__ class keeping the frozen dataclass's
+# equality, hashing, errors and copy behaviour
+# ----------------------------------------------------------------------
+def _bits(*values: float) -> tuple[bytes, ...]:
+    """Exact bit patterns (tells -0.0 from 0.0)."""
+    return tuple(struct.pack("<d", value) for value in values)
+
+
+def _coerced(value) -> tuple[float, float]:
+    """Bounds of ``value`` as the generic path coerces it (a point)."""
+    if isinstance(value, Interval):
+        return value.low, value.high
+    return float(value), float(value)
+
+
+def _reference_add(interval: Interval, value) -> tuple[float, float]:
+    low, high = _coerced(value)
+    return interval.low + low, interval.high + high
+
+
+def _reference_mul(interval: Interval, value) -> tuple[float, float]:
+    low, high = _coerced(value)
+    if interval.low >= 0.0 and low >= 0.0:
+        return interval.low * low, interval.high * high
+    products = (
+        interval.low * low,
+        interval.low * high,
+        interval.high * low,
+        interval.high * high,
+    )
+    return min(products), max(products)
+
+
+operands = st.one_of(
+    finite,
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.sampled_from([0.0, -0.0, 0, -1, -2.5]),
+    intervals(),
+)
+
+
+class TestRepresentation:
+    def test_equal_bounds_equal_and_one_dict_key(self):
+        a, b = Interval(1.0, 2.0), Interval(1.0, 2.0)
+        assert a == b and not (a != b)
+        assert hash(a) == hash(b) == hash((1.0, 2.0))
+        assert len({a: "first", b: "second"}) == 1
+        assert {a: "first"}[b] == "first"
+        assert Interval(1, 2) == Interval(1.0, 2.0)
+        assert hash(Interval(1, 2)) == hash(Interval(1.0, 2.0))
+
+    def test_different_bounds_unequal(self):
+        assert Interval(1.0, 2.0) != Interval(1.0, 3.0)
+        assert Interval(1.0, 2.0) != Interval(0.0, 2.0)
+
+    def test_never_equal_to_a_tuple(self):
+        interval = Interval(1.0, 2.0)
+        assert interval != (1.0, 2.0)
+        assert (1.0, 2.0) != interval
+        assert not interval == [1.0, 2.0]
+        assert interval.__eq__((1.0, 2.0)) is NotImplemented
+        assert (1.0, 2.0) not in {interval: None}
+
+    @pytest.mark.parametrize(
+        "low, high", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)]
+    )
+    def test_nan_message(self, low, high):
+        with pytest.raises(ValueError, match="^interval bounds must not be NaN$"):
+            Interval(low, high)
+
+    def test_inverted_message(self):
+        with pytest.raises(ValueError) as raised:
+            Interval(2.5, 1.0)
+        assert str(raised.value) == "interval low bound 2.5 exceeds high bound 1.0"
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        for interval in (Interval(-0.0, 3.25), Interval(1, 2), Interval.zero()):
+            copied = pickle.loads(pickle.dumps(interval, protocol=protocol))
+            assert type(copied) is Interval and copied == interval
+            assert _bits(copied.low, copied.high) == _bits(
+                interval.low, interval.high
+            )
+
+    def test_copy_and_deepcopy(self):
+        interval = Interval(0.5, 7.0)
+        nested = {"cost": [interval, (interval,)]}
+        deep = copy.deepcopy(nested)
+        assert deep == nested
+        assert type(deep["cost"][0]) is Interval
+        assert copy.copy(interval) == interval
+
+    @given(intervals(), operands)
+    def test_add_fast_paths_bit_identical(self, interval, operand):
+        expected = _bits(*_reference_add(interval, operand))
+        for result in (interval + operand, operand + interval):
+            assert type(result) is Interval
+            assert _bits(result.low, result.high) == expected
+
+    @given(intervals(), operands)
+    def test_mul_fast_paths_bit_identical(self, interval, operand):
+        expected = _bits(*_reference_mul(interval, operand))
+        result = interval * operand
+        assert type(result) is Interval
+        assert _bits(result.low, result.high) == expected
+        if not isinstance(operand, Interval):
+            swapped = operand * interval
+            assert _bits(swapped.low, swapped.high) == expected

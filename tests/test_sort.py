@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import heapq
-from itertools import islice
+from itertools import count, islice
 from operator import itemgetter
 
 import pytest
@@ -93,6 +93,56 @@ class TestExternal:
                     rows_per_page=4,
                 )
             )
+
+
+class TestNoRunLeftBehind:
+    """Every spilled run is dropped however the sort ends: an input that
+    raises after runs were spilled, a key that raises in run formation,
+    in an intermediate merge level or in the final merge, or a consumer
+    that stops early."""
+
+    @staticmethod
+    def _sort(disk, rows, key=itemgetter(0), memory_pages=3, rows_per_page=4):
+        return external_sort(disk, rows, key, memory_pages, rows_per_page)
+
+    def test_input_raising_after_spills(self):
+        def rows():
+            yield from ((i,) for i in range(100, 0, -1))
+            raise RuntimeError("input failed")
+
+        disk = SimulatedDisk(CostModel())
+        with pytest.raises(RuntimeError, match="input failed"):
+            list(self._sort(disk, rows()))
+        assert disk._temp_counter == 8  # 8 runs of 12 rows were spilled
+        assert disk._files == {}
+
+    # 300 rows, 6-row runs, fan-in 2: key calls 0-299 form the 50 runs,
+    # 300-1799 sort the five intermediate levels, 1800 on feed the final
+    # merge.
+    @pytest.mark.parametrize("fail_at", [0, 150, 299, 300, 1000, 1799, 1850])
+    def test_key_raising_in_any_phase(self, fail_at):
+        calls = count()
+
+        def key(row):
+            if next(calls) == fail_at:
+                raise RuntimeError("key failed")
+            return row[0]
+
+        disk = SimulatedDisk(CostModel())
+        rows = [(i,) for i in range(300, 0, -1)]
+        with pytest.raises(RuntimeError, match="key failed"):
+            list(self._sort(disk, rows, key=key, rows_per_page=2))
+        assert disk._files == {}
+
+    @pytest.mark.parametrize("taken", [0, 1, 150])
+    def test_consumer_stopping_early(self, taken):
+        disk = SimulatedDisk(CostModel())
+        rows = [(i,) for i in range(300, 0, -1)]
+        stream = self._sort(disk, rows, rows_per_page=2)
+        head = list(islice(stream, taken))
+        stream.close()
+        assert head == [(i,) for i in range(1, taken + 1)]
+        assert disk._files == {}
 
 
 class TestProperties:
