@@ -62,25 +62,22 @@ def test_noop_tracer_overhead(catalog, model, publish):
     spans = sum(1 for _ in recording_tracer.iter_spans())
     events = len(recording_tracer.events)
 
-    rows = [
-        ("untraced baseline", f"{baseline * 1e3:.1f}", "1.00"),
-        ("null tracer (default)", f"{noop * 1e3:.1f}", f"{noop / baseline:.2f}"),
-        (
-            "recording tracer",
-            f"{recording * 1e3:.1f}",
-            f"{recording / baseline:.2f}",
-        ),
-    ]
+    names = ["untraced baseline", "null tracer (default)", "recording tracer"]
+    title = (
+        "Observability overhead — dynamic optimization of query 5 "
+        f"(10 relations, best of {repeats}; recording run captured "
+        f"{spans} spans + {events} events)"
+    )
     publish(
         "observability_overhead",
-        format_table(
+        format_table(["configuration"], [(name,) for name in names], title=title),
+        wall=format_table(
             ["configuration", "opt time (ms)", "vs baseline"],
-            rows,
-            title=(
-                "Observability overhead — dynamic optimization of query 5 "
-                f"(10 relations, best of {repeats}; recording run captured "
-                f"{spans} spans + {events} events)"
-            ),
+            [
+                (name, f"{seconds * 1e3:.1f}", f"{seconds / baseline:.2f}")
+                for name, seconds in zip(names, (baseline, noop, recording))
+            ],
+            title=title,
         ),
     )
 
@@ -176,34 +173,27 @@ def test_execution_telemetry_overhead(catalog, publish):
     finally:
         reset_telemetry()
 
-    rows = [
-        ("no telemetry (default)", f"{baseline * 1e3:.1f}", "1.00"),
-        (
-            "histogram metering",
-            f"{histograms * 1e3:.1f}",
-            f"{histograms / baseline:.2f}",
-        ),
-        (
-            "sampled tracer (1/10)",
-            f"{sampled * 1e3:.1f}",
-            f"{sampled / baseline:.2f}",
-        ),
-        (
-            "full telemetry",
-            f"{full * 1e3:.1f}",
-            f"{full / baseline:.2f}",
-        ),
+    names = [
+        "no telemetry (default)", "histogram metering",
+        "sampled tracer (1/10)", "full telemetry",
     ]
+    title = (
+        "Telemetry overhead — join + aggregation execution "
+        f"(best of {rounds} rounds; ledger records "
+        f"{ledger_entries} breaker(s) per execution)"
+    )
     publish(
         "telemetry_overhead",
-        format_table(
+        format_table(["configuration"], [(name,) for name in names], title=title),
+        wall=format_table(
             ["configuration", f"{per_round} executions (ms)", "vs baseline"],
-            rows,
-            title=(
-                "Telemetry overhead — join + aggregation execution "
-                f"(best of {rounds} rounds; ledger records "
-                f"{ledger_entries} breaker(s) per execution)"
-            ),
+            [
+                (name, f"{seconds * 1e3:.1f}", f"{seconds / baseline:.2f}")
+                for name, seconds in zip(
+                    names, (baseline, histograms, sampled, full)
+                )
+            ],
+            title=title,
         ),
     )
 

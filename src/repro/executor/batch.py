@@ -9,9 +9,9 @@ wrappers are per-row algorithms written once in
 :mod:`repro.executor.iterators`.  What is left here is what a generated
 loop body cannot be: the two scans, which *produce* the blocks a
 pipeline consumes (and hand a fused pipeline their raw page chunks), and
-the Grace-spill hash join, which regroups its output by partition and so
-cannot stream through a probe loop (it partitions whole probe batches
-and reads its spill files in page ranges).
+the spilling (hybrid) hash join, whose spilled partitions' output follows
+the resident output and so cannot stream through a probe loop (it probes
+and routes whole probe batches and reads its spill files in page ranges).
 
 Batch *boundaries* are not part of the contract: operators may emit
 batches smaller or larger than ``batch_size`` (scans align to storage
@@ -21,19 +21,16 @@ row stream is specified, and it is byte-identical to row mode.
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import itemgetter
 from typing import Iterator, Mapping
 
 from repro.catalog.schema import Attribute
-from repro.executor.compiled import compile_filter, hash_table
+from repro.executor.compiled import compile_filter
 from repro.executor.database import Database
 from repro.executor.iterators import (
     BatchIterator,
-    grace_partitions,
+    hybrid_hash_join,
     predicate_range,
 )
-from repro.executor.sort import read_file
 from repro.executor.tuples import Row, RowBatch, RowSchema
 from repro.logical.predicates import SelectionPredicate
 
@@ -169,18 +166,17 @@ class BatchBtreeScanIterator(BatchIterator):
 # ----------------------------------------------------------------------
 # Hash join, build side over the memory budget
 # ----------------------------------------------------------------------
-class GraceHashJoinIterator(BatchIterator):
+class HybridHashJoinIterator(BatchIterator):
     """The spill half of the vectorized hash join.
 
     A hash-probe step (:mod:`repro.executor.fused`) drains the build side
     at open; when the rows exceed the memory budget no probe row has
     flowed yet, and the step hands them here instead of binding a table.
-    Both inputs are partitioned through
-    :func:`~repro.executor.iterators.grace_partitions`, as the row join
-    does, so spill files and output order are identical across modes.
-    A partition's build file is read in one range call, its probe file
-    in groups of ⌈``batch_size`` / rows per page⌉ pages: the reads run
-    at most one group ahead of a consumer that stops early.
+    The join runs through :func:`~repro.executor.iterators.hybrid_hash_join`,
+    as the row join does, so spill files and output order are identical
+    across modes.  Whole probe batches are probed and routed; a spilled
+    partition's probe file is read in groups of ⌈``batch_size`` / rows per
+    page⌉ pages, at most one group ahead of a consumer that stops early.
     """
 
     __slots__ = (
@@ -209,33 +205,17 @@ class GraceHashJoinIterator(BatchIterator):
         self._probe_positions = probe_positions
 
     def batches(self) -> Iterator[RowBatch]:
-        disk = self.db.disk
         size = self.batch_size
-        group = max(1, -(-size // self.db.intermediate_rows_per_page))
-        probe_key = itemgetter(*self._probe_positions)  # as hash_table's
-        with grace_partitions(
+        pending: list = []
+        for out in hybrid_hash_join(
             self.db, self.build_rows, self._build_positions,
             (batch.rows for batch in self.probe.batches()),
             self._probe_positions, self.budget_rows,
-        ) as partitions:
-            for build_file, probe_file in partitions:
-                get = hash_table(
-                    chain.from_iterable(read_file(disk, build_file)),
-                    self._build_positions,
-                ).get
-                pages = disk.page_count(probe_file)
-                pending: list = []
-                for start in range(0, pages, group):
-                    pending += [
-                        build_row + probe_row
-                        for page in disk.read_page_range(
-                            probe_file, start, min(start + group, pages)
-                        )
-                        for probe_row in page
-                        for build_row in get(probe_key(probe_row), ())
-                    ]
-                    if len(pending) >= size:
-                        yield RowBatch(pending)
-                        pending = []
-                if pending:
-                    yield RowBatch(pending)
+            -(-size // self.db.intermediate_rows_per_page),
+        ):
+            pending += out
+            if len(pending) >= size:
+                yield RowBatch(pending)
+                pending = []
+        if pending:
+            yield RowBatch(pending)

@@ -101,9 +101,8 @@ def row_shape(positions: Sequence[int]) -> KeyFunc:
     ``operator.itemgetter`` with two or more positions already returns
     tuples, but with exactly one it returns the bare value — a silent
     shape change that breaks hash-key equality against the interpreted
-    ``tuple(row[p] for p in positions)`` form (and the Grace-partition
-    spill files keyed by it).  Every compiled join/group key goes
-    through this helper, and the code generator's inlined key
+    ``tuple(row[p] for p in positions)`` form.  Every compiled join/group
+    key goes through this helper, and the code generator's inlined key
     expressions (``_RowExpr.key``) render the same shape, so the 1-tuple
     contract is pinned in one place.
     """
@@ -121,8 +120,7 @@ def compile_key(positions: Sequence[int]) -> KeyFunc:
 
     Delegates to :func:`row_shape`: the key shape — and therefore
     ``hash()`` and equality — matches the interpreted
-    ``tuple(row[p] for p in positions)`` form the row path and the
-    Grace-partition spill files use.
+    ``tuple(row[p] for p in positions)`` form the row path uses.
     """
     return row_shape(positions)
 

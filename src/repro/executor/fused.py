@@ -47,12 +47,13 @@ a chain's single-pass loop emits exactly the row sequence the same
 steps emit one pipeline each — same row order, same values — which is
 in turn the row sequence of row mode.  Two things shorten a chain:
 
-* A hash join whose build side exceeds the memory budget Grace-spills,
-  which groups output by partition.  The build side is drained at open
+* A hash join whose build side exceeds the memory budget runs as a
+  hybrid hash join, whose spilled partitions' output follows the
+  resident output.  The build side is drained at open
   either way, so the spill is detected before any probe row flows, and
   the pipeline re-forms as one iterator per step: the spilling join
   hands its drained rows to :class:`~repro.executor.batch.
-  GraceHashJoinIterator`, every other step becomes a one-step pipeline
+  HybridHashJoinIterator`, every other step becomes a one-step pipeline
   that keeps what it already drained (hash build rows, semi-join sets,
   outer-join tables) — no re-scan, no double ledger observation.
   Counted as ``codegen.fallbacks`` and traced as a ``codegen.fallback``
@@ -79,7 +80,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
 from repro.errors import BindingError, ExecutionError
 
-from repro.executor.batch import BatchFileScanIterator, GraceHashJoinIterator
+from repro.executor.batch import BatchFileScanIterator, HybridHashJoinIterator
 from repro.executor.compiled import hash_table, resolve_operand
 from repro.executor.iterators import (
     BatchIterator,
@@ -365,7 +366,7 @@ class _HashProbeStep(_Step):
     The generated loop covers the in-memory case only.  ``spills()`` is
     true when the drained build exceeds the memory budget: the pipeline
     then re-forms around this step, which hands the already-drained rows
-    to :class:`GraceHashJoinIterator` to partition exactly as row mode
+    to :class:`HybridHashJoinIterator` to spill exactly as row mode
     would.
     """
 
@@ -423,7 +424,7 @@ class _HashProbeStep(_Step):
     def fallback(self, child: BatchIterator) -> BatchIterator:
         if not self.spills():
             return super().fallback(child)
-        return GraceHashJoinIterator(
+        return HybridHashJoinIterator(
             self.side.schema, self.build_rows, self.build_positions,
             child, self.probe_positions,
             self.db, self.budget_rows, self.batch_size,
@@ -699,10 +700,10 @@ class FusedPipelineIterator(BatchIterator):
         for step in self.steps:
             step.prepare()
         if any(step.spills() for step in self.steps):
-            # A build side exceeded the memory budget, and Grace
-            # partitioning regroups the join's output: the pipeline
-            # re-forms as one iterator per step around the spilling
-            # join, every already-drained side kept.
+            # A build side exceeded the memory budget, and the hybrid
+            # join's spilled partitions follow its resident output: the
+            # pipeline re-forms as one iterator per step around the
+            # spilling join, every already-drained side kept.
             get_metrics().counter("codegen.fallbacks").inc()
             tracer = get_tracer()
             if tracer.enabled:

@@ -21,16 +21,16 @@ generated steps in :mod:`repro.executor.fused` are compared against.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.catalog.schema import Attribute
 from repro.errors import BindingError, ExecutionError
-from repro.executor.compiled import compile_key
+from repro.executor.compiled import compile_key, hash_table
 from repro.executor.database import Database
-from repro.executor.sort import external_sort, read_run
+from repro.executor.sort import external_sort, read_file
 from repro.executor.tuples import DEFAULT_BATCH_SIZE, Row, RowBatch, RowSchema
 from repro.logical.aggregates import AggregateFunction
 from repro.logical.predicates import (
@@ -457,57 +457,110 @@ def join_key_positions(
     return positions
 
 
-def _partition(
-    db: Database,
-    chunks: Iterable[Iterable[Row]],
-    key_positions: list[int],
-    files: list[str],
-) -> None:
-    partitions = len(files)
-    buckets: list[list[Row]] = [[] for _ in range(partitions)]
-    place = [bucket.append for bucket in buckets]
-    key_of = compile_key(key_positions)
-    for chunk in chunks:
-        for row in chunk:
-            place[hash(key_of(row)) % partitions](row)
-    for name, bucket in zip(files, buckets):
-        db.disk.append_rows(name, bucket, db.intermediate_rows_per_page)
+#: A spilling hash join hashes its build keys into this many buckets and
+#: keeps whole buckets resident, first fit in bucket order.
+HYBRID_BUCKETS = 64
 
 
-@contextmanager
-def grace_partitions(
+def hybrid_hash_join(
     db: Database,
     build_rows: list[Row],
     build_positions: list[int],
-    probe_chunks: Iterable[Iterable[Row]],
+    probe_chunks: Iterable[list[Row]],
     probe_positions: list[int],
     budget_rows: int,
-):
-    """Grace partitioning: both join inputs hashed to the same partitions.
+    group_pages: int,
+) -> Iterator[list[Row]]:
+    """Hybrid hash join (DeWitt et al., 1984) of a build side over the budget.
 
-    Yields the ``(build file, probe file)`` pairs, each build file within
-    ``budget_rows`` on average, and drops the files on exit, also when an
-    input raises.  The one partitioning scheme (tuple keys placed by hash
-    modulo the partition count), shared by the row and batch hash joins.
-    The probe side comes in chunks (a row stream, or one list per batch)
-    and each partition is written in one ``append_rows`` call: appends are
-    sequential, so files and counters equal page-at-a-time writes.
+    Yields the output as lists of build row + probe row, shared by the row
+    and batch hash joins.  Whole hash buckets of build keys stay resident,
+    at most ``budget_rows`` rows; the other keys are packed, in bucket
+    order, into partitions of at most ``budget_rows`` rows (only a single
+    key larger than the budget exceeds it), each written in one
+    ``append_rows`` call.  Each probe chunk emits its resident matches at
+    once, in probe order, and keeps the rows whose key is a spilled build
+    key for their partition; rows matching no build key are never written.
+    Once the probe side ends, each partition's probe rows are written in
+    one call, and the partitions join in order: the build file read in one
+    range call, the probe file in groups of ``group_pages`` pages, at most
+    one group ahead of the consumer.  The files are dropped on exit, also
+    when an input raises or the consumer stops early.
     """
-    partitions = -(-len(build_rows) // budget_rows)
-    files = [db.disk.create_temp_file() for _ in range(2 * partitions)]
-    build_files, probe_files = files[:partitions], files[partitions:]
+    disk, rows_per_page = db.disk, db.intermediate_rows_per_page
+    table = hash_table(build_rows, build_positions)
+    buckets: list[list] = [[] for _ in range(HYBRID_BUCKETS)]
+    for key in table:
+        buckets[hash(key) % HYBRID_BUCKETS].append(key)
+    resident: dict = {}
+    spilled: list = []
+    free = budget_rows
+    for bucket in buckets:
+        size = sum(len(table[key]) for key in bucket)
+        if size <= free:
+            free -= size
+            resident.update((key, table[key]) for key in bucket)
+        else:
+            spilled += bucket
+    build_parts: list[list[Row]] = []
+    probe_parts: list[list[Row]] = []
+    route: dict = {}
+    fill = budget_rows
+    for key in spilled:
+        rows = table[key]
+        if fill + len(rows) > budget_rows:
+            build_parts.append([])
+            probe_parts.append([])
+            fill = 0
+        build_parts[-1] += rows
+        fill += len(rows)
+        route[key] = probe_parts[-1].append
+    files = [disk.create_temp_file() for _ in range(2 * len(build_parts))]
+    build_files, probe_files = files[: len(build_parts)], files[len(build_parts) :]
+    probe_key = itemgetter(*probe_positions)  # as hash_table's
     try:
-        _partition(db, [build_rows], build_positions, build_files)
-        _partition(db, probe_chunks, probe_positions, probe_files)
-        yield zip(build_files, probe_files)
+        for name, rows in zip(build_files, build_parts):
+            disk.append_rows(name, rows, rows_per_page)
+        get, place = resident.get, route.get
+        for chunk in probe_chunks:
+            out = [b + p for p in chunk for b in get(probe_key(p), ())]
+            if out:
+                yield out
+            for p in chunk:
+                append = place(probe_key(p))
+                if append is not None:
+                    append(p)
+        for name, rows in zip(probe_files, probe_parts):
+            disk.append_rows(name, rows, rows_per_page)
+        route.clear()  # the spilled probe rows now live on disk only
+        probe_parts.clear()
+        for build_file, probe_file in zip(build_files, probe_files):
+            pages = disk.page_count(probe_file)
+            if not pages:  # no probe row has this partition's keys
+                continue
+            get = hash_table(
+                chain.from_iterable(read_file(disk, build_file)), build_positions
+            ).get
+            for start in range(0, pages, group_pages):
+                out = [
+                    b + p
+                    for page in disk.read_page_range(
+                        probe_file, start, min(start + group_pages, pages)
+                    )
+                    for p in page
+                    for b in get(probe_key(p), ())
+                ]
+                if out:
+                    yield out
     finally:
         for name in files:
-            db.disk.drop_file(name)
+            disk.drop_file(name)
 
 
 class HashJoinIterator(PlanIterator):
-    """Hybrid hash join; partitions to simulated disk when the build side
-    exceeds the memory budget (Grace-style, one partitioning pass)."""
+    """Hash join; a build side over the memory budget runs as a hybrid hash
+    join (:func:`hybrid_hash_join`), keeping the budget's worth of build
+    keys in memory and spilling only the overflow to simulated disk."""
 
     __slots__ = ("build", "probe", "predicates", "db", "memory_pages", "_build_keys", "_probe_keys")
 
@@ -529,31 +582,22 @@ class HashJoinIterator(PlanIterator):
         self._probe_keys = join_key_positions(probe.schema, predicates)
 
     def rows(self) -> Iterator[Row]:
-        rows_per_page = self.db.intermediate_rows_per_page
-        budget_rows = self.memory_pages * rows_per_page
+        budget_rows = self.memory_pages * self.db.intermediate_rows_per_page
         build_rows = list(self.build.rows())
-        if len(build_rows) <= budget_rows:
-            yield from self._in_memory(build_rows, self.probe.rows())
+        if len(build_rows) > budget_rows:
+            # One-row probe chunks and one-page probe reads: the row
+            # stream stays as lazy as the in-memory join's.
+            yield from chain.from_iterable(hybrid_hash_join(
+                self.db, build_rows, self._build_keys,
+                ([row] for row in self.probe.rows()), self._probe_keys,
+                budget_rows, 1,
+            ))
             return
-
-        disk = self.db.disk
-        with grace_partitions(
-            self.db, build_rows, self._build_keys,
-            [self.probe.rows()], self._probe_keys, budget_rows,
-        ) as partitions:
-            for build_file, probe_file in partitions:
-                yield from self._in_memory(
-                    list(read_run(disk, build_file)), read_run(disk, probe_file)
-                )
-
-    def _in_memory(
-        self, build_rows: list[Row], probe_rows: Iterator[Row]
-    ) -> Iterator[Row]:
         table: dict[tuple, list[Row]] = {}
         for row in build_rows:
             key = tuple(row[p] for p in self._build_keys)
             table.setdefault(key, []).append(row)
-        for probe_row in probe_rows:
+        for probe_row in self.probe.rows():
             key = tuple(probe_row[p] for p in self._probe_keys)
             for build_row in table.get(key, ()):
                 yield build_row + probe_row

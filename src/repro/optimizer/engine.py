@@ -455,7 +455,7 @@ class SearchEngine:
         the unordered group's shared plan (see :meth:`optimize_group`).
         """
         self.stats.candidates_considered += 1
-        if order is not None and plan.order != order:
+        if order is not None and plan.order is not order and plan.order != order:
             return
         retained = winners.consider(plan)
         if retained:

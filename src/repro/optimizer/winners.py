@@ -73,8 +73,11 @@ class WinnerSet:
         for existing in plans:
             if existing.execution_cost.dominates(cost):
                 return False
-        survivors = [p for p in plans if not cost.dominates(p.execution_cost)]
-        shrunk = len(survivors) != len(plans)
+        # The list is copied only when the candidate dominates a plan.
+        survivors = plans
+        if any(cost.dominates(p.execution_cost) for p in plans):
+            survivors = [p for p in plans if not cost.dominates(p.execution_cost)]
+        shrunk = survivors is not plans
         if self.probe is not None:
             for existing in survivors:
                 if self.probe.consistently_cheaper(existing, candidate):

@@ -723,7 +723,7 @@ def _check_fused(
     size; the raw row stream — order included, no canonicalization —
     must match batch mode exactly.  Both vectorized modes then run
     at the minimum memory budget, where every hash join of more than a
-    page spills and its pipeline re-forms around the Grace join, and
+    page spills and its pipeline re-forms around the hybrid join, and
     must match row mode at the same budget.  Afterwards the start-up
     decision re-resolves at the derived binding and at the corner
     bindings of the parameter space, and each resolution must still

@@ -191,7 +191,7 @@ class TestOperatorTable:
         batch = (SRC / "executor" / "batch.py").read_text()
         assert re.findall(r"^class (\w+)", batch, re.M) == [
             "BatchFileScanIterator", "BatchBtreeScanIterator",
-            "GraceHashJoinIterator",
+            "HybridHashJoinIterator",
         ]
         # No hand-written per-batch fall-back of a step's generated code.
         for path in SRC.rglob("*.py"):
@@ -209,8 +209,9 @@ class TestOperatorTable:
         ):
             defined = re.findall(rf"^class (\w*{name}\w*Iterator)\b", source, re.M)
             assert defined == [f"{name}Iterator"], defined
-        # Grace partitioning — the hash placement of a row — exists once.
-        assert source.count("% partitions") == 1
+        # Hybrid-join placement — the hash bucket of a build key — exists
+        # once.
+        assert source.count("% HYBRID_BUCKETS") == 1
 
     @pytest.mark.parametrize("mode", ["row", "batch", "fused"])
     def test_unknown_node_type_is_a_typed_error(self, db, mode):

@@ -4,7 +4,7 @@ Pins the observable contract of :mod:`repro.executor.fused`: fused
 execution is byte-identical (order included) to batch and row execution
 at any batch size, the generated source has the single-comprehension
 shape, compilation is cached per plan signature, memory pressure
-re-forms a pipeline around the Grace-spill join, and the buffer pool's
+re-forms a pipeline around the spilling hybrid join, and the buffer pool's
 high-water-mark bulk read path accounts exactly like per-page reads.
 """
 
@@ -156,12 +156,13 @@ class TestSpillFallback:
         catalog, db, prepared = star
         # One memory page holds page_bytes/512 intermediate rows — far
         # fewer than the 40-row build sides, so every fused hash probe
-        # reports spills() and the run falls back to Grace partitioning.
+        # reports spills() and the run falls back to the hybrid join.
         fused = _rows(prepared, db, "fused", memory_pages=1)
         batch = _rows(prepared, db, "batch", memory_pages=1)
         assert fused == batch
-        # Grace partitioning legitimately reorders output relative to the
-        # in-memory join; the row multiset is what must be preserved.
+        # The hybrid join legitimately reorders output relative to the
+        # in-memory join (spilled partitions follow resident matches);
+        # the row multiset is what must be preserved.
         in_memory = _rows(prepared, db, "fused", memory_pages=512)
         assert sorted(fused) == sorted(in_memory)
         assert fused != in_memory  # the spill path actually ran
@@ -197,7 +198,7 @@ class TestSpillFallback:
     def test_every_step_kind_re_forms_around_a_spilling_join(self, kind):
         """Each step kind above a join that spills: the pipeline re-forms
         as that step alone (its chain index and prepared side kept) over
-        the Grace join over the bound filter below it."""
+        the hybrid join over the bound filter below it."""
         from repro.cost.context import CostContext
         from repro.executor.executor import execute_plan
         from repro.logical.predicates import (

@@ -107,7 +107,7 @@ class TestJoins:
             FileScanIterator(db, "S"),
             self.predicates(catalog),
             db,
-            memory_pages=4,  # forces Grace partitioning
+            memory_pages=4,  # forces the hybrid spill path
         )
         writes_before = db.disk.counters.writes
         assert sorted(it.rows()) == self.join_reference(r_rows, s_rows)

@@ -237,8 +237,8 @@ def test_clustered_access_charges_identical_io_across_modes(kind):
 
 def _spilling_join(width: int):
     """A hash join whose 300-row build side ``S`` exceeds a 16-page
-    memory budget (64 intermediate rows), so it Grace-partitions into 5
-    partitions, on a one- or two-column key over small domains."""
+    memory budget (64 intermediate rows), so it spills the keys beyond
+    the budget, on a one- or two-column key over small domains."""
     catalog = Catalog()
     catalog.add_relation("R", [("k", 20), ("m", 3), ("a", 500)], cardinality=400)
     catalog.add_relation("S", [("j", 20), ("n", 3), ("b", 400)], cardinality=300)

@@ -222,7 +222,7 @@ LEFT = _fixed_rows(1, 61)
 RIGHT = _fixed_rows(2, 47)
 
 def _hash_join(c, db, memory, size):
-    """The one operator here written twice (only its Grace partitioning
+    """The one operator here written twice (only its hybrid spill path
     is shared): the generated probe step over batch children, as the
     builder makes it in batch mode, and the row class over row children."""
     if hasattr(c[0], "batches"):
@@ -288,7 +288,7 @@ ENTRY_POINT_CASES = {
         ),
         True,
     ),
-    "hash_join": ([LEFT, RIGHT], _hash_join, True),  # takes the Grace path
+    "hash_join": ([LEFT, RIGHT], _hash_join, True),  # takes the hybrid spill path
     "modulo_stripe": (
         [LEFT],
         lambda c, db, memory, size: ModuloStripeIterator(c[0], 1, 3, size),
@@ -369,5 +369,5 @@ class TestEntryPointEquivalence:
                     assert live == [], (memory, size, batch)
         # The minimum budget takes the disk path: the sort spills, the
         # partial-sort run overflows, nested loops re-reads its temporary
-        # file per outer block, the hash join Grace-partitions.
+        # file per outer block, the hash join spills its overflow.
         assert (seconds[1] > seconds[64]) == ENTRY_POINT_CASES[name][2], seconds

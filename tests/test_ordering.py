@@ -257,7 +257,7 @@ class TestRowShapeContract:
 
     ``operator.itemgetter`` with a single position returns the bare
     value; a hash key built that way never equals the interpreted
-    ``tuple(row[p] ...)`` form (or the Grace-partition spill keys), so
+    ``tuple(row[p] ...)`` form, so
     the 1-tuple contract is pinned here against regression.
     """
 
